@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -68,7 +67,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("--system", choices=sorted(_SYSTEMS), default="msqr")
     p.add_argument("--max-worlds", type=int, default=3)
     p.add_argument("--props", help="comma separated proposition budget")
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("frame", help="frame utilities")
     fsub = p.add_subparsers(dest="frame_cmd", required=True)
@@ -111,10 +109,7 @@ def _cmd_check(args) -> int:
         return 0
     print("rejected")
     for d in report.diagnostics:
-        if args.reasons:
-            print("step %d: %s: %s" % (d.step, d.reason, d.message))
-        else:
-            print("step %d: %s" % (d.step, d.message))
+        print(d if args.reasons else "step %d: %s" % (d.step, d.message))
     return 1
 
 
@@ -144,8 +139,7 @@ def _cmd_countermodel(args) -> int:
             if line:
                 gamma.append(parse_formula(line, system))
     props = tuple(p for p in (args.props or "").split(",") if p)
-    budget = SearchBudget(max_worlds=args.max_worlds, propositions=props,
-                          seed=args.seed)
+    budget = SearchBudget(max_worlds=args.max_worlds, propositions=props)
     result = find_countermodel(system, gamma, alpha, budget)
     if isinstance(result, Found):
         sys.stdout.write(print_structure(result.structure))
@@ -209,15 +203,36 @@ def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
     return True, "%s: rejected with %s as expected" % (name, entry["reason"])
 
 
+def _manifest_entries(path: Path) -> list[dict]:
+    try:
+        manifest = json.loads(_read(str(path)))
+    except json.JSONDecodeError as e:
+        raise _Usage("%s is not valid JSON: %s" % (path, e))
+    entries = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise _Usage("%s needs an 'entries' list of objects" % path)
+    for i, entry in enumerate(entries, start=1):
+        keys = ["name", "system", "path", "statement", "expected"]
+        if entry.get("expected") != "accepted":
+            keys.append("reason")
+        absent = [k for k in keys if not isinstance(entry.get(k), str)]
+        if absent:
+            raise _Usage("manifest entry %d lacks %s" % (i, ", ".join(absent)))
+        if entry["system"] not in _SYSTEMS:
+            raise _Usage("manifest entry %d: unknown system %r"
+                         % (i, entry["system"]))
+    return entries
+
+
 def _cmd_corpus_run(args) -> int:
     base = _corpus_dir(args)
     manifest_path = base / "manifest.json"
     if not manifest_path.is_file():
         raise _Usage("no manifest at %s" % manifest_path)
-    entries = json.loads(manifest_path.read_text())["entries"]
-    with ThreadPoolExecutor() as pool:
-        results = list(pool.map(
-            lambda e: _run_entry(base, e, args.max_worlds), entries))
+    entries = _manifest_entries(manifest_path)
+    # run every entry before printing, so an error leaves no partial report
+    results = [_run_entry(base, e, args.max_worlds) for e in entries]
     ok = 0
     for passed, message in results:
         print(("ok   " if passed else "FAIL ") + message)

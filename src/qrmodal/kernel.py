@@ -42,8 +42,11 @@ MSpQR only:
 
 Derived rules (NegI, NegE, IffI, IffE1, IffE2, AndI, AndE1, AndE2, and
 Mtrans under MSQR) are expanded to primitive steps before checking, so
-the checker never trusts them.  Premises are matched in the order the
-schema lists them.
+the checker never trusts them.  A derived step passes the admission
+checks of a primitive one (system, premises, arity, discharges, fresh)
+before it is expanded.  Helper steps are private to their expansion:
+later steps cannot cite or discharge them, nor open_assumptions name
+them.  Premises are matched in the order the schema lists them.
 
 Script file format::
 
@@ -68,12 +71,11 @@ wrong-system, unknown-premise, unknown-derived-rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .syntax import (
-    BOT, Box, Formula, Implies, Labelled, MFormula, ParseError, Rel,
-    Relational, System, labels_in, legal_rels, parse_formula, print_formula,
-    rels_in_formula, substitute,
+    BOT, Box, Formula, Implies, Labelled, ParseError, Rel, Relational, System,
+    labels_in, parse_formula, print_formula, substitute, well_formed,
 )
 
 WRONG_ARITY = "wrong-arity"
@@ -337,6 +339,7 @@ class _State:
         self.formulas: dict[int, Formula] = {}
         self.assumptions: dict[int, frozenset[int]] = {}
         self.hyps: set[int] = set()
+        self.helper_base = max(st.id for st in script.steps) + 1
 
     def diag(self, step: int, reason: str, message: str) -> None:
         self.diags.append(Diagnostic(step, reason, message))
@@ -373,56 +376,27 @@ def _run(script: ProofScript, system: Optional[System]) -> _State:
         seen.add(st.id)
 
     state = _State(script, system)
-    next_fresh = max(seen) + 1
     for st in script.steps:
-        if st.rule in DERIVED:
-            next_fresh = _step_derived(state, st, next_fresh)
-        else:
-            _step(state, st, st.id)
+        _step(state, st, st.id)
     return state
 
 
-def _step_derived(state: _State, st: ProofStep, next_fresh: int) -> int:
-    ok = True
-    if st.rule not in rules_of(state.system):
-        state.diag(st.id, WRONG_SYSTEM, "rule %s is not part of %s"
-                   % (st.rule, state.system.value))
-        ok = False
-    if ok and st.fresh is not None:
-        state.diag(st.id, SCHEMA_MISMATCH,
-                   "rule %s takes no fresh label" % st.rule)
-        ok = False
-    if ok and st.discharges and st.rule not in _DISCHARGING:
-        state.diag(st.id, ILLEGAL_DISCHARGE,
-                   "rule %s discharges nothing" % st.rule)
-        ok = False
-    if ok:
-        try:
-            steps = expand_derived(st, state.formulas, next_fresh)
-        except KernelError as e:
-            state.diag(st.id, e.code, str(e))
-            ok = False
-    if not ok:
-        _opaque(state, st)
-        return next_fresh
-    for sub in steps:
-        _step(state, sub, st.id)
-    return next_fresh + len(steps) - 1
-
-
-def _opaque(state: _State, st: ProofStep) -> None:
-    # a step that could not be checked still footprints its premises
+def _record(state: _State, st: ProofStep, discharged: frozenset[int]) -> None:
+    # the premises' open hypotheses minus those this step closes; a step
+    # that could not be checked still footprints its known premises
     deps = frozenset()
     for pid in st.premises:
-        deps |= state.assumptions.get(pid, frozenset())
-    deps -= frozenset(st.discharges)
+        if pid in state.assumptions:
+            deps |= state.assumptions[pid]
     state.formulas[st.id] = st.formula
-    state.assumptions[st.id] = deps
+    state.assumptions[st.id] = deps - discharged
 
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
     diag = state.diag
-    if not rels_in_formula(st.formula) <= legal_rels(state.system):
+    derived = st.rule in DERIVED
+    # a derived conclusion is checked as the last step of its expansion
+    if not derived and not well_formed(st.formula, state.system):
         diag(origin, WRONG_SYSTEM, "formula %s is not in the %s vocabulary"
              % (print_formula(st.formula), state.system.value))
 
@@ -436,12 +410,12 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
     if st.rule not in ALL_RULES:
         diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % st.rule)
-        _opaque(state, st)
+        _record(state, st, frozenset(st.discharges))
         return
     if st.rule not in rules_of(state.system):
         diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
              % (st.rule, state.system.value))
-        _opaque(state, st)
+        _record(state, st, frozenset(st.discharges))
         return
 
     prems: list[tuple[int, Formula]] = []
@@ -458,7 +432,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
              % (st.rule, _ARITY[st.rule], len(st.premises)))
         missing = True
     if missing:
-        _opaque(state, st)
+        _record(state, st, frozenset(st.discharges))
         return
 
     dis: list[tuple[int, Formula]] = []
@@ -478,19 +452,34 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
                 bad_discharge = True
             else:
                 dis.append((did, state.formulas[did]))
-    if st.fresh is not None and st.rule not in _FRESH_RULES:
+    bad_fresh = st.fresh is not None and st.rule not in _FRESH_RULES
+    if bad_fresh:
         diag(origin, SCHEMA_MISMATCH,
              "rule %s takes no fresh label" % st.rule)
 
-    if not bad_discharge:
-        _schema(state, st, origin, prems, dis)
+    if derived and not (bad_discharge or bad_fresh):
+        _expand(state, st, origin)
+    elif derived:
+        _record(state, st, frozenset(st.discharges))
+    else:
+        if not bad_discharge:
+            _schema(state, st, origin, prems, dis)
+        _record(state, st, frozenset(did for did, _ in dis))
 
-    deps = frozenset()
-    for pid, _ in prems:
-        deps |= state.assumptions[pid]
-    deps -= frozenset(did for did, _ in dis)
-    state.formulas[st.id] = st.formula
-    state.assumptions[st.id] = deps
+
+def _expand(state: _State, st: ProofStep, origin: int) -> None:
+    try:
+        steps = expand_derived(st, state.formulas, state.helper_base)
+    except KernelError as e:
+        state.diag(origin, e.code, str(e))
+        _record(state, st, frozenset(st.discharges))
+        return
+    for sub in steps:
+        _step(state, sub, origin)
+    # helper ids are private to this expansion; the next one reuses them
+    for sub in steps[:-1]:
+        del state.formulas[sub.id], state.assumptions[sub.id]
+        state.hyps.discard(sub.id)
 
 
 def _fresh_check(state: _State, origin: int, y: str, x: str,

@@ -15,23 +15,22 @@ A no-countermodel answer is relative to the bound and is never a
 theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
-search exhaustive within sane time.
+search exhaustive within sane time, and bounds below 1 with SearchError.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .syntax import (
-    Formula, Labelled, MFormula, Rel, Relational, System, labels_in,
-    legal_rels, props_in_formula, rels_in_formula,
+    Formula, System, labels_in, props_in_formula, well_formed,
 )
 from .semantics import (
-    Frame, Model, Structure, WrongSystem, _ev, validate_frame,
+    Frame, Model, Structure, WrongSystem, _holds, validate_frame,
 )
 
 MAX_ENUM_SIZE = 4
@@ -47,9 +46,11 @@ class BoundTooLarge(SearchError):
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE;
+    propositions: what valuations range over (empty: the query's)."""
+
     max_worlds: int = 3
-    propositions: tuple[str, ...] = ()  # empty: take those of the query
-    seed: int = 0
+    propositions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _closure(size: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     return closed
 
 
-def random_valid_frame(system: System, budget: SearchBudget) -> Frame:
+def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
     """A pseudorandom valid frame, a deterministic function of the seed.
 
     Construction: sample a world count and a U-partition, mark a
@@ -150,10 +151,10 @@ def random_valid_frame(system: System, budget: SearchBudget) -> Frame:
     keep the result only if it still validates (bounded retries, then
     the classical-only frame).
     """
-    if budget.max_worlds < 1:
+    if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
-    rng = random.Random(budget.seed)
-    n = rng.randint(1, budget.max_worlds)
+    rng = random.Random(seed)
+    n = rng.randint(1, max_worlds)
     assignment = [0] * n
     used = 1
     for i in range(1, n):
@@ -202,14 +203,6 @@ def _subsets(props: Sequence[str]) -> tuple[frozenset[str], ...]:
                  for mask in range(1 << len(props)))
 
 
-def _holds_fast(model: Model, interp: dict[str, int], f: Formula) -> bool:
-    if isinstance(f, Labelled):
-        return _ev(model, interp[f.label], f.body)
-    assert isinstance(f, Relational)
-    pair = (interp[f.left], interp[f.right])
-    return pair in (model.frame.u if f.rel is Rel.U else model.frame.meas)
-
-
 def find_countermodel(system: System, gamma: Iterable[Formula],
                       alpha: Formula, budget: SearchBudget,
                       disabled: Iterable[str] = ()) -> CountermodelResult:
@@ -217,9 +210,11 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
     gamma holds and alpha fails, in enumeration order."""
     gamma = list(gamma)
     for f in gamma + [alpha]:
-        if not rels_in_formula(f) <= legal_rels(system):
+        if not well_formed(f, system):
             raise WrongSystem("formula %s is not in the %s vocabulary"
                               % (f, system.value))
+    if budget.max_worlds < 1:
+        raise SearchError("the world bound must be at least 1")
     if budget.max_worlds > MAX_ENUM_SIZE:
         raise BoundTooLarge("search is capped at %d worlds" % MAX_ENUM_SIZE)
 
@@ -241,8 +236,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
                 model = Model(frame, dict(enumerate(val)))
                 for combo in itertools.product(worlds, repeat=len(labels)):
                     interp = dict(zip(labels, combo))
-                    if (all(_holds_fast(model, interp, g) for g in gamma)
-                            and not _holds_fast(model, interp, alpha)):
+                    if (all(_holds(model, interp, g) for g in gamma)
+                            and not _holds(model, interp, alpha)):
                         return Found(Structure(model, interp))
     return NotFoundWithin(budget.max_worlds, frames_checked,
                           labels_exceed_bound=len(labels) > budget.max_worlds)

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    BOT, Bottom, Box, Formula, Implies, Labelled, MFormula, ParseError, Prop,
-    Rel, Relational, System, legal_rels, print_mformula, rels_in,
-    rels_in_formula,
+    Box, Formula, Implies, Labelled, MFormula, ParseError, Prop, Rel, System,
+    labels_in, legal_rels, print_formula, rels_in, well_formed,
 )
 
 
@@ -103,7 +102,7 @@ class Frame:
     def pairs(self, rel: Rel) -> frozenset[Pair]:
         if rel is Rel.U:
             return self.u
-        if rel not in legal_rels(self.system):
+        if rel not in self.succ:
             raise WrongSystem("relation %s is not part of %s"
                               % (rel.value, self.system.value))
         return self.meas
@@ -265,19 +264,28 @@ def _ev(model: Model, world: int, phi: MFormula) -> bool:
     return False  # Bottom
 
 
-def holds(structure: Structure, f: Formula) -> bool:
-    """Truth of a labelled or relational formula under an interpretation."""
-    model = structure.model
+def _holds(model: Model, interp: Mapping[str, int], f: Formula) -> bool:
+    # unchecked core of holds, also called by find_countermodel: f must be
+    # well formed for the frame's system and interp must bind its labels
     if isinstance(f, Labelled):
-        if f.label not in structure.interp:
-            raise UnboundLabel("label %s is not interpreted" % f.label)
-        return evaluate(model, structure.interp[f.label], f.body)
-    assert isinstance(f, Relational)
-    pairs = model.frame.pairs(f.rel)
-    for lab in (f.left, f.right):
+        return _ev(model, interp[f.label], f.body)
+    return (interp[f.left], interp[f.right]) in model.frame.pairs(f.rel)
+
+
+def _check_bound(structure: Structure, f: Formula) -> None:
+    for lab in sorted(labels_in(f)):
         if lab not in structure.interp:
             raise UnboundLabel("label %s is not interpreted" % lab)
-    return (structure.interp[f.left], structure.interp[f.right]) in pairs
+
+
+def holds(structure: Structure, f: Formula) -> bool:
+    """Truth of a labelled or relational formula under an interpretation."""
+    system = structure.model.frame.system
+    if not well_formed(f, system):
+        raise WrongSystem("formula %s is not in the %s vocabulary"
+                          % (print_formula(f), system.value))
+    _check_bound(structure, f)
+    return _holds(structure.model, structure.interp, f)
 
 
 def entails_in(structure: Structure, gamma: Iterable[Formula],
@@ -285,18 +293,10 @@ def entails_in(structure: Structure, gamma: Iterable[Formula],
     """True unless every formula of gamma holds while alpha fails."""
     gamma = list(gamma)
     for g in gamma:  # surface unbound labels even when gamma fails early
-        for lab in sorted(_labels(g)):
-            if lab not in structure.interp:
-                raise UnboundLabel("label %s is not interpreted" % lab)
+        _check_bound(structure, g)
     if all(holds(structure, g) for g in gamma):
         return holds(structure, alpha)
     return True
-
-
-def _labels(f: Formula) -> frozenset[str]:
-    if isinstance(f, Labelled):
-        return frozenset((f.label,))
-    return frozenset((f.left, f.right))
 
 
 # ---------------------------------------------------------------------------

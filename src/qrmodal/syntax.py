@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 
 class System(enum.Enum):

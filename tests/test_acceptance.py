@@ -284,14 +284,12 @@ def test_criterion_7_generator_validity(verdict):
     for system in (System.MSQR, System.MSPQR):
         keys = []
         for seed in range(10_000):
-            frame = random_valid_frame(
-                system, SearchBudget(max_worlds=3, seed=seed))
+            frame = random_valid_frame(system, 3, seed)
             if validate_frame(frame):
                 ok = False
             keys.append(frame.key())
-        again = [random_valid_frame(
-            system, SearchBudget(max_worlds=3, seed=seed)).key()
-            for seed in range(10_000)]
+        again = [random_valid_frame(system, 3, seed).key()
+                 for seed in range(10_000)]
         ok = ok and keys == again
     verdict(7, ok, "10^4 seeded random frames per system all valid and "
                     "reproducible")

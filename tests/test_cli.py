@@ -185,6 +185,13 @@ def test_countermodel_bound_too_large(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_countermodel_bound_below_one(capsys, bound):
+    code = main(["countermodel", "x : r0", "--max-worlds", bound])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_countermodel_labels_note(capsys):
     gamma_dir = Path(str(CORPUS))
     del gamma_dir
@@ -195,9 +202,9 @@ def test_countermodel_labels_note(capsys):
 
 
 def test_countermodel_seed_reproducible(capsys):
-    main(["countermodel", "x : r0 -> [] r0", "--seed", "5"])
+    main(["countermodel", "x : r0 -> [] r0"])
     first = capsys.readouterr().out
-    main(["countermodel", "x : r0 -> [] r0", "--seed", "5"])
+    main(["countermodel", "x : r0 -> [] r0"])
     assert capsys.readouterr().out == first
 
 
@@ -262,6 +269,29 @@ def test_corpus_run_missing_entry_file(tmp_path, capsys):
     code = main(["corpus", "run", "--dir", str(dest)])
     assert code == 2
     assert "missing file" in capsys.readouterr().err
+
+
+THM1 = {"name": "thm1", "system": "msqr", "path": "thm1.prf",
+        "statement": "x : [] r0 -> r0", "expected": "accepted"}
+
+
+@pytest.mark.parametrize("manifest", [
+    "{\"entries\": [",
+    json.dumps({"items": [THM1]}),
+    json.dumps({"entries": [{k: v for k, v in THM1.items()
+                             if k != "statement"}]}),
+    json.dumps({"entries": [dict(THM1, expected="rejected")]}),
+    json.dumps({"entries": [dict(THM1, system="qrst")]}),
+], ids=["invalid-json", "no-entries", "missing-key", "missing-reason",
+        "unknown-system"])
+def test_corpus_run_malformed_manifest(tmp_path, capsys, manifest):
+    shutil.copy(CORPUS / "msqr" / "thm1.prf", tmp_path / "thm1.prf")
+    (tmp_path / "manifest.json").write_text(manifest)
+    code = main(["corpus", "run", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_corpus_run_statement_mismatch(tmp_path, capsys):

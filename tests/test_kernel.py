@@ -105,6 +105,66 @@ def test_open_assumptions_boxe_over_urefl():
         open_assumptions(script, 9)
 
 
+# -- derived-rule helper steps are private to their expansion ----------------
+
+HELPER_CITE = (
+    "system MSQR\n"
+    "theorem t : x : (p -> (q -> bot)) -> (p -> (q -> bot))\n"
+    "1. x : p ; hyp\n"
+    "2. x : q ; hyp\n"
+    "3. x : p & q ; AndI 1,2\n"
+    "5. x : (p -> (q -> bot)) -> (p -> (q -> bot)) ; ImpI 6 discharge 6\n"
+    "qed\n")
+
+
+def test_helper_step_cannot_be_cited():
+    # step 6 is the hypothesis x : p -> (q -> bot) inside the AndI expansion
+    script = parse_script(HELPER_CITE)
+    report = check(script)
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (5, "unknown-premise", "premise 6 is not an earlier step")]
+    with pytest.raises(KernelError) as exc:
+        open_assumptions(script, 6)
+    assert exc.value.code == "unknown-premise"
+
+
+def test_helper_step_cannot_be_discharged():
+    report = check(parse_script(
+        "system MSQR\n"
+        "theorem t : x : p -> p\n"
+        "1. x : p ; hyp\n"
+        "2. x : q ; hyp\n"
+        "3. x : p & q ; AndI 1,2\n"
+        "5. x : p -> p ; ImpI 1 discharge 1,6\n"
+        "qed\n"))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (5, "illegal-discharge", "discharge 6 is not an earlier step")]
+
+
+# each admission failure gets one reason code, whether the rule is derived
+# (AndI, Mtrans) or primitive (ImpE, UIfromM)
+@pytest.mark.parametrize("system,derived,primitive,code", [
+    ("MSPQR", "x U x ; Mtrans 1,2", "x U x ; UIfromM 1", "wrong-system"),
+    ("MSQR", "x : r0 & (r0 -> r0) ; AndI 1,2 fresh y",
+     "x : r0 ; ImpE 2,1 fresh y", "schema-mismatch"),
+    ("MSQR", "x : r0 & (r0 -> r0) ; AndI 1,2 discharge 1",
+     "x : r0 ; ImpE 2,1 discharge 1", "illegal-discharge"),
+    ("MSQR", "x : r0 & (r0 -> r0) ; AndI 1", "x : r0 ; ImpE 2",
+     "wrong-arity"),
+    ("MSQR", "x : r0 & (r0 -> r0) ; AndI 1,9", "x : r0 ; ImpE 2,9",
+     "unknown-premise"),
+], ids=["wrong-system", "fresh", "discharge", "arity", "unknown-premise"])
+def test_admission_same_for_derived_and_primitive(system, derived, primitive,
+                                                  code):
+    def step3(line):
+        report = check(parse_script(
+            "system %s\ntheorem t : x : r0\n"
+            "1. x : r0 ; hyp\n2. x : r0 -> r0 ; hyp\n"
+            "3. %s\n4. x : r0 ; hyp\nqed\n" % (system, line)))
+        return [d.reason for d in report.diagnostics if d.step == 3]
+    assert step3(derived) == step3(primitive) == [code]
+
+
 # -- derived rule expansion --------------------------------------------------
 
 def test_expand_mtrans_three_steps():

@@ -7,6 +7,7 @@ from qrmodal.search import (
     Found,
     NotFoundWithin,
     SearchBudget,
+    SearchError,
     enumerate_frames,
     find_countermodel,
     random_valid_frame,
@@ -119,7 +120,7 @@ def test_enumeration_meas_outside_u_when_disabled():
 # -- random generation -------------------------------------------------------
 
 def test_random_frame_single_world():
-    frame = random_valid_frame(System.MSQR, SearchBudget(max_worlds=1, seed=7))
+    frame = random_valid_frame(System.MSQR, 1, 7)
     assert frame.size == 1
     assert frame.u == {(0, 0)} and frame.meas == {(0, 0)}
 
@@ -127,7 +128,7 @@ def test_random_frame_single_world():
 def test_random_frame_golden_seed_42():
     u_total3 = frozenset((a, b) for a in range(3) for b in range(3))
     for system in System:
-        frame = random_valid_frame(system, SearchBudget(max_worlds=3, seed=42))
+        frame = random_valid_frame(system, 3, 42)
         assert frame.size == 3
         assert frame.u == u_total3
         assert frame.meas == {(0, 1), (1, 1), (2, 2)}
@@ -135,12 +136,11 @@ def test_random_frame_golden_seed_42():
 
 def test_random_frame_deterministic_and_valid():
     for seed in range(300):
-        budget = SearchBudget(max_worlds=4, seed=seed)
-        a = random_valid_frame(System.MSQR, budget)
-        b = random_valid_frame(System.MSQR, budget)
+        a = random_valid_frame(System.MSQR, 4, seed)
+        b = random_valid_frame(System.MSQR, 4, seed)
         assert (a.size, a.u, a.meas) == (b.size, b.u, b.meas)
         assert validate_frame(a) == []
-        c = random_valid_frame(System.MSPQR, budget)
+        c = random_valid_frame(System.MSPQR, 4, seed)
         assert validate_frame(c) == []
 
 
@@ -189,6 +189,8 @@ def test_search_bound_guard():
     alpha = parse_formula("x : r0")
     with pytest.raises(BoundTooLarge):
         find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=9))
+    with pytest.raises(SearchError):
+        find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=0))
 
 
 def test_search_rejects_wrong_system_formulas():

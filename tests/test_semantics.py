@@ -326,10 +326,10 @@ def test_parse_structure_diagnostics():
 
 @st.composite
 def _random_model(draw):
-    from qrmodal.search import SearchBudget, random_valid_frame
+    from qrmodal.search import random_valid_frame
 
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    frame = random_valid_frame(System.MSQR, SearchBudget(max_worlds=3, seed=seed))
+    frame = random_valid_frame(System.MSQR, 3, seed)
     val = {w: draw(st.sets(st.sampled_from(["r0", "r1"])))
            for w in range(frame.size)}
     return Model(frame, val)
