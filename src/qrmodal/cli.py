@@ -28,11 +28,13 @@ from . import kernel
 _SYSTEMS = {"msqr": System.MSQR, "mspqr": System.MSPQR}
 
 
-def _read(path: str) -> str:
+def _read(path: str | Path) -> str:
     try:
         return Path(path).read_text()
     except OSError as e:
         raise _Usage("cannot read %s: %s" % (path, e.strerror or e))
+    except UnicodeDecodeError as e:
+        raise _Usage("cannot read %s: %s" % (path, e))
 
 
 class _Usage(Exception):
@@ -176,7 +178,7 @@ def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
     path = base / entry["path"]
     if not path.is_file():
         raise _Usage("corpus entry %s: missing file %s" % (name, path))
-    script = kernel.parse_script(path.read_text())
+    script = kernel.parse_script(_read(path))
     statement = parse_formula(entry["statement"])
     if script.statement != statement:
         return False, "%s: script states %s, manifest states %s" % (
@@ -205,7 +207,7 @@ def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
 
 def _manifest_entries(path: Path) -> list[dict]:
     try:
-        manifest = json.loads(_read(str(path)))
+        manifest = json.loads(_read(path))
     except json.JSONDecodeError as e:
         raise _Usage("%s is not valid JSON: %s" % (path, e))
     entries = manifest.get("entries") if isinstance(manifest, dict) else None

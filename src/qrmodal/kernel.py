@@ -377,8 +377,16 @@ def _run(script: ProofScript, system: Optional[System]) -> _State:
 
     state = _State(script, system)
     for st in script.steps:
+        _vocabulary(state, st, st.id)
         _step(state, st, st.id)
     return state
+
+
+def _vocabulary(state: _State, st: ProofStep, origin: int) -> None:
+    if not well_formed(st.formula, state.system):
+        state.diag(origin, WRONG_SYSTEM,
+                   "formula %s is not in the %s vocabulary"
+                   % (print_formula(st.formula), state.system.value))
 
 
 def _record(state: _State, st: ProofStep, discharged: frozenset[int]) -> None:
@@ -393,13 +401,9 @@ def _record(state: _State, st: ProofStep, discharged: frozenset[int]) -> None:
 
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
+    # the caller has checked st's vocabulary
     diag = state.diag
     derived = st.rule in DERIVED
-    # a derived conclusion is checked as the last step of its expansion
-    if not derived and not well_formed(st.formula, state.system):
-        diag(origin, WRONG_SYSTEM, "formula %s is not in the %s vocabulary"
-             % (print_formula(st.formula), state.system.value))
-
     if st.rule == HYP:
         if st.premises or st.discharges or st.fresh:
             diag(origin, WRONG_ARITY, "hyp takes no premises or annotations")
@@ -474,7 +478,10 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
         state.diag(origin, e.code, str(e))
         _record(state, st, frozenset(st.discharges))
         return
+    # the last step repeats st's conclusion, whose vocabulary is checked
     for sub in steps:
+        if sub is not steps[-1]:
+            _vocabulary(state, sub, origin)
         _step(state, sub, origin)
     # helper ids are private to this expansion; the next one reuses them
     for sub in steps[:-1]:

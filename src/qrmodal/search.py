@@ -1,18 +1,28 @@
 """Frame enumeration, random valid frames, and countermodel search.
 
-Enumeration is exhaustive and canonical: every equivalence relation on
-{0..size-1} (one per set partition, in restricted-growth order) is
-paired with every measurement relation drawn from the allowed pair set
-(in bitmask order), and the pair is kept when validate_frame accepts
-it.  Membership is decided by the validator alone, so the enumeration
-cannot drift from the frame conditions.
+Enumeration is exhaustive and canonical: for every equivalence relation
+U on {0..size-1} (one per set partition, in restricted-growth order) it
+yields the valid measurement relations over U in bitmask order over the
+sorted U-pairs.  The candidates are built from the frame conditions,
+block by block: a nonempty classical set C whose worlds measure only
+themselves, every other world measuring a nonempty subset of C, and
+under MSpQR any edges among the non-classical worlds.  With a condition
+disabled, the candidates are every mask over the allowed pairs instead.
+Each candidate is kept when validate_frame accepts it.  Membership is
+decided by the validator alone, so the enumeration cannot drift from
+the frame conditions.
 
-The countermodel search tries every structure in that order: frames of
-growing size, then valuations over the proposition budget, then label
-interpretations (labels may share worlds).  The first failing structure
-is returned; otherwise the search reports how many frames it checked.
-A no-countermodel answer is relative to the bound and is never a
-theoremhood claim.
+The countermodel search returns the first failing structure in the
+order frames of growing size, then valuations over the proposition
+budget (itertools.product order, world 0 slowest), then label
+interpretations (product order; labels may share worlds).  It does not
+visit the structures one by one: per frame it computes the truth set of
+every subformula for a chunk of valuations at once (see
+semantics.truth_sets), ANDs the gamma columns and masks out alpha for
+each interpretation, and takes the lowest failing valuation, then the
+first interpretation failing under it.  Otherwise the search reports how
+many frames it checked.  A no-countermodel answer is relative to the
+bound and is never a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
 search exhaustive within sane time, and bounds below 1 with SearchError.
@@ -27,13 +37,16 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .syntax import (
-    Formula, System, labels_in, props_in_formula, well_formed,
+    Formula, Labelled, System, labels_in, props_in_formula, well_formed,
 )
 from .semantics import (
-    Frame, Model, Structure, WrongSystem, _holds, validate_frame,
+    Frame, Model, Pair, Structure, WrongSystem, compile_formulas, truth_sets,
+    validate_frame,
 )
 
 MAX_ENUM_SIZE = 4
+# valuations evaluated together: 2**CHUNK_BITS bits per truth-set int
+CHUNK_BITS = 12
 
 
 class SearchError(Exception):
@@ -87,6 +100,32 @@ def _u_pairs(assignment: Sequence[int]) -> frozenset[tuple[int, int]]:
                      if assignment[v] == assignment[w])
 
 
+def _nonempty_subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
+    return [sub for r in range(1, len(items) + 1)
+            for sub in itertools.combinations(items, r)]
+
+
+def _block_relations(system: System,
+                     block: Sequence[int]) -> list[frozenset[Pair]]:
+    # every measurement relation on one U-block that the frame conditions
+    # can accept: a nonempty classical set C whose worlds see only
+    # themselves, every other world seeing a nonempty subset of C and,
+    # under MSpQR, any edges among the other worlds
+    out = []
+    for classical in _nonempty_subsets(block):
+        rest = [w for w in block if w not in classical]
+        loops = [(c, c) for c in classical]
+        between = [(v, w) for v in rest for w in rest if v != w]
+        extras = ([()] if system is System.MSQR
+                  else [sub for r in range(len(between) + 1)
+                        for sub in itertools.combinations(between, r)])
+        for targets in itertools.product(_nonempty_subsets(classical),
+                                         repeat=len(rest)):
+            base = loops + [(v, c) for v, cs in zip(rest, targets) for c in cs]
+            out.extend(frozenset(base + list(extra)) for extra in extras)
+    return out
+
+
 @lru_cache(maxsize=None)
 def _frames(system: System, size: int,
             disabled: tuple[str, ...]) -> tuple[Frame, ...]:
@@ -97,8 +136,19 @@ def _frames(system: System, size: int,
             pool = sorted((v, w) for v in range(size) for w in range(size))
         else:
             pool = sorted(u)  # anything else already fails meas-not-sub-U
-        for mask in range(1 << len(pool)):
-            meas = frozenset(p for k, p in enumerate(pool) if mask >> k & 1)
+        if disabled:
+            candidates = [frozenset(p for k, p in enumerate(pool)
+                                    if mask >> k & 1)
+                          for mask in range(1 << len(pool))]
+        else:
+            bit = {p: 1 << k for k, p in enumerate(pool)}
+            blocks = [[w for w in range(size) if assignment[w] == b]
+                      for b in range(max(assignment) + 1)]
+            candidates = sorted(
+                (frozenset().union(*parts) for parts in itertools.product(
+                    *(_block_relations(system, blk) for blk in blocks))),
+                key=lambda meas: sum(bit[p] for p in meas))
+        for meas in candidates:
             frame = Frame(system, size, u, meas)
             if not validate_frame(frame, disabled):
                 out.append(frame)
@@ -198,9 +248,24 @@ def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
     return Frame(system, n, u, meas)
 
 
-def _subsets(props: Sequence[str]) -> tuple[frozenset[str], ...]:
-    return tuple(frozenset(p for k, p in enumerate(props) if mask >> k & 1)
-                 for mask in range(1 << len(props)))
+def _patterns(bits: int, full: int) -> list[int]:
+    # pattern j has bit v set iff bit j of v is set, for v < 2**bits
+    return [full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(bits)]
+
+
+def _columns(places: list[tuple[str, int, int]], size: int, chunk: int,
+             chunk_bits: int, low: list[int],
+             full: int) -> dict[str, list[int]]:
+    # proposition columns of one chunk: valuation bit j below chunk_bits
+    # varies inside the chunk, the bits above it are fixed by the chunk
+    columns: dict[str, list[int]] = {}
+    for p, w, j in places:
+        col = columns.setdefault(p, [0] * size)
+        if j < chunk_bits:
+            col[w] |= low[j]
+        elif chunk >> (j - chunk_bits) & 1:
+            col[w] = full
+    return columns
 
 
 def find_countermodel(system: System, gamma: Iterable[Formula],
@@ -209,7 +274,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
     """Search every structure within the budget for one where all of
     gamma holds and alpha fails, in enumeration order."""
     gamma = list(gamma)
-    for f in gamma + [alpha]:
+    formulas = gamma + [alpha]
+    for f in formulas:
         if not well_formed(f, system):
             raise WrongSystem("formula %s is not in the %s vocabulary"
                               % (f, system.value))
@@ -221,23 +287,81 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
     props = budget.propositions
     if not props:
         gathered: set[str] = set()
-        for f in gamma + [alpha]:
+        for f in formulas:
             gathered |= props_in_formula(f)
         props = tuple(sorted(gathered))
-    labels = sorted(set().union(*(labels_in(f) for f in gamma + [alpha])))
+    labels = sorted(set().union(*(labels_in(f) for f in formulas)))
+    slot = {lab: k for k, lab in enumerate(labels)}
+    program, roots = compile_formulas(
+        [f.body for f in formulas if isinstance(f, Labelled)])
+    root = iter(roots)
+    # per formula: ("lab", label slot, program root) or
+    # ("rel", left slot, relation, right slot)
+    queries = [("lab", slot[f.label], next(root))
+               if isinstance(f, Labelled)
+               else ("rel", slot[f.left], f.rel, slot[f.right])
+               for f in formulas]
+    alpha_q = queries.pop()
 
     frames_checked = 0
     for size in range(1, budget.max_worlds + 1):
-        worlds = range(size)
-        val_choices = _subsets(props)
+        # valuation v is the v-th of itertools.product over the subsets
+        # of props (subset mask k holds props[k]), repeated per world:
+        # world 0 owns the top len(props) bits of v
+        places = [(p, w, len(props) * (size - 1 - w) + k)
+                  for k, p in enumerate(props) for w in range(size)]
+        total_bits = len(props) * size
+        chunk_bits = min(total_bits, CHUNK_BITS)
+        full = (1 << (1 << chunk_bits)) - 1
+        low = _patterns(chunk_bits, full)
+        first = _columns(places, size, 0, chunk_bits, low, full)
+        combos = list(itertools.product(range(size), repeat=len(labels)))
         for frame in enumerate_frames(system, size, disabled):
             frames_checked += 1
-            for val in itertools.product(val_choices, repeat=size):
-                model = Model(frame, dict(enumerate(val)))
-                for combo in itertools.product(worlds, repeat=len(labels)):
-                    interp = dict(zip(labels, combo))
-                    if (all(_holds(model, interp, g) for g in gamma)
-                            and not _holds(model, interp, alpha)):
-                        return Found(Structure(model, interp))
+            for chunk in range(1 << (total_bits - chunk_bits)):
+                columns = first if chunk == 0 else _columns(
+                    places, size, chunk, chunk_bits, low, full)
+                sat = truth_sets(program, frame, columns, full)
+                hit = _first_failure(frame, sat, queries, alpha_q, combos,
+                                     full)
+                if hit is not None:
+                    bit, combo = hit
+                    v = (chunk << chunk_bits) + bit
+                    val = {w: frozenset(p for p, w2, j in places
+                                        if w2 == w and v >> j & 1)
+                           for w in range(size)}
+                    return Found(Structure(Model(frame, val),
+                                           dict(zip(labels, combo))))
     return NotFoundWithin(budget.max_worlds, frames_checked,
                           labels_exceed_bound=len(labels) > budget.max_worlds)
+
+
+def _value(q: tuple, frame: Frame, sat: list[list[int]],
+           combo: tuple[int, ...], full: int) -> int:
+    # the valuations of the chunk under which query q holds at combo
+    if q[0] == "lab":
+        return sat[q[2]][combo[q[1]]]
+    return full if (combo[q[1]], combo[q[3]]) in frame.pairs(q[2]) else 0
+
+
+def _first_failure(frame: Frame, sat: list[list[int]], gamma_q: list[tuple],
+                   alpha_q: tuple, combos: list[tuple[int, ...]], full: int):
+    """The lowest valuation bit under which some interpretation makes
+    every gamma query true and alpha false, with the first such
+    interpretation; None when there is none."""
+    failing = []
+    anywhere = 0
+    for combo in combos:
+        bad = full ^ _value(alpha_q, frame, sat, combo, full)
+        for q in gamma_q:
+            if not bad:
+                break
+            bad &= _value(q, frame, sat, combo, full)
+        if bad:
+            failing.append((bad, combo))
+            anywhere |= bad
+    if not anywhere:
+        return None
+    lowest = anywhere & -anywhere
+    combo = next(c for bad, c in failing if bad & lowest)
+    return lowest.bit_length() - 1, combo

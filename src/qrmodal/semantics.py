@@ -13,7 +13,14 @@ returns one violation per witness instead of a bare verdict:
          the classical-uniqueness condition as in MSQR.
 
 Truth is classical: bot is false, -> is material, a box quantifies over
-the successors of the evaluation world along its relation.
+the successors of the evaluation world along its relation.  Formulas
+are evaluated bottom-up, by truth sets (the labelling algorithm of
+global model checking): compile_formulas lists the distinct subformulas
+in post order, and truth_sets computes each one's truth at every world
+once, for a batch of valuations at once, one bit per valuation.  A box
+ANDs its body's truth over each distinct successor row.  evaluate and
+holds run it with a single valuation; the countermodel search runs it
+over many.
 
 Model files look like:
 
@@ -38,8 +45,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    Box, Formula, Implies, Labelled, MFormula, ParseError, Prop, Rel, System,
-    labels_in, legal_rels, print_formula, rels_in, well_formed,
+    Bottom, Box, Formula, Implies, Labelled, MFormula, ParseError, Prop, Rel,
+    System, labels_in, legal_rels, print_formula, rels_in, well_formed,
 )
 
 
@@ -242,6 +249,91 @@ class Structure:
         return "Structure(%r, %r)" % (self.model, self.interp)
 
 
+def compile_formulas(
+        phis: Iterable[MFormula]) -> tuple[list[tuple], list[int]]:
+    """The distinct subformulas of phis in post order, and the index of
+    each phi in that list.
+
+    A node is (Bottom,), (Prop, name), (Implies, left, right) or
+    (Box, rel, body), where left, right and body index earlier nodes.
+    """
+    program: list[tuple] = []
+    index: dict[MFormula, int] = {}
+    roots = []
+    for root in phis:
+        stack = [root]
+        while stack:
+            phi = stack[-1]
+            if phi in index:
+                stack.pop()
+                continue
+            if isinstance(phi, Implies):
+                kids = [k for k in (phi.left, phi.right) if k not in index]
+                if kids:
+                    stack.extend(kids)
+                    continue
+                node = (Implies, index[phi.left], index[phi.right])
+            elif isinstance(phi, Box):
+                if phi.body not in index:
+                    stack.append(phi.body)
+                    continue
+                node = (Box, phi.rel, index[phi.body])
+            elif isinstance(phi, Prop):
+                node = (Prop, phi.name)
+            else:
+                node = (Bottom,)
+            stack.pop()
+            index[phi] = len(program)
+            program.append(node)
+        roots.append(index[root])
+    return program, roots
+
+
+def truth_sets(program: Sequence[tuple], frame: Frame,
+               columns: Mapping[str, Sequence[int]],
+               full: int) -> list[list[int]]:
+    """Sat of every node of a compiled program on a frame, for a batch
+    of valuations at once.
+
+    Bit v of columns[p][w] says that p is true at world w under
+    valuation v; full has one bit per valuation.  The result holds, per
+    node, one int per world with the same meaning for the node's
+    formula.  Propositions without a column are false everywhere.
+    """
+    zero = [0] * frame.size
+    sat: list[list[int]] = []
+    for node in program:
+        kind = node[0]
+        if kind is Implies:
+            col = [(full ^ a) | b for a, b in zip(sat[node[1]], sat[node[2]])]
+        elif kind is Box:
+            body = sat[node[2]]
+            seen: dict[tuple[int, ...], int] = {}
+            col = []
+            for row in frame.succ[node[1]]:
+                got = seen.get(row)
+                if got is None:
+                    got = full
+                    for w in row:
+                        got &= body[w]
+                    seen[row] = got
+                col.append(got)
+        elif kind is Prop:
+            col = columns.get(node[1], zero)
+        else:
+            col = zero
+        sat.append(col)
+    return sat
+
+
+def _truth(model: Model, phi: MFormula) -> list[int]:
+    # truth of phi at every world of the model, as 0 or 1 per world
+    program, (root,) = compile_formulas([phi])
+    columns = {node[1]: [int(node[1] in props) for props in model.valuation]
+               for node in program if node[0] is Prop}
+    return truth_sets(program, model.frame, columns, 1)[root]
+
+
 def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     """Truth of an m-formula at a world of a model."""
     if not (0 <= world < model.frame.size):
@@ -250,26 +342,7 @@ def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     if bad:
         raise WrongSystem("relation %s is not part of %s"
                           % (sorted(bad)[0].value, model.frame.system.value))
-    return _ev(model, world, phi)
-
-
-def _ev(model: Model, world: int, phi: MFormula) -> bool:
-    if isinstance(phi, Prop):
-        return phi.name in model.valuation[world]
-    if isinstance(phi, Implies):
-        return not _ev(model, world, phi.left) or _ev(model, world, phi.right)
-    if isinstance(phi, Box):
-        rows = model.frame.succ[phi.rel]
-        return all(_ev(model, w, phi.body) for w in rows[world])
-    return False  # Bottom
-
-
-def _holds(model: Model, interp: Mapping[str, int], f: Formula) -> bool:
-    # unchecked core of holds, also called by find_countermodel: f must be
-    # well formed for the frame's system and interp must bind its labels
-    if isinstance(f, Labelled):
-        return _ev(model, interp[f.label], f.body)
-    return (interp[f.left], interp[f.right]) in model.frame.pairs(f.rel)
+    return _truth(model, phi)[world] == 1
 
 
 def _check_bound(structure: Structure, f: Formula) -> None:
@@ -285,7 +358,10 @@ def holds(structure: Structure, f: Formula) -> bool:
         raise WrongSystem("formula %s is not in the %s vocabulary"
                           % (print_formula(f), system.value))
     _check_bound(structure, f)
-    return _holds(structure.model, structure.interp, f)
+    model, interp = structure.model, structure.interp
+    if isinstance(f, Labelled):
+        return _truth(model, f.body)[interp[f.label]] == 1
+    return (interp[f.left], interp[f.right]) in model.frame.pairs(f.rel)
 
 
 def entails_in(structure: Structure, gamma: Iterable[Formula],

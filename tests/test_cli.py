@@ -306,6 +306,34 @@ def test_corpus_run_statement_mismatch(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+NOT_UTF8 = b"system MSQR\n\xff\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "{f}"],
+    ["eval", "{f}", "x : r0"],
+    ["countermodel", "x : r0", "--assumptions", "{f}"],
+], ids=["check", "eval-model", "countermodel-assumptions"])
+def test_non_utf8_input_is_a_read_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(NOT_UTF8)
+    code = main([arg.format(f=path) for arg in command])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot read %s" % path)
+    assert captured.out == ""
+
+
+def test_corpus_run_non_utf8_entry_file(tmp_path, capsys):
+    dest = _copy_corpus(tmp_path)
+    (dest / "msqr" / "thm1.prf").write_bytes(NOT_UTF8)
+    code = main(["corpus", "run", "--dir", str(dest)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: cannot read ")
+    assert captured.out == ""
+
+
 # -- installed entry point ---------------------------------------------------
 
 def test_console_script_runs():

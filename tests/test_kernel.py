@@ -165,6 +165,22 @@ def test_admission_same_for_derived_and_primitive(system, derived, primitive,
     assert step3(derived) == step3(primitive) == [code]
 
 
+def test_vocabulary_of_derived_step_checked_once():
+    # step 11 of mspqr/thm3 is a NegI discharging hypothesis 3; under
+    # MSQR its conclusion is foreign vocabulary
+    def step11(script):
+        report = check(script, System.MSQR)
+        return sorted(d.reason for d in report.diagnostics if d.step == 11)
+
+    script = load("mspqr/thm3.prf")
+    # admitted and expanded: the expansion's last step is not re-checked
+    assert step11(script) == ["wrong-system"]
+    # without hypothesis 3 the NegI fails admission and is not expanded
+    no_hyp = ProofScript(script.system, script.name, script.statement,
+                         tuple(s for s in script.steps if s.id != 3))
+    assert step11(no_hyp) == ["illegal-discharge", "wrong-system"]
+
+
 # -- derived rule expansion --------------------------------------------------
 
 def test_expand_mtrans_three_steps():

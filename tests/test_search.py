@@ -1,3 +1,5 @@
+import json
+from importlib import resources
 from itertools import product
 
 import pytest
@@ -12,8 +14,13 @@ from qrmodal.search import (
     find_countermodel,
     random_valid_frame,
 )
-from qrmodal.semantics import Frame, WrongSystem, holds, validate_frame
-from qrmodal.syntax import System, parse_formula
+from qrmodal.semantics import (
+    Frame, Model, Structure, WrongSystem, holds, validate_frame,
+)
+from qrmodal.syntax import (
+    Labelled, System, labels_in, parse_formula, props_in_formula, well_formed,
+)
+from test_semantics import truth_set
 
 
 def _pair_subsets(pool):
@@ -59,6 +66,30 @@ def brute_force_frames(system, n):
     return out
 
 
+def _partitions(n):
+    # restricted growth strings in lexicographic order
+    return [a for a in product(range(n), repeat=n)
+            if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))]
+
+
+def sweep_frames(system, n, disabled=()):
+    """Every measurement mask over the allowed pairs, per U-partition,
+    kept when validate_frame accepts it: the reference frame order."""
+    out = []
+    for a in _partitions(n):
+        u = frozenset((v, w) for v in range(n) for w in range(n)
+                      if a[v] == a[w])
+        if "meas-not-sub-U" in disabled:
+            pool = sorted(product(range(n), repeat=2))
+        else:
+            pool = sorted(u)
+        for meas in _pair_subsets(pool):
+            frame = Frame(system, n, u, meas)
+            if not validate_frame(frame, disabled):
+                out.append(frame)
+    return out
+
+
 # -- enumeration -------------------------------------------------------------
 
 def test_size_one_is_the_identity_frame():
@@ -88,6 +119,19 @@ def test_enumeration_matches_brute_force(system, counts):
         assert len(got) == expected
         seen = list(enumerate_frames(system, n))
         assert len(seen) == len(set(seen)), "duplicate frames emitted"
+
+
+@pytest.mark.parametrize("system,disabled", [
+    (System.MSQR, ()),
+    (System.MSPQR, ()),
+    (System.MSQR, ("not-serial",)),
+    (System.MSPQR, ("meas-not-sub-U",)),
+])
+def test_enumeration_order_is_the_mask_sweep(system, disabled):
+    # frame order decides which countermodel the search returns first
+    for n in (1, 2, 3):
+        assert list(enumerate_frames(system, n, disabled)) == \
+            sweep_frames(system, n, disabled)
 
 
 def test_enumeration_all_validate():
@@ -278,3 +322,107 @@ def test_found_structure_reuses_standard_evaluator():
     frame = result.structure.model.frame
     assert isinstance(frame, Frame)
     assert frame.system is System.MSQR
+
+
+# -- the search against the per-structure nested loop ------------------------
+
+def nested_loop(system, gamma, alpha, max_worlds, disabled=()):
+    """The reference search: frames of the mask sweep, then valuations,
+    then label interpretations, each structure checked with the
+    truth_set oracle; the first failing structure wins."""
+    fs = gamma + [alpha]
+    props = sorted(set().union(*(props_in_formula(f) for f in fs)))
+    labels = sorted(set().union(*(labels_in(f) for f in fs)))
+    subsets = [frozenset(p for k, p in enumerate(props) if mask >> k & 1)
+               for mask in range(1 << len(props))]
+    checked = 0
+    for size in range(1, max_worlds + 1):
+        for frame in sweep_frames(system, size, disabled):
+            checked += 1
+            for val in product(subsets, repeat=size):
+                model = Model(frame, dict(enumerate(val)))
+                sets = {f.body: truth_set(model, f.body)
+                        for f in fs if isinstance(f, Labelled)}
+
+                def true(f, interp):
+                    if isinstance(f, Labelled):
+                        return interp[f.label] in sets[f.body]
+                    return (interp[f.left], interp[f.right]) in \
+                        frame.pairs(f.rel)
+                for combo in product(range(size), repeat=len(labels)):
+                    interp = dict(zip(labels, combo))
+                    if (all(true(g, interp) for g in gamma)
+                            and not true(alpha, interp)):
+                        return Found(Structure(model, interp))
+    return NotFoundWithin(max_worlds, checked,
+                          labels_exceed_bound=len(labels) > max_worlds)
+
+
+def _corpus_statements():
+    manifest = json.loads((resources.files("qrmodal") / "corpus"
+                           / "manifest.json").read_text())
+    return sorted({e["statement"] for e in manifest["entries"]})
+
+
+REFUTABLE = [
+    ((), "x : r0 -> [] r0"),
+    ((), "x : r0 -> [M] r0"),
+    ((), "x : <M> r0 -> [M] r0"),
+    ((), "x : [M](r0 | r1) -> [M] r0 | [M] r1"),
+    ((), "x : <> r0 -> <P> r0"),
+    ((), "x : <P> r0 -> [P] r0"),
+    (("x M y",), "x M x"),
+    (("x U y",), "x M y"),
+    (("x P y",), "y P x"),
+    (("x : r0",), "y : r0"),
+    (("x : [] r0",), "x : [M] r1"),
+    (("x U y", "y : r0"), "x : <P> r0"),
+]
+
+QUERIES = [((), s) for s in _corpus_statements()] + REFUTABLE
+
+
+@pytest.mark.parametrize("system,disabled", [
+    (System.MSQR, ()),
+    (System.MSPQR, ()),
+    (System.MSQR, ("not-shift-reflexive",)),
+    (System.MSPQR, ("not-transitive",)),
+])
+def test_search_matches_nested_loop(system, disabled):
+    ran = 0
+    for assumptions, goal in QUERIES:
+        gamma = [parse_formula(a) for a in assumptions]
+        alpha = parse_formula(goal)
+        if not all(well_formed(f, system) for f in gamma + [alpha]):
+            continue
+        for bound in (1, 2, 3):
+            got = find_countermodel(system, gamma, alpha,
+                                    SearchBudget(max_worlds=bound), disabled)
+            want = nested_loop(system, gamma, alpha, bound, disabled)
+            assert type(got) is type(want), (goal, bound)
+            if isinstance(want, Found):
+                assert got.structure == want.structure, (goal, bound)
+            else:
+                assert got == want, (goal, bound)
+            ran += 1
+    assert ran >= 30
+
+
+@pytest.mark.parametrize("chunk_bits", [0, 1, 3])
+def test_search_in_small_valuation_chunks(monkeypatch, chunk_bits):
+    # the corpus queries fit in one chunk; force several per frame
+    import qrmodal.search as search
+
+    queries = [(System.MSQR, goal) for _, goal in QUERIES[:8]] + [
+        (System.MSQR, "x : [M](r0 | r1) -> [M] r0 | [M] r1"),
+        (System.MSPQR, "x : <P> r0 -> [P] r0"),
+        (System.MSQR, "x : (r0 -> r1) -> r1 -> r1"),
+    ]
+    queries = [(s, parse_formula(g)) for s, g in queries]
+    queries = [(s, a) for s, a in queries if well_formed(a, s)]
+    budget = SearchBudget(max_worlds=3)
+    want = [find_countermodel(s, [], a, budget) for s, a in queries]
+    monkeypatch.setattr(search, "CHUNK_BITS", chunk_bits)
+    got = [find_countermodel(s, [], a, budget) for s, a in queries]
+    assert got == want
+    assert any(isinstance(r, Found) for r in want)

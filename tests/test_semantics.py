@@ -11,22 +11,27 @@ from qrmodal.semantics import (
     UnboundLabel,
     UnknownWorld,
     WrongSystem,
+    compile_formulas,
     describe_violation,
     entails_in,
     evaluate,
     holds,
     parse_structure,
     print_structure,
+    truth_sets,
     validate_frame,
 )
 from qrmodal.syntax import (
     Bottom,
     Box,
     Implies,
+    Labelled,
     ParseError,
     Prop,
     Rel,
+    Relational,
     System,
+    legal_rels,
     parse_formula,
     parse_mformula,
 )
@@ -341,3 +346,68 @@ def test_oracle_agreement_random_models(model, widx):
     phi = parse_mformula("([M] r0 -> r1) <-> <M> (r0 | r1)")
     w = widx % model.frame.size
     assert evaluate(model, w, phi) == (w in truth_set(model, phi))
+
+
+_PROPS = ["r0", "r1", "r2"]
+
+
+def _mformulas(rels):
+    return st.recursive(
+        st.one_of(st.just(Bottom()), st.sampled_from(_PROPS).map(Prop)),
+        lambda kids: st.one_of(
+            st.builds(Implies, kids, kids),
+            st.builds(Box, st.sampled_from(sorted(rels, key=str)), kids)),
+        max_leaves=10)
+
+
+@st.composite
+def _models_and_formulas(draw):
+    from qrmodal.search import random_valid_frame
+
+    system = draw(st.sampled_from(list(System)))
+    frame = random_valid_frame(system, 4, draw(st.integers(0, 2 ** 32 - 1)))
+    # dropping measurement pairs may leave worlds without successors
+    drop = draw(st.sets(st.sampled_from(sorted(frame.meas))))
+    frame = Frame(system, frame.size, frame.u, frame.meas - drop)
+    vals = draw(st.lists(
+        st.lists(st.sets(st.sampled_from(_PROPS)),
+                 min_size=frame.size, max_size=frame.size),
+        min_size=1, max_size=5))
+    phis = draw(st.lists(_mformulas(legal_rels(system)),
+                         min_size=1, max_size=3))
+    return frame, vals, phis
+
+
+@given(_models_and_formulas())
+@settings(max_examples=150, deadline=None)
+def test_truth_sets_agree_with_oracle(case):
+    # valuation i of the batch is bit i of every truth-set int
+    frame, vals, phis = case
+    columns = {p: [sum(1 << i for i, val in enumerate(vals) if p in val[w])
+                   for w in range(frame.size)] for p in _PROPS}
+    program, roots = compile_formulas(phis)
+    sat = truth_sets(program, frame, columns, (1 << len(vals)) - 1)
+    for i, val in enumerate(vals):
+        model = Model(frame, dict(enumerate(val)))
+        for phi, root in zip(phis, roots):
+            expect = truth_set(model, phi)
+            for w in range(frame.size):
+                assert (sat[root][w] >> i & 1) == (w in expect)
+                assert evaluate(model, w, phi) == (w in expect)
+
+
+@given(_models_and_formulas(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_holds_agrees_with_oracle(case, data):
+    frame, vals, phis = case
+    model = Model(frame, dict(enumerate(vals[0])))
+    worlds = st.integers(0, frame.size - 1)
+    interp = {"x": data.draw(worlds), "y": data.draw(worlds)}
+    structure = Structure(model, interp)
+    for rel in legal_rels(frame.system):
+        pairs = frame.u if rel is Rel.U else frame.meas
+        assert holds(structure, Relational("x", rel, "y")) == \
+            ((interp["x"], interp["y"]) in pairs)
+    for phi in phis:
+        assert holds(structure, Labelled("y", phi)) == \
+            (interp["y"] in truth_set(model, phi))
