@@ -9,6 +9,13 @@ path cannot be closed again, while discharging an unused hypothesis is
 a sound no-op (vacuous discharge, permitted for every discharging
 rule).
 
+The set is an int bitset: each hypothesis gets the next bit when it is
+admitted, a step's set is the OR of its premises' sets with the
+discharged bits cleared, and each label keeps the bits of the
+hypotheses whose formula names it.  The eigenvariable condition of
+BoxI, Mser and Class is then one AND of the fresh label's bits with
+the premise's open set, so checking is linear in script length.
+
 Primitive rules, shared:
 
   hyp                        assume any formula
@@ -115,11 +122,15 @@ _ARITY = {
 _DISCHARGING = frozenset(("ImpI", "RAA", "BoxI", "Mser", "Class", "NegI"))
 _FRESH_RULES = frozenset(("BoxI", "Mser", "Class"))
 
+_SHARED_RULES = frozenset((HYP,)) | PRIMITIVE_SHARED | DERIVED_SHARED
+_RULES_OF = {
+    System.MSQR: _SHARED_RULES | PRIMITIVE_MSQR | DERIVED_MSQR,
+    System.MSPQR: _SHARED_RULES | PRIMITIVE_MSPQR,
+}
+
 
 def rules_of(system: System) -> frozenset[str]:
-    extra = (PRIMITIVE_MSQR | DERIVED_MSQR if system is System.MSQR
-             else PRIMITIVE_MSPQR)
-    return frozenset((HYP,)) | PRIMITIVE_SHARED | DERIVED_SHARED | extra
+    return _RULES_OF[system]
 
 
 @dataclass(frozen=True)
@@ -191,7 +202,8 @@ def expand_derived(step: ProofStep, premises: Mapping[int, Formula],
     res = {}
     for pid in step.premises:
         if pid not in premises:
-            raise KernelError(UNKNOWN_PREMISE, "premise %d unknown" % pid)
+            raise KernelError(UNKNOWN_PREMISE,
+                              "premise %d is not an earlier step" % pid)
         res[pid] = premises[pid]
     if first_id is None:
         first_id = max([step.id] + list(premises)) + 1
@@ -326,9 +338,17 @@ def check(script: ProofScript, system: Optional[System] = None) -> CheckReport:
 def open_assumptions(script: ProofScript, step_id: int) -> frozenset[Formula]:
     """Hypothesis formulas a step still depends on."""
     state = _run(script, None)
-    if step_id not in state.assumptions:
+    if step_id not in state.deps:
         raise KernelError(UNKNOWN_PREMISE, "no step with id %d" % step_id)
-    return state.formulas_of(state.assumptions[step_id])
+    return state.formulas_of(state.deps[step_id])
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _State:
@@ -337,19 +357,33 @@ class _State:
         self.system = system or script.system
         self.diags: list[Diagnostic] = []
         self.formulas: dict[int, Formula] = {}
-        self.assumptions: dict[int, frozenset[int]] = {}
-        self.hyps: set[int] = set()
+        # per step, its open hypotheses as a bitset over hypothesis indices
+        self.deps: dict[int, int] = {}
+        # hypothesis step id -> index, and index -> step id and formula
+        self.index: dict[int, int] = {}
+        self.hyp_ids: list[int] = []
+        self.hyp_formulas: list[Formula] = []
+        # label -> bits of the hypotheses whose formula names it
+        self.mentions: dict[str, int] = {}
         self.helper_base = max(st.id for st in script.steps) + 1
 
     def diag(self, step: int, reason: str, message: str) -> None:
         self.diags.append(Diagnostic(step, reason, message))
 
-    def formulas_of(self, ids: frozenset[int]) -> frozenset[Formula]:
-        return frozenset(self.formulas[i] for i in ids)
+    def mask_of(self, ids) -> int:
+        # the bits of those ids that name hypotheses
+        mask = 0
+        for i in ids:
+            if i in self.index:
+                mask |= 1 << self.index[i]
+        return mask
+
+    def formulas_of(self, mask: int) -> frozenset[Formula]:
+        return frozenset(self.hyp_formulas[i] for i in _bits(mask))
 
     def report(self) -> CheckReport:
         final = self.script.steps[-1].id
-        open_ = self.formulas_of(self.assumptions[final])
+        open_ = self.formulas_of(self.deps[final])
         stmt = self.script.statement
         if stmt is not None:
             if self.formulas[final] != stmt:
@@ -389,15 +423,14 @@ def _vocabulary(state: _State, st: ProofStep, origin: int) -> None:
                    % (print_formula(st.formula), state.system.value))
 
 
-def _record(state: _State, st: ProofStep, discharged: frozenset[int]) -> None:
+def _record(state: _State, st: ProofStep, discharged: int) -> None:
     # the premises' open hypotheses minus those this step closes; a step
     # that could not be checked still footprints its known premises
-    deps = frozenset()
+    deps = 0
     for pid in st.premises:
-        if pid in state.assumptions:
-            deps |= state.assumptions[pid]
+        deps |= state.deps.get(pid, 0)
     state.formulas[st.id] = st.formula
-    state.assumptions[st.id] = deps - discharged
+    state.deps[st.id] = deps & ~discharged
 
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
@@ -407,19 +440,25 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
     if st.rule == HYP:
         if st.premises or st.discharges or st.fresh:
             diag(origin, WRONG_ARITY, "hyp takes no premises or annotations")
+        i = len(state.hyp_ids)
+        bit = 1 << i
+        state.index[st.id] = i
+        state.hyp_ids.append(st.id)
+        state.hyp_formulas.append(st.formula)
+        for label in labels_in(st.formula):
+            state.mentions[label] = state.mentions.get(label, 0) | bit
         state.formulas[st.id] = st.formula
-        state.assumptions[st.id] = frozenset((st.id,))
-        state.hyps.add(st.id)
+        state.deps[st.id] = bit
         return
 
     if st.rule not in ALL_RULES:
         diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % st.rule)
-        _record(state, st, frozenset(st.discharges))
+        _record(state, st, state.mask_of(st.discharges))
         return
     if st.rule not in rules_of(state.system):
         diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
              % (st.rule, state.system.value))
-        _record(state, st, frozenset(st.discharges))
+        _record(state, st, state.mask_of(st.discharges))
         return
 
     prems: list[tuple[int, Formula]] = []
@@ -436,7 +475,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
              % (st.rule, _ARITY[st.rule], len(st.premises)))
         missing = True
     if missing:
-        _record(state, st, frozenset(st.discharges))
+        _record(state, st, state.mask_of(st.discharges))
         return
 
     dis: list[tuple[int, Formula]] = []
@@ -450,7 +489,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
                 diag(origin, ILLEGAL_DISCHARGE,
                      "discharge %d is not an earlier step" % did)
                 bad_discharge = True
-            elif did not in state.hyps:
+            elif did not in state.index:
                 diag(origin, ILLEGAL_DISCHARGE,
                      "discharge %d is not a hypothesis" % did)
                 bad_discharge = True
@@ -464,11 +503,11 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
     if derived and not (bad_discharge or bad_fresh):
         _expand(state, st, origin)
     elif derived:
-        _record(state, st, frozenset(st.discharges))
+        _record(state, st, state.mask_of(st.discharges))
     else:
         if not bad_discharge:
             _schema(state, st, origin, prems, dis)
-        _record(state, st, frozenset(did for did, _ in dis))
+        _record(state, st, state.mask_of(did for did, _ in dis))
 
 
 def _expand(state: _State, st: ProofStep, origin: int) -> None:
@@ -476,7 +515,7 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
         steps = expand_derived(st, state.formulas, state.helper_base)
     except KernelError as e:
         state.diag(origin, e.code, str(e))
-        _record(state, st, frozenset(st.discharges))
+        _record(state, st, state.mask_of(st.discharges))
         return
     # the last step repeats st's conclusion, whose vocabulary is checked
     for sub in steps:
@@ -485,12 +524,12 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
         _step(state, sub, origin)
     # helper ids are private to this expansion; the next one reuses them
     for sub in steps[:-1]:
-        del state.formulas[sub.id], state.assumptions[sub.id]
-        state.hyps.discard(sub.id)
+        del state.formulas[sub.id], state.deps[sub.id]
+        state.index.pop(sub.id, None)
 
 
 def _fresh_check(state: _State, origin: int, y: str, x: str,
-                 premise_id: int, discharged: frozenset[int],
+                 premise_id: int, discharged: int,
                  conclusion: Optional[Formula]) -> None:
     if y == x:
         state.diag(origin, FRESHNESS_VIOLATION,
@@ -501,12 +540,14 @@ def _fresh_check(state: _State, origin: int, y: str, x: str,
                    "fresh label %s occurs in the conclusion %s"
                    % (y, print_formula(conclusion)))
         return
-    for h in sorted(state.assumptions[premise_id] - discharged):
-        if y in labels_in(state.formulas[h]):
-            state.diag(origin, FRESHNESS_VIOLATION,
-                       "fresh label %s occurs in open assumption %s"
-                       % (y, print_formula(state.formulas[h])))
-            return
+    clash = state.mentions.get(y, 0) & state.deps[premise_id] & ~discharged
+    if clash:
+        # the open hypothesis naming y with the smallest step id; bit
+        # order is script order, which need not be id order
+        h = min(_bits(clash), key=state.hyp_ids.__getitem__)
+        state.diag(origin, FRESHNESS_VIOLATION,
+                   "fresh label %s occurs in open assumption %s"
+                   % (y, print_formula(state.hyp_formulas[h])))
 
 
 def _schema(state: _State, st: ProofStep, origin: int,
@@ -594,7 +635,7 @@ def _schema(state: _State, st: ProofStep, origin: int,
                 ok = False
         if ok and fresh_matches(y):
             _fresh_check(state, origin, y, x, pid,
-                         frozenset(d for d, _ in dis), None)
+                         state.mask_of(d for d, _ in dis), None)
         return
 
     if rule == "BoxE":
@@ -723,7 +764,7 @@ def _schema(state: _State, st: ProofStep, origin: int,
                     return
         if fresh_matches(y):
             _fresh_check(state, origin, y, x, pid,
-                         frozenset(d for d, _ in dis), alpha)
+                         state.mask_of(d for d, _ in dis), alpha)
         return
 
     raise AssertionError("unhandled rule %r" % rule)

@@ -32,6 +32,10 @@ ever contains Bottom, Prop, Implies and Box nodes:
 ``[M]``/``<M>``/``M`` belong to MSQR only, ``[P]``/``<P>``/``P`` to
 MSpQR only; parsing with an explicit system rejects the other family
 with reason ``wrong-system``.
+
+An m-formula may nest at most ``MAX_DEPTH`` levels, both in its tree
+after expansion and in its parentheses; deeper input is rejected with
+reason ``too-deep``.
 """
 
 from __future__ import annotations
@@ -52,10 +56,12 @@ class Rel(enum.Enum):
     P = "P"
 
 
+_LEGAL_RELS = {System.MSQR: frozenset((Rel.U, Rel.M)),
+               System.MSPQR: frozenset((Rel.U, Rel.P))}
+
+
 def legal_rels(system: System) -> frozenset[Rel]:
-    if system is System.MSQR:
-        return frozenset((Rel.U, Rel.M))
-    return frozenset((Rel.U, Rel.P))
+    return _LEGAL_RELS[system]
 
 
 class MFormula:
@@ -340,12 +346,21 @@ _UNARY = ("~", "[]", "[M]", "[P]", "<>", "<M>", "<P>")
 _MSQR_ONLY = ("[M]", "<M>", "M")
 _MSPQR_ONLY = ("[P]", "<P>", "P")
 
+# The deepest nesting a parsed m-formula may have, counted both in its
+# syntax tree once sugar is expanded and in its parentheses.  hash, ==,
+# printing and checking recurse once or twice per tree level, and the
+# parser six times per parenthesis, so at this depth none of them needs
+# more than about 600 of the 1000 frames Python allows by default.
+MAX_DEPTH = 100
+
 
 class _Parser:
+    # each rule returns a formula and the height of its syntax tree
     def __init__(self, toks: list[Token], system: Optional[System]):
         self.toks = toks
         self.i = 0
         self.system = system
+        self.parens = 0
 
     def peek(self) -> Token:
         return self.toks[self.i]
@@ -362,6 +377,16 @@ class _Parser:
         return ParseError("expected %s, found %s" % (want, found),
                           t.line, t.col, expected=expected)
 
+    def too_deep(self) -> ParseError:
+        t = self.peek()
+        return ParseError("formula nested deeper than %d levels" % MAX_DEPTH,
+                          t.line, t.col, reason="too-deep")
+
+    def nest(self, height: int) -> int:
+        if height > MAX_DEPTH:
+            raise self.too_deep()
+        return height
+
     def expect(self, kind: str) -> Token:
         if self.peek().kind != kind:
             raise self.fail((kind,))
@@ -376,63 +401,93 @@ class _Parser:
             raise ParseError("%r is not in the MSQR vocabulary" % t.text,
                              t.line, t.col, reason="wrong-system")
 
-    def mformula(self) -> MFormula:
-        a = self.imp()
-        if self.peek().kind == "<->":
-            self.take()
-            b = self.imp()
-            return iff(a, b)
-        return a
+    def mformula(self) -> tuple[MFormula, int]:
+        first = self.imp()
+        if self.peek().kind != "<->":
+            return first
+        self.take()
+        (a, h), (b, hb) = first, self.imp()
+        return iff(a, b), self.nest((h if h > hb else hb) + 4)
 
-    def imp(self) -> MFormula:
-        a = self.disj()
-        if self.peek().kind == "->":
+    def imp(self) -> tuple[MFormula, int]:
+        # right-associative, folded from the right without recursion
+        first = self.disj()
+        if self.peek().kind != "->":
+            return first
+        parts = [first]
+        while True:
+            if len(parts) > MAX_DEPTH:  # each arrow nests one level
+                raise self.too_deep()
             self.take()
-            return Implies(a, self.imp())
-        return a
+            parts.append(self.disj())
+            if self.peek().kind != "->":
+                break
+        a, h = parts.pop()
+        while parts:
+            b, hb = parts.pop()
+            a, h = Implies(b, a), (hb if hb > h else h) + 1
+        return a, self.nest(h)
 
-    def disj(self) -> MFormula:
-        a = self.conj()
-        while self.peek().kind == "|":
+    def disj(self) -> tuple[MFormula, int]:
+        first = self.conj()
+        if self.peek().kind != "|":
+            return first
+        a, h = first
+        while True:
             self.take()
-            a = disj(a, self.conj())
-        return a
+            b, hb = self.conj()
+            a, h = disj(a, b), self.nest(h + 2 if h >= hb else hb + 1)
+            if self.peek().kind != "|":
+                return a, h
 
-    def conj(self) -> MFormula:
-        a = self.unary()
-        while self.peek().kind == "&":
+    def conj(self) -> tuple[MFormula, int]:
+        first = self.unary()
+        if self.peek().kind != "&":
+            return first
+        a, h = first
+        while True:
             self.take()
-            a = conj(a, self.unary())
-        return a
+            b, hb = self.unary()
+            a, h = conj(a, b), self.nest(h + 2 if h > hb else hb + 3)
+            if self.peek().kind != "&":
+                return a, h
 
-    def unary(self) -> MFormula:
+    def unary(self) -> tuple[MFormula, int]:
         ops = []
         while self.peek().kind in _UNARY:
+            if len(ops) == MAX_DEPTH:  # each prefix nests a level or more
+                raise self.too_deep()
             t = self.take()
             self.gate(t)
             ops.append(t.kind)
-        a = self.atom()
+        if not ops:
+            return self.atom()
+        a, h = self.atom()
         for op in reversed(ops):
             if op == "~":
-                a = neg(a)
+                a, h = neg(a), h + 1
             elif op in _SQUARE:
-                a = Box(_REL_OF_BOX[op], a)
+                a, h = Box(_REL_OF_BOX[op], a), h + 1
             else:
-                a = diamond(_REL_OF_DIA[op], a)
-        return a
+                a, h = diamond(_REL_OF_DIA[op], a), h + 3
+        return a, self.nest(h)
 
-    def atom(self) -> MFormula:
+    def atom(self) -> tuple[MFormula, int]:
         t = self.peek()
         if t.kind == "bot":
             self.take()
-            return BOT
+            return BOT, 0
         if t.kind == "ident":
             self.take()
-            return Prop(t.text)
+            return Prop(t.text), 0
         if t.kind == "(":
+            if self.parens == MAX_DEPTH:
+                raise self.too_deep()
             self.take()
+            self.parens += 1
             a = self.mformula()
             self.expect(")")
+            self.parens -= 1
             return a
         raise self.fail(("identifier", "bot", "("))
 
@@ -451,7 +506,7 @@ def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
     A system restricts the vocabulary; None accepts both families.
     """
     p = _Parser(tokenize(text), system)
-    a = p.mformula()
+    a, _ = p.mformula()
     p.end()
     return a
 
@@ -466,7 +521,7 @@ def parse_formula(text: str, system: Optional[System] = None) -> Formula:
     k = p.peek()
     if k.kind == ":":
         p.take()
-        body = p.mformula()
+        body, _ = p.mformula()
         p.end()
         return Labelled(t.text, body)
     if k.kind in ("U", "M", "P"):

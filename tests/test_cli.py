@@ -334,6 +334,42 @@ def test_corpus_run_non_utf8_entry_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+DEEP = {
+    "~": "~" * 10_000 + " p",
+    "(": "(" * 10_000 + "p" + ")" * 10_000,
+    "[]": "[]" * 10_000 + " p",
+    "->": " -> ".join(["p"] * 10_001),
+    "&": " & ".join(["p"] * 10_001),
+    "<->": "p <-> (" * 10_000 + "p" + ")" * 10_000,
+}
+
+
+@pytest.mark.parametrize("op", sorted(DEEP))
+def test_check_too_deep_script_exits_2(tmp_path, capsys, op):
+    path = tmp_path / "deep.prf"
+    path.write_text("system MSQR\ntheorem t : x : p\n1. x : %s ; hyp\nqed\n"
+                    % DEEP[op])
+    code = main(["check", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: 3:")
+    assert "formula nested deeper than" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_too_deep_script_prints_no_traceback(tmp_path):
+    path = tmp_path / "deep.prf"
+    path.write_text("system MSQR\ntheorem t : x : %s\n1. x : p ; hyp\nqed\n"
+                    % DEEP["~"])
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrmodal.cli", "check", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: 2:")
+    assert "Traceback" not in proc.stderr
+
+
 # -- installed entry point ---------------------------------------------------
 
 def test_console_script_runs():

@@ -2,8 +2,11 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qrmodal import kernel
 from qrmodal.kernel import (
+    ALL_RULES,
     KernelError,
     ProofScript,
     ProofStep,
@@ -15,7 +18,10 @@ from qrmodal.kernel import (
     rules_of,
 )
 from qrmodal.search import Found, SearchBudget, find_countermodel
-from qrmodal.syntax import ParseError, Rel, Relational, System, parse_formula
+from qrmodal.syntax import (
+    BOT, Box, Implies, Labelled, ParseError, Rel, Relational, System,
+    labels_in, parse_formula, print_formula, substitute,
+)
 
 CORPUS = resources.files("qrmodal") / "corpus"
 
@@ -103,6 +109,118 @@ def test_open_assumptions_boxe_over_urefl():
     assert open_assumptions(script, 2) == frozenset()
     with pytest.raises(KernelError):
         open_assumptions(script, 9)
+
+
+# -- dependency bitsets against a frozenset oracle ---------------------------
+
+def frozenset_deps(script):
+    """Per step, the ids of the hypotheses it still depends on, as
+    frozensets: the premises' sets joined, minus the discharged
+    hypotheses.  This is how the kernel tracked dependencies before it
+    used bitsets; it holds for scripts in which only discharging rules
+    list discharges."""
+    deps, hyps = {}, set()
+    for step in script.steps:
+        if step.rule == "hyp":
+            deps[step.id] = frozenset((step.id,))
+            hyps.add(step.id)
+            continue
+        got = frozenset()
+        for pid in step.premises:
+            got |= deps.get(pid, frozenset())
+        deps[step.id] = got - hyps.intersection(step.discharges)
+    return deps
+
+
+def utrans_chain(n):
+    """w0 : [] bot -> bot through a Utrans chain of n open hypotheses,
+    closed again by n BoxI steps; 5n + 2 steps in all."""
+    w = ["w%d" % i for i in range(n + 1)]
+    steps = []
+
+    def add(formula, rule, premises=(), discharges=(), fresh=None):
+        steps.append(ProofStep(len(steps) + 1, formula, rule,
+                               tuple(premises), tuple(discharges), fresh))
+        return len(steps)
+
+    box_bot = Box(Rel.U, BOT)
+    top = add(Labelled(w[0], box_bot), "hyp")
+    hyp = [add(Relational(w[i], Rel.U, w[i + 1]), "hyp") for i in range(n)]
+    cur = hyp[0]
+    for i in range(1, n):
+        cur = add(Relational(w[0], Rel.U, w[i + 1]), "Utrans", (cur, hyp[i]))
+    cur = add(Labelled(w[n], BOT), "BoxE", (top, cur))
+    for i in range(n - 1, -1, -1):
+        box = add(Labelled(w[i], box_bot), "BoxI", (cur,), (hyp[i],),
+                  w[i + 1])
+        refl = add(Relational(w[i], Rel.U, w[i]), "Urefl")
+        cur = add(Labelled(w[i], BOT), "BoxE", (box, refl))
+    add(Labelled(w[0], Implies(box_bot, BOT)), "ImpI", (cur,), (top,))
+    return ProofScript(System.MSQR, "chain", steps[-1].formula, tuple(steps))
+
+
+def test_open_assumptions_match_frozenset_oracle():
+    for entry in corpus_entries():
+        script = load(entry["path"])
+        formulas = {s.id: s.formula for s in script.steps}
+        want = frozenset_deps(script)
+        for step in script.steps:
+            assert open_assumptions(script, step.id) == \
+                {formulas[h] for h in want[step.id]}, (entry["name"], step.id)
+    # open_assumptions checks the whole script on each call, so the
+    # chain's 1,002 steps are read from the state of a single run
+    script = utrans_chain(200)
+    formulas = {s.id: s.formula for s in script.steps}
+    want = frozenset_deps(script)
+    state = kernel._run(script, None)
+    assert max(len(ids) for ids in want.values()) == 201
+    for step in script.steps:
+        assert state.formulas_of(state.deps[step.id]) == \
+            {formulas[h] for h in want[step.id]}, step.id
+    assert check(script).accepted
+
+
+def test_freshness_names_the_smallest_open_hypothesis_id():
+    # hypotheses 9 and 4 both name the fresh label y; 9 comes first in
+    # the script, but the diagnostic names 4, the smaller id
+    report = check(parse_script(
+        "system MSQR\n"
+        "theorem t : x : [] r0\n"
+        "9. y : r0 ; hyp\n"
+        "4. y : r0 -> r0 ; hyp\n"
+        "7. x U y ; hyp\n"
+        "5. y : r0 ; ImpE 4,9\n"
+        "8. x : [] r0 ; BoxI 5 discharge 7 fresh y\n"
+        "qed\n"))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (8, "freshness-violation",
+         "fresh label y occurs in open assumption y : r0 -> r0"),
+        (8, "undischarged-at-theorem",
+         "open assumptions remain: y : r0, y : r0 -> r0")]
+
+
+def test_freshness_sees_both_labels_of_a_relation():
+    report = check(parse_script(
+        "system MSQR\n"
+        "theorem t : x : [] r0\n"
+        "1. w : [] r0 ; hyp\n"
+        "2. w U y ; hyp\n"
+        "3. x U y ; hyp\n"
+        "4. y : r0 ; BoxE 1,2\n"
+        "5. x : [] r0 ; BoxI 4 discharge 3 fresh y\n"
+        "qed\n"))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics
+            if d.reason == "freshness-violation"] == [
+        (5, "freshness-violation",
+         "fresh label y occurs in open assumption w U y")]
+
+
+def test_long_utrans_chain_is_accepted():
+    script = utrans_chain(3200)
+    assert len(script.steps) == 16_002
+    report = check(script)
+    assert report.accepted
+    assert report.open_assumptions == frozenset()
 
 
 # -- derived-rule helper steps are private to their expansion ----------------
@@ -233,6 +351,8 @@ def test_expand_checks_arity_and_premises():
     with pytest.raises(KernelError) as exc:
         expand_derived(step, {1: parse_formula("x M y")})
     assert exc.value.code == "unknown-premise"
+    # the same wording as check's own unknown-premise diagnostic
+    assert str(exc.value) == "premise 7 is not an earlier step"
 
 
 def test_expansion_conservativity():
@@ -652,3 +772,77 @@ def test_relational_statement_scripts():
     report = check(script)
     assert report.accepted
     assert script.statement == Relational("x", Rel.U, "x")
+
+
+# -- soundness fuzzer --------------------------------------------------------
+
+REASON_CODES = frozenset((
+    "wrong-arity", "schema-mismatch", "illegal-discharge",
+    "freshness-violation", "undischarged-at-theorem", "wrong-system",
+    "unknown-premise", "unknown-derived-rule",
+))
+MUTATIONS = ("swap-premises", "retarget-premise", "drop-discharge",
+             "add-discharge", "rename-label", "swap-rule")
+
+
+@st.composite
+def corpus_mutants(draw):
+    """A corpus script with one to three steps mutated, and the system
+    to check it under (None keeps the header)."""
+    entry = draw(st.sampled_from(corpus_entries()))
+    script = load(entry["path"])
+    steps = list(script.steps)
+    ids = [s.id for s in steps] + [max(s.id for s in steps) + 1]
+    labels = sorted(set().union(*(labels_in(s.formula) for s in steps))
+                    | {"v9"})
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(steps) - 1))
+        s = steps[i]
+        premises, discharges = s.premises, s.discharges
+        formula, rule = s.formula, s.rule
+        kind = draw(st.sampled_from([
+            m for m in MUTATIONS
+            if not (m == "swap-premises" and len(set(premises)) < 2
+                    or m == "retarget-premise" and not premises
+                    or m == "drop-discharge" and not discharges)]))
+        if kind == "swap-premises":
+            premises = tuple(draw(st.permutations(premises)))
+        elif kind == "retarget-premise":
+            j = draw(st.integers(0, len(premises) - 1))
+            premises = (premises[:j] + (draw(st.sampled_from(ids)),)
+                        + premises[j + 1:])
+        elif kind == "drop-discharge":
+            j = draw(st.integers(0, len(discharges) - 1))
+            discharges = discharges[:j] + discharges[j + 1:]
+        elif kind == "add-discharge":
+            discharges = discharges + (draw(st.sampled_from(ids)),)
+        elif kind == "rename-label":
+            frm = draw(st.sampled_from(sorted(labels_in(formula))))
+            formula = substitute(formula, frm, draw(st.sampled_from(labels)))
+        else:
+            rule = draw(st.sampled_from(sorted(ALL_RULES)))
+        steps[i] = ProofStep(s.id, formula, rule, premises, discharges,
+                             s.fresh)
+    system = draw(st.sampled_from([None, System.MSQR, System.MSPQR]))
+    return ProofScript(script.system, script.name, script.statement,
+                       tuple(steps)), system
+
+
+@given(corpus_mutants())
+@settings(max_examples=200, deadline=None)
+def test_mutants_are_reported_or_sound(case):
+    script, system = case
+    report = check(script, system)
+    assert reasons(report) <= REASON_CODES
+    # without its statement a script is accepted when every step is; the
+    # final formula must then hold wherever its open assumptions do.  An
+    # accepted mutant is the case with no open assumptions.
+    bare = ProofScript(script.system, script.name, None, script.steps)
+    steps_ok = check(bare, system)
+    assert steps_ok.accepted or not report.accepted
+    if steps_ok.accepted:
+        gamma = sorted(steps_ok.open_assumptions, key=print_formula)
+        result = find_countermodel(system or script.system, gamma,
+                                   script.steps[-1].formula,
+                                   SearchBudget(max_worlds=3))
+        assert not isinstance(result, Found), print_script(script)

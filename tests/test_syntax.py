@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrmodal.kernel import check, parse_script
+from qrmodal.semantics import holds, parse_structure
 from qrmodal.syntax import (
     BOT,
+    MAX_DEPTH,
     Bottom,
     Box,
     Implies,
@@ -165,6 +168,97 @@ def test_substitute():
     assert substitute(parse_formula("z U x"), "x", "x") == parse_formula("z U x")
     # no occurrence: identity
     assert substitute(parse_formula("x : r0"), "w", "y") == parse_formula("x : r0")
+
+
+# -- depth cap ----------------------------------------------------------------
+
+def nested(op: str, depth: int) -> str:
+    """An m-formula nesting op depth times around the proposition p."""
+    if op == "(":
+        return "(" * depth + "p" + ")" * depth
+    if op == "<->":
+        return "p <-> (" * depth + "p" + ")" * depth
+    if op in ("->", "&", "|"):
+        return (" %s " % op).join(["p"] * (depth + 1))
+    return op * depth + " p"
+
+
+def deepest(text_at) -> int:
+    """The largest depth d at which text_at(d) parses; the next one must
+    fail as too deep."""
+    depth = 0
+    while True:
+        try:
+            parse_formula(text_at(depth + 1))
+        except ParseError as e:
+            assert e.reason == "too-deep"
+            return depth
+        depth += 1
+
+
+def height(phi, memo=None) -> int:
+    # levels of the expanded tree; the memo keeps shared subtrees linear
+    memo = {} if memo is None else memo
+    if id(phi) not in memo:
+        if isinstance(phi, Implies):
+            memo[id(phi)] = 1 + max(height(phi.left, memo),
+                                    height(phi.right, memo))
+        elif isinstance(phi, Box):
+            memo[id(phi)] = 1 + height(phi.body, memo)
+        else:
+            memo[id(phi)] = 0
+    return memo[id(phi)]
+
+
+# levels of the expanded tree that one more nesting of each operator adds
+GROWTH = {"~": 1, "[]": 1, "<>": 3, "->": 1, "&": 2, "|": 2, "<->": 4}
+CAPPED_OPS = ["("] + sorted(GROWTH)
+
+
+@pytest.mark.parametrize("op", CAPPED_OPS)
+def test_too_deep_formula_is_refused(op):
+    with pytest.raises(ParseError) as exc:
+        parse_formula("x : " + nested(op, 10_000))
+    assert exc.value.reason == "too-deep"
+    assert exc.value.message == "formula nested deeper than %d levels" \
+        % MAX_DEPTH
+
+
+@pytest.mark.parametrize("op", sorted(GROWTH))
+def test_cap_counts_the_expanded_tree(op):
+    depth = deepest(lambda d: "x : " + nested(op, d))
+    got = height(parse_mformula(nested(op, depth)))
+    assert MAX_DEPTH - GROWTH[op] < got <= MAX_DEPTH
+
+
+def test_cap_counts_parentheses():
+    assert deepest(lambda d: "x : " + nested("(", d)) == MAX_DEPTH
+    # k nested "<->" are k parentheses but 4k levels once expanded
+    assert deepest(lambda d: "x : " + nested("<->", d)) == MAX_DEPTH // 4
+
+
+# a nested "<->" copies both sides, so its tree doubles with every level
+# and walking the deepest one is exponential work whatever the recursion
+@pytest.mark.parametrize("op", [op for op in CAPPED_OPS if op != "<->"])
+def test_deepest_accepted_formula_is_usable(op):
+    def statement(depth):
+        a = nested(op, depth)
+        return "x : (%s) -> (%s)" % (a, a)
+
+    depth = deepest(statement)
+    text = statement(depth)
+    f = parse_formula(text)
+    assert hash(f) == hash(parse_formula(text))
+    assert parse_formula(print_formula(f)) == f
+    assert print_formula(parse_formula(print_formula(f))) == print_formula(f)
+    a = nested(op, depth)
+    script = parse_script(
+        "system MSQR\ntheorem t : %s\n1. x : %s ; hyp\n"
+        "2. %s ; ImpI 1 discharge 1\nqed\n" % (text, a, text))
+    assert check(script).accepted
+    model = parse_structure("system MSQR\nworlds v\nU v v\nM v v\n"
+                            "interp x = v\n")
+    assert holds(model, f)
 
 
 def test_label_and_prop_queries():
