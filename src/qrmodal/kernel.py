@@ -67,8 +67,9 @@ Script file format::
 
 Justifications are ``hyp`` or ``Rule p1,p2 [discharge h1,h2] [fresh y]``;
 the optional ``fresh`` names the fresh label of BoxI/Mser/Class and is
-checked against the inferred one.  ``#`` comments and blank lines are
-ignored.  The final step must restate the theorem.
+checked against the inferred one.  Ids are ASCII decimal numbers.
+``#`` comments and blank lines are ignored.  The final step must
+restate the theorem.
 
 Diagnostics carry stable reason codes: wrong-arity, schema-mismatch,
 illegal-discharge, freshness-violation, undischarged-at-theorem,
@@ -77,6 +78,7 @@ wrong-system, unknown-premise, unknown-derived-rule.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -423,14 +425,15 @@ def _vocabulary(state: _State, st: ProofStep, origin: int) -> None:
                    % (print_formula(st.formula), state.system.value))
 
 
-def _record(state: _State, st: ProofStep, discharged: int) -> None:
-    # the premises' open hypotheses minus those this step closes; a step
-    # that could not be checked still footprints its known premises
+def _record(state: _State, st: ProofStep) -> None:
+    # the premises' open hypotheses minus the hypotheses the step lists
+    # as discharged; a step that failed, whatever its rule, still
+    # footprints its known premises and clears its listed discharges
     deps = 0
     for pid in st.premises:
         deps |= state.deps.get(pid, 0)
     state.formulas[st.id] = st.formula
-    state.deps[st.id] = deps & ~discharged
+    state.deps[st.id] = deps & ~state.mask_of(st.discharges)
 
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
@@ -453,12 +456,12 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
     if st.rule not in ALL_RULES:
         diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % st.rule)
-        _record(state, st, state.mask_of(st.discharges))
+        _record(state, st)
         return
     if st.rule not in rules_of(state.system):
         diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
              % (st.rule, state.system.value))
-        _record(state, st, state.mask_of(st.discharges))
+        _record(state, st)
         return
 
     prems: list[tuple[int, Formula]] = []
@@ -475,7 +478,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
              % (st.rule, _ARITY[st.rule], len(st.premises)))
         missing = True
     if missing:
-        _record(state, st, state.mask_of(st.discharges))
+        _record(state, st)
         return
 
     dis: list[tuple[int, Formula]] = []
@@ -502,12 +505,10 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
     if derived and not (bad_discharge or bad_fresh):
         _expand(state, st, origin)
-    elif derived:
-        _record(state, st, state.mask_of(st.discharges))
-    else:
-        if not bad_discharge:
-            _schema(state, st, origin, prems, dis)
-        _record(state, st, state.mask_of(did for did, _ in dis))
+        return
+    if not (derived or bad_discharge):
+        _schema(state, st, origin, prems, dis)
+    _record(state, st)
 
 
 def _expand(state: _State, st: ProofStep, origin: int) -> None:
@@ -515,7 +516,7 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
         steps = expand_derived(st, state.formulas, state.helper_base)
     except KernelError as e:
         state.diag(origin, e.code, str(e))
-        _record(state, st, state.mask_of(st.discharges))
+        _record(state, st)
         return
     # the last step repeats st's conclusion, whose vocabulary is checked
     for sub in steps:
@@ -829,67 +830,70 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(system, name, statement, tuple(steps))
 
 
+# An id list runs over the fields up to the next keyword field; it is
+# read with its blanks removed, so "1, 2" is "1,2".
+_ID_FIELDS = r"( (?: \s+ (?! (?:discharge|fresh) (?!\S) ) \S+ )* )"
+_STEP = re.compile(r"""
+    ([0-9]+) \s* \.                      # step id
+    ([^;]*)                              # formula
+    (?: ; \s* (\S*)                      # rule
+        """ + _ID_FIELDS + r"""           # premise ids
+        (?: \s+ (discharge) """ + _ID_FIELDS + r""" )?
+        (?: \s+ (fresh) (?: \s+ (\S+) )? )?
+        \s* (\S*)                        # the first field left over
+    )?""", re.VERBOSE)
+_ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+
+
 def _parse_step(line: str, lineno: int, seen: set[int]) -> ProofStep:
     def err(msg: str) -> ParseError:
         return ParseError(msg, lineno, 1)
 
-    head, dot, rest = line.partition(".")
-    if not dot or not head.strip().isdigit():
+    m = _STEP.match(line)
+    if m is None:
         raise err("expected '<id>. <formula> ; <justification>'")
-    sid = int(head.strip())
+    head, ftext, rule, premises, discharge, discharges, fresh_kw, fresh, \
+        junk = m.groups()
+    sid = int(head)
     if sid <= 0:
         raise err("step ids are positive")
     if sid in seen:
         raise err("duplicate step id %d" % sid)
     seen.add(sid)
-    ftext, semi, jtext = rest.partition(";")
-    if not semi:
+    if rule is None:
         raise err("missing ';' before the justification")
     try:
         formula = parse_formula(ftext)
     except ParseError as e:
         raise ParseError("in step %d: %s" % (sid, e.message), lineno, e.col,
                          e.expected, e.reason)
-
-    fields = jtext.split()
-    if not fields:
+    if not rule:
         raise err("empty justification")
-    rule = fields[0]
     if rule not in ALL_RULES:
         raise err("unknown rule %r" % rule)
-    rest_fields = fields[1:]
-    premises: tuple[int, ...] = ()
-    discharges: tuple[int, ...] = ()
-    fresh: Optional[str] = None
-
-    def take_ids(fields: list[str], what: str) -> tuple[tuple[int, ...], list[str]]:
-        parts: list[str] = []
-        while fields and fields[0] not in ("discharge", "fresh"):
-            parts.append(fields.pop(0))
-        blob = "".join(parts)
-        if not blob:
-            return (), fields
-        ids = []
-        for piece in blob.split(","):
-            if not piece.isdigit():
-                raise err("bad %s id %r" % (what, piece))
-            ids.append(int(piece))
-        return tuple(ids), fields
-
-    premises, rest_fields = take_ids(rest_fields, "premise")
-    if rest_fields and rest_fields[0] == "discharge":
-        rest_fields.pop(0)
-        discharges, rest_fields = take_ids(rest_fields, "discharge")
-        if not discharges:
+    premise_ids = _ids(premises, "premise", err)
+    discharge_ids: tuple[int, ...] = ()
+    if discharge:
+        discharge_ids = _ids(discharges, "discharge", err)
+        if not discharge_ids:
             raise err("discharge needs at least one id")
-    if rest_fields and rest_fields[0] == "fresh":
-        rest_fields.pop(0)
-        if not rest_fields:
-            raise err("fresh needs a label")
-        fresh = rest_fields.pop(0)
-    if rest_fields:
-        raise err("trailing junk in justification: %r" % rest_fields[0])
-    return ProofStep(sid, formula, rule, premises, discharges, fresh)
+    if fresh_kw and fresh is None:
+        raise err("fresh needs a label")
+    if junk:
+        raise err("trailing junk in justification: %r" % junk)
+    return ProofStep(sid, formula, rule, premise_ids, discharge_ids, fresh)
+
+
+def _ids(fields: str, what: str, err) -> tuple[int, ...]:
+    # a comma list of ASCII decimal ids, blanks ignored
+    if not fields:
+        return ()
+    blob = "".join(fields.split())
+    ids = blob.split(",")
+    if _ID_LIST.fullmatch(blob) is None:
+        bad = next(i for i in ids if not (i.isascii() and i.isdigit()))
+        raise err("bad %s id %r" % (what, bad))
+    return tuple(map(int, ids))
 
 
 def print_script(script: ProofScript) -> str:

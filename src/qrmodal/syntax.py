@@ -35,14 +35,31 @@ with reason ``wrong-system``.
 
 An m-formula may nest at most ``MAX_DEPTH`` levels, both in its tree
 after expansion and in its parentheses; deeper input is rejected with
-reason ``too-deep``.
+reason ``too-deep``.  Its expanded tree may have at most ``MAX_SIZE``
+nodes; a larger one is rejected with reason ``too-large``.  Each nested
+``<->`` doubles the tree, so a short text can reach this cap.
+
+Reading a text takes two passes.  ``tokenize`` runs one compiled
+pattern over the text with ``findall``.  Each match is a token and the
+blanks and comments after it.  A token is a word (a run of letters,
+digits and ``_``), an operator, or any other single character that is
+not blank.  One dict lookup classifies operators and reserved words.
+Any other word is an identifier when it starts with a letter or
+``_``; everything else is refused.  Tokens are plain ``(kind, text)``
+pairs.  The line and column of a token are computed only when a
+ParseError is raised, by scanning the text again up to that token.
+The parser reads the tokens by index.  One loop per parenthesis level
+reads the operands and closes each binary operator level as soon as
+the next token ends it.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 
 class System(enum.Enum):
@@ -262,242 +279,241 @@ class ParseError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'ident', 'bot', 'U', 'M', 'P', an operator, or 'end'
-    text: str
-    line: int
-    col: int
+# blanks and comments
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_LEADING = re.compile(_SKIP)
+# one token and what follows it up to the next; the last alternative
+# takes any other character, which tokenize then refuses
+_TOKEN = re.compile(r"(\w+|<->|<[MP]?>|\[[MP]?\]|->|[^ \t\r\n])" + _SKIP)
+# the kind of each operator and reserved word; other words are identifiers
+_KIND = {w: w for w in ("bot", "U", "M", "P", "<->", "<>", "<M>", "<P>",
+                        "[]", "[M]", "[P]", "->", "(", ")", "~", "&", "|",
+                        ":")}
+_END = ("end", "")
+# what a stray character could have begun
+_PARTIAL = {"<": ("<->", "<>", "<M>", "<P>"), "[": ("[]", "[M]", "[P]"),
+            "-": ("->",)}
 
 
-_RESERVED = {"bot": "bot", "U": "U", "M": "M", "P": "P"}
-_ANGLE = {"<->": "<->", "<>": "<>", "<M>": "<M>", "<P>": "<P>"}
-_SQUARE = {"[]": "[]", "[M]": "[M]", "[P]": "[P]"}
+def tokenize(text: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of text, then ("end", "").
 
-
-def tokenize(text: str) -> list[Token]:
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token(_RESERVED.get(word, "ident"), word, line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "<":
-            for op in ("<->", "<M>", "<P>", "<>"):
-                if text.startswith(op, i):
-                    toks.append(Token(op, op, line, col))
-                    i += len(op)
-                    col += len(op)
-                    break
-            else:
-                raise ParseError("unexpected '<'", line, col,
-                                 expected=("<->", "<>", "<M>", "<P>"))
-            continue
-        if c == "[":
-            for op in ("[M]", "[P]", "[]"):
-                if text.startswith(op, i):
-                    toks.append(Token(op, op, line, col))
-                    i += len(op)
-                    col += len(op)
-                    break
-            else:
-                raise ParseError("unexpected '['", line, col,
-                                 expected=("[]", "[M]", "[P]"))
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                toks.append(Token("->", "->", line, col))
-                i += 2
-                col += 2
-                continue
-            raise ParseError("unexpected '-'", line, col, expected=("->",))
-        if c in "()~&|:":
-            toks.append(Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % c, line, col)
-    toks.append(Token("end", "", line, col))
+    A kind is an operator, "bot", "U", "M", "P" or "ident".
+    """
+    words = _TOKEN.findall(text, _LEADING.match(text).end())
+    toks = [(_KIND.get(w) or ("ident" if w[0].isalpha() or w[0] == "_"
+                              else _unexpected(text, words)), w)
+            for w in words]
+    toks.append(_END)
     return toks
 
 
-_UNARY = ("~", "[]", "[M]", "[P]", "<>", "<M>", "<P>")
-_MSQR_ONLY = ("[M]", "<M>", "M")
-_MSPQR_ONLY = ("[P]", "<P>", "P")
+def _unexpected(text: str, words: list[str]) -> NoReturn:
+    # the first word that is neither a known token nor an identifier
+    i = next(i for i, w in enumerate(words) if w not in _KIND
+             and not (w[0].isalpha() or w[0] == "_"))
+    c = words[i][0]
+    if c in _PARTIAL:
+        raise _error(text, i, "unexpected %r" % c, _PARTIAL[c])
+    raise _error(text, i, "unexpected character %r" % c)
+
+
+def _error(text: str, index: int, message: str,
+           expected: tuple[str, ...] = (), reason: str = "syntax"
+           ) -> ParseError:
+    """A ParseError at token number index of text.
+
+    Positions are found only here, by scanning the text again.  The end
+    token sits after the text, or at the '#' of a comment on its last
+    line.
+    """
+    tokens = _TOKEN.finditer(text, _LEADING.match(text).end())
+    m = next(itertools.islice(tokens, index, None), None)
+    if m is not None:
+        offset = m.start()
+    else:
+        offset = text.find("#", text.rfind("\n") + 1)
+        if offset < 0:
+            offset = len(text)
+    col = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, text.count("\n", 0, offset) + 1, col,
+                      expected, reason)
+
+
+_PREFIX = frozenset(("~", "[]", "[M]", "[P]", "<>", "<M>", "<P>"))
+_MSQR_ONLY = frozenset(("[M]", "<M>", "M"))
+_MSPQR_ONLY = frozenset(("[P]", "<P>", "P"))
+_FOREIGN = {None: frozenset(), System.MSQR: _MSPQR_ONLY,
+            System.MSPQR: _MSQR_ONLY}
+_REL_OF_BOX = {"[]": Rel.U, "[M]": Rel.M, "[P]": Rel.P}
+_REL_OF_DIA = {"<>": Rel.U, "<M>": Rel.M, "<P>": Rel.P}
+_REL = {"U": Rel.U, "M": Rel.M, "P": Rel.P}
 
 # The deepest nesting a parsed m-formula may have, counted both in its
 # syntax tree once sugar is expanded and in its parentheses.  hash, ==,
-# printing and checking recurse once or twice per tree level, and the
-# parser six times per parenthesis, so at this depth none of them needs
-# more than about 600 of the 1000 frames Python allows by default.
+# printing and checking recurse up to three times per tree level, and
+# the parser twice per parenthesis, so at this depth none of them needs
+# more than about 310 of the 1000 frames Python allows by default.
 MAX_DEPTH = 100
+# The most nodes the syntax tree of a parsed m-formula may have once
+# sugar is expanded.  "<->" copies both of its sides, so without this
+# cap each further nesting of it would double the work of hash, ==,
+# printing and checking.  The largest formula of the bundled corpus has
+# 15 nodes, and the largest of the perfbench inputs 319.
+MAX_SIZE = 10_000
 
 
 class _Parser:
-    # each rule returns a formula and the height of its syntax tree
-    def __init__(self, toks: list[Token], system: Optional[System]):
+    """Recursive descent over the tokens of one text.
+
+    A rule starts at a token index and returns the formula, the height
+    and the node count of its expanded syntax tree, and the index after
+    it.  Errors name a token index; _error finds its position.
+    """
+
+    def __init__(self, text: str, toks: list[tuple[str, str]],
+                 system: Optional[System]):
+        self.text = text
         self.toks = toks
-        self.i = 0
         self.system = system
+        self.foreign = _FOREIGN[system]
         self.parens = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
-
-    def take(self) -> Token:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
-
-    def fail(self, expected: tuple[str, ...]) -> ParseError:
-        t = self.peek()
-        found = "end of input" if t.kind == "end" else repr(t.text)
+    def fail(self, i: int, expected: tuple[str, ...]) -> ParseError:
+        kind, word = self.toks[i]
+        found = "end of input" if kind == "end" else repr(word)
         want = " or ".join(expected)
-        return ParseError("expected %s, found %s" % (want, found),
-                          t.line, t.col, expected=expected)
+        return _error(self.text, i, "expected %s, found %s" % (want, found),
+                      expected)
 
-    def too_deep(self) -> ParseError:
-        t = self.peek()
-        return ParseError("formula nested deeper than %d levels" % MAX_DEPTH,
-                          t.line, t.col, reason="too-deep")
+    def too_deep(self, i: int) -> ParseError:
+        return _error(self.text, i, "formula nested deeper than %d levels"
+                      % MAX_DEPTH, reason="too-deep")
 
-    def nest(self, height: int) -> int:
+    def capped(self, height: int, i: int) -> ParseError:
+        # a tree over MAX_DEPTH or MAX_SIZE; depth is reported first
         if height > MAX_DEPTH:
-            raise self.too_deep()
-        return height
+            return self.too_deep(i)
+        return _error(self.text, i, "formula expands to more than %d nodes"
+                      % MAX_SIZE, reason="too-large")
 
-    def expect(self, kind: str) -> Token:
-        if self.peek().kind != kind:
-            raise self.fail((kind,))
-        return self.take()
-
-    def gate(self, t: Token) -> None:
+    def gate(self, i: int) -> None:
         # vocabulary restricted to the requested system
-        if self.system is System.MSPQR and t.kind in _MSQR_ONLY:
-            raise ParseError("%r is not in the MSPQR vocabulary" % t.text,
-                             t.line, t.col, reason="wrong-system")
-        if self.system is System.MSQR and t.kind in _MSPQR_ONLY:
-            raise ParseError("%r is not in the MSQR vocabulary" % t.text,
-                             t.line, t.col, reason="wrong-system")
+        word = self.toks[i][1]
+        if word in self.foreign:
+            raise _error(self.text, i, "%r is not in the %s vocabulary"
+                         % (word, self.system.value), reason="wrong-system")
 
-    def mformula(self) -> tuple[MFormula, int]:
-        first = self.imp()
-        if self.peek().kind != "<->":
-            return first
-        self.take()
-        (a, h), (b, hb) = first, self.imp()
-        return iff(a, b), self.nest((h if h > hb else hb) + 4)
+    def end(self, i: int) -> None:
+        if self.toks[i][0] != "end":
+            raise self.fail(i, ("end of input",))
 
-    def imp(self) -> tuple[MFormula, int]:
-        # right-associative, folded from the right without recursion
-        first = self.disj()
-        if self.peek().kind != "->":
-            return first
-        parts = [first]
+    def mformula(self, i: int) -> tuple[MFormula, int, int, int]:
+        # mformula := imp ("<->" imp)?   imp := disj ("->" disj)*
+        # disj := conj ("|" conj)*        conj := unary ("&" unary)*
+        # One turn of the loop reads one operand, then closes every level
+        # that the token after it ends, so an operand costs no call per
+        # level.  "->" is folded from the right once its chain ends.
+        toks = self.toks
+        left = None  # the left side of "<->", once read
+        arrows: list[tuple[MFormula, int, int]] = []  # chain before "->"
+        d = c = None  # the open disjunction and conjunction
         while True:
-            if len(parts) > MAX_DEPTH:  # each arrow nests one level
-                raise self.too_deep()
-            self.take()
-            parts.append(self.disj())
-            if self.peek().kind != "->":
-                break
-        a, h = parts.pop()
-        while parts:
-            b, hb = parts.pop()
-            a, h = Implies(b, a), (hb if hb > h else h) + 1
-        return a, self.nest(h)
-
-    def disj(self) -> tuple[MFormula, int]:
-        first = self.conj()
-        if self.peek().kind != "|":
-            return first
-        a, h = first
-        while True:
-            self.take()
-            b, hb = self.conj()
-            a, h = disj(a, b), self.nest(h + 2 if h >= hb else hb + 1)
-            if self.peek().kind != "|":
-                return a, h
-
-    def conj(self) -> tuple[MFormula, int]:
-        first = self.unary()
-        if self.peek().kind != "&":
-            return first
-        a, h = first
-        while True:
-            self.take()
-            b, hb = self.unary()
-            a, h = conj(a, b), self.nest(h + 2 if h > hb else hb + 3)
-            if self.peek().kind != "&":
-                return a, h
-
-    def unary(self) -> tuple[MFormula, int]:
-        ops = []
-        while self.peek().kind in _UNARY:
-            if len(ops) == MAX_DEPTH:  # each prefix nests a level or more
-                raise self.too_deep()
-            t = self.take()
-            self.gate(t)
-            ops.append(t.kind)
-        if not ops:
-            return self.atom()
-        a, h = self.atom()
-        for op in reversed(ops):
-            if op == "~":
-                a, h = neg(a), h + 1
-            elif op in _SQUARE:
-                a, h = Box(_REL_OF_BOX[op], a), h + 1
+            kind, word = toks[i]
+            if kind == "ident":
+                a, h, n = Prop(word), 0, 1
+                i += 1
             else:
-                a, h = diamond(_REL_OF_DIA[op], a), h + 3
-        return a, self.nest(h)
+                a, h, n, i = self.unary(i)
+            if c is not None:
+                ca, ch, cn = c
+                a, h, n = conj(ca, a), ch + 2 if ch > h else h + 3, cn + n + 5
+                if h > MAX_DEPTH or n > MAX_SIZE:
+                    raise self.capped(h, i)
+            kind = toks[i][0]
+            if kind == "&":
+                c = a, h, n
+                i += 1
+                continue
+            c = None
+            if d is not None:
+                da, dh, dn = d
+                a, h, n = disj(da, a), dh + 2 if dh >= h else h + 1, dn + n + 3
+                if h > MAX_DEPTH or n > MAX_SIZE:
+                    raise self.capped(h, i)
+            if kind == "|":
+                d = a, h, n
+                i += 1
+                continue
+            d = None
+            if kind == "->":
+                if len(arrows) == MAX_DEPTH:  # each arrow nests one level
+                    raise self.too_deep(i)
+                arrows.append((a, h, n))
+                i += 1
+                continue
+            if arrows:
+                while arrows:
+                    b, hb, nb = arrows.pop()
+                    a, h, n = Implies(b, a), (hb if hb > h else h) + 1, \
+                        nb + n + 1
+                if h > MAX_DEPTH or n > MAX_SIZE:
+                    raise self.capped(h, i)
+            if left is not None:
+                b, hb, nb = left
+                a, h, n = iff(b, a), (hb if hb > h else h) + 4, \
+                    2 * (nb + n) + 7
+                if h > MAX_DEPTH or n > MAX_SIZE:
+                    raise self.capped(h, i)
+                return a, h, n, i
+            if kind != "<->":
+                return a, h, n, i
+            left = a, h, n
+            i += 1
 
-    def atom(self) -> tuple[MFormula, int]:
-        t = self.peek()
-        if t.kind == "bot":
-            self.take()
-            return BOT, 0
-        if t.kind == "ident":
-            self.take()
-            return Prop(t.text), 0
-        if t.kind == "(":
+    def unary(self, i: int) -> tuple[MFormula, int, int, int]:
+        # prefix operators, then an atom: "bot", an identifier or
+        # "(" mformula ")"
+        toks = self.toks
+        start = i
+        kind, word = toks[i]
+        while kind in _PREFIX:
+            if i - start == MAX_DEPTH:  # each prefix nests a level or more
+                raise self.too_deep(i)
+            self.gate(i)
+            i += 1
+            kind, word = toks[i]
+        ops = i
+        if kind == "ident":
+            a, h, n = Prop(word), 0, 1
+            i += 1
+        elif kind == "bot":
+            a, h, n = BOT, 0, 1
+            i += 1
+        elif kind == "(":
             if self.parens == MAX_DEPTH:
-                raise self.too_deep()
-            self.take()
+                raise self.too_deep(i)
             self.parens += 1
-            a = self.mformula()
-            self.expect(")")
+            a, h, n, i = self.mformula(i + 1)
+            if toks[i][0] != ")":
+                raise self.fail(i, (")",))
             self.parens -= 1
-            return a
-        raise self.fail(("identifier", "bot", "("))
-
-    def end(self) -> None:
-        if self.peek().kind != "end":
-            raise self.fail(("end of input",))
-
-
-_REL_OF_BOX = {"[]": Rel.U, "[M]": Rel.M, "[P]": Rel.P}
-_REL_OF_DIA = {"<>": Rel.U, "<M>": Rel.M, "<P>": Rel.P}
+            i += 1
+        else:
+            raise self.fail(i, ("identifier", "bot", "("))
+        if ops == start:
+            return a, h, n, i
+        for k in range(ops - 1, start - 1, -1):
+            op = toks[k][0]
+            if op == "~":
+                a, h, n = neg(a), h + 1, n + 2
+            elif op in _REL_OF_BOX:
+                a, h, n = Box(_REL_OF_BOX[op], a), h + 1, n + 1
+            else:
+                a, h, n = diamond(_REL_OF_DIA[op], a), h + 3, n + 5
+        if h > MAX_DEPTH or n > MAX_SIZE:
+            raise self.capped(h, i)
+        return a, h, n, i
 
 
 def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
@@ -505,29 +521,28 @@ def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
 
     A system restricts the vocabulary; None accepts both families.
     """
-    p = _Parser(tokenize(text), system)
-    a, _ = p.mformula()
-    p.end()
+    p = _Parser(text, tokenize(text), system)
+    a, _, _, i = p.mformula(0)
+    p.end(i)
     return a
 
 
 def parse_formula(text: str, system: Optional[System] = None) -> Formula:
     """Parse a labelled or relational formula."""
-    p = _Parser(tokenize(text), system)
-    t = p.peek()
-    if t.kind != "ident":
-        raise p.fail(("identifier",))
-    p.take()
-    k = p.peek()
-    if k.kind == ":":
-        p.take()
-        body, _ = p.mformula()
-        p.end()
-        return Labelled(t.text, body)
-    if k.kind in ("U", "M", "P"):
-        p.take()
-        p.gate(k)
-        r = p.expect("ident")
-        p.end()
-        return Relational(t.text, Rel(k.kind), r.text)
-    raise p.fail((":", "U", "M", "P"))
+    toks = tokenize(text)
+    p = _Parser(text, toks, system)
+    kind, label = toks[0]
+    if kind != "ident":
+        raise p.fail(0, ("identifier",))
+    kind = toks[1][0]
+    if kind == ":":
+        body, _, _, i = p.mformula(2)
+        p.end(i)
+        return Labelled(label, body)
+    if kind in _REL:
+        p.gate(1)
+        if toks[2][0] != "ident":
+            raise p.fail(2, ("ident",))
+        p.end(3)
+        return Relational(label, _REL[kind], toks[2][1])
+    raise p.fail(1, (":", "U", "M", "P"))

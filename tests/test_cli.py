@@ -370,6 +370,20 @@ def test_too_deep_script_prints_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("line", ["\u00b2. x : p ; hyp",
+                                  "2. x : p -> p ; ImpI 1 discharge \u00b2"])
+def test_non_ascii_step_id_is_a_parse_error(tmp_path, line):
+    path = tmp_path / "ids.prf"
+    path.write_text("system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
+                    "%s\nqed\n" % line, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrmodal.cli", "check", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: 4:1:")
+    assert "Traceback" not in proc.stderr
+
+
 # -- installed entry point ---------------------------------------------------
 
 def test_console_script_runs():

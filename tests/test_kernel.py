@@ -115,10 +115,9 @@ def test_open_assumptions_boxe_over_urefl():
 
 def frozenset_deps(script):
     """Per step, the ids of the hypotheses it still depends on, as
-    frozensets: the premises' sets joined, minus the discharged
-    hypotheses.  This is how the kernel tracked dependencies before it
-    used bitsets; it holds for scripts in which only discharging rules
-    list discharges."""
+    frozensets: the premises' sets joined, minus the hypotheses the step
+    lists as discharged, whether or not its rule may discharge them.
+    This is how the kernel tracked dependencies before it used bitsets."""
     deps, hyps = {}, set()
     for step in script.steps:
         if step.rule == "hyp":
@@ -178,6 +177,38 @@ def test_open_assumptions_match_frozenset_oracle():
         assert state.formulas_of(state.deps[step.id]) == \
             {formulas[h] for h in want[step.id]}, step.id
     assert check(script).accepted
+    # a failed step clears its listed discharges whatever its rule: every
+    # step of a non-discharging rule, primitive or derived, made to list
+    # every earlier hypothesis
+    for entry in corpus_entries():
+        script = load(entry["path"])
+        hyps, steps = [], []
+        for s in script.steps:
+            if s.rule == "hyp":
+                hyps.append(s.id)
+            elif s.rule not in kernel._DISCHARGING and hyps:
+                s = ProofStep(s.id, s.formula, s.rule, s.premises,
+                              tuple(hyps), s.fresh)
+            steps.append(s)
+        script = ProofScript(script.system, script.name, None, tuple(steps))
+        formulas = {s.id: s.formula for s in steps}
+        want = frozenset_deps(script)
+        state = kernel._run(script, None)
+        for step in steps:
+            assert state.formulas_of(state.deps[step.id]) == \
+                {formulas[h] for h in want[step.id]}, (entry["name"], step.id)
+
+
+@pytest.mark.parametrize("rule", ["AndI 1,2", "ImpE 2,1"])
+def test_failed_step_clears_its_listed_discharges(rule):
+    # AndI is derived and ImpE primitive; neither may discharge, and both
+    # leave the same hypothesis open
+    script = parse_script(
+        "system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+        "2. x : r0 -> r0 ; hyp\n3. x : r0 ; %s discharge 1\nqed\n" % rule)
+    report = check(script)
+    assert "illegal-discharge" in reasons(report)
+    assert report.open_assumptions == {parse_formula("x : r0 -> r0")}
 
 
 def test_freshness_names_the_smallest_open_hypothesis_id():
@@ -737,6 +768,22 @@ def test_parse_script_errors():
     with pytest.raises(ParseError):
         parse_script("system MSQR\ntheorem t : x : r0\n"
                      "1. x : r0 ; NotARule 1\nqed\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\u00b2. x : r0 ; hyp", "expected '<id>. <formula> ; <justification>'"),
+    ("\u0661. x : r0 ; hyp", "expected '<id>. <formula> ; <justification>'"),
+    ("2. x : r0 ; ImpI 1 discharge \u00b2", "bad discharge id '\u00b2'"),
+    ("2. x : r0 ; BoxE 1,\u0661", "bad premise id '\u0661'"),
+    ("2. x : r0 ; BoxE 1,1\u0662", "bad premise id '1\u0662'"),
+])
+def test_step_ids_are_ascii_digits(line, message):
+    # str.isdigit() accepts these, and int() reads some of them
+    with pytest.raises(ParseError) as exc:
+        parse_script("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+                     "%s\nqed\n" % line)
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        (message, 4, 1)
 
 
 def test_parse_script_reports_line_numbers():
