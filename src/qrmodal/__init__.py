@@ -1,8 +1,10 @@
 """Labelled natural deduction for quantum register modalities.
 
-Five parts: syntax (formulas, parsing, printing), kernel (trusted proof
-checker plus derived-rule expansion), semantics (finite frames, models,
-truth), search (frame enumeration and countermodel search), cli.
+Seven parts: syntax (formulas, parsing, printing), script (reading and
+printing proof scripts), derived (derived-rule expansion, re-checked by
+the kernel), kernel (the trusted proof checker), semantics (finite
+frames, models, truth), search (frame enumeration and countermodel
+search), cli.
 """
 
 from .syntax import (
@@ -11,9 +13,9 @@ from .syntax import (
     legal_rels, neg, parse_formula, parse_mformula, print_formula,
     print_mformula, props_in, substitute,
 )
+from .script import ProofScript, ProofStep, parse_script, print_script
 from .kernel import (
-    CheckReport, Diagnostic, KernelError, ProofScript, ProofStep, check,
-    expand_derived, open_assumptions, parse_script, print_script,
+    CheckReport, Diagnostic, KernelError, check, open_assumptions,
 )
 from .semantics import (
     Frame, FrameViolation, InvalidFrame, Model, SemanticsError, Structure,

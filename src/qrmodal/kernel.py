@@ -52,39 +52,32 @@ Mtrans under MSQR) are expanded to primitive steps before checking, so
 the checker never trusts them.  A derived step passes the admission
 checks of a primitive one (system, premises, arity, discharges, fresh)
 before it is expanded.  Helper steps are private to their expansion:
-later steps cannot cite or discharge them, nor open_assumptions name
-them.  Premises are matched in the order the schema lists them.
-
-Script file format::
-
-    system MSQR                      # or MSPQR
-    theorem name : x : [M] r0 -> r0
-    1. x : [M] r0 ; hyp
-    2. x M y ; hyp
-    ...
-    9. x : [M] r0 -> r0 ; ImpI 8 discharge 1
-    qed
-
-Justifications are ``hyp`` or ``Rule p1,p2 [discharge h1,h2] [fresh y]``;
-the optional ``fresh`` names the fresh label of BoxI/Mser/Class and is
-checked against the inferred one.  Ids are ASCII decimal numbers.
-``#`` comments and blank lines are ignored.  The final step must
-restate the theorem.
+later steps cannot cite or discharge them, nor open_at name them.
+Premises are matched in the order the schema lists them.
 
 Diagnostics carry stable reason codes: wrong-arity, schema-mismatch,
 illegal-discharge, freshness-violation, undischarged-at-theorem,
-wrong-system, unknown-premise, unknown-derived-rule.
+wrong-system, unknown-premise.
+
+Scripts are read and printed by qrmodal.script, and derived rules are
+expanded by qrmodal.derived; neither is trusted.  This module
+re-exports parse_script, print_script, ProofStep and ProofScript.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
+from .derived import ExpansionError, expand_derived
+from .script import (
+    ALL_RULES, DERIVED, DERIVED_MSQR, DERIVED_SHARED, HYP, PRIMITIVE_MSPQR,
+    PRIMITIVE_MSQR, PRIMITIVE_SHARED, ProofScript, ProofStep, parse_script,
+    print_script,
+)
 from .syntax import (
-    BOT, Box, Formula, Implies, Labelled, ParseError, Rel, Relational, System,
-    labels_in, parse_formula, print_formula, substitute, well_formed,
+    BOT, Box, Formula, Implies, Labelled, Rel, Relational, System, labels_in,
+    print_formula, substitute, well_formed,
 )
 
 WRONG_ARITY = "wrong-arity"
@@ -94,23 +87,6 @@ FRESHNESS_VIOLATION = "freshness-violation"
 UNDISCHARGED_AT_THEOREM = "undischarged-at-theorem"
 WRONG_SYSTEM = "wrong-system"
 UNKNOWN_PREMISE = "unknown-premise"
-UNKNOWN_DERIVED_RULE = "unknown-derived-rule"
-
-HYP = "hyp"
-
-PRIMITIVE_SHARED = frozenset((
-    "ImpI", "ImpE", "RAA", "BotE", "BoxI", "BoxE",
-    "Urefl", "Usymm", "Utrans",
-))
-PRIMITIVE_MSQR = frozenset(("UIfromM", "Mser", "Msrefl", "Msub1", "Msub2"))
-PRIMITIVE_MSPQR = frozenset(("PUI", "Ptrans", "Class", "Psub1", "Psub2"))
-DERIVED_SHARED = frozenset((
-    "NegI", "NegE", "IffI", "IffE1", "IffE2", "AndI", "AndE1", "AndE2",
-))
-DERIVED_MSQR = frozenset(("Mtrans",))
-DERIVED = DERIVED_SHARED | DERIVED_MSQR
-ALL_RULES = (frozenset((HYP,)) | PRIMITIVE_SHARED | PRIMITIVE_MSQR
-             | PRIMITIVE_MSPQR | DERIVED)
 
 _ARITY = {
     HYP: 0, "ImpI": 1, "ImpE": 2, "RAA": 1, "BotE": 1, "BoxI": 1,
@@ -136,24 +112,6 @@ def rules_of(system: System) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class ProofStep:
-    id: int
-    formula: Formula
-    rule: str
-    premises: tuple[int, ...] = ()
-    discharges: tuple[int, ...] = ()
-    fresh: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ProofScript:
-    system: System
-    name: str
-    statement: Optional[Formula]
-    steps: tuple[ProofStep, ...]
-
-
-@dataclass(frozen=True)
 class Diagnostic:
     step: int  # id of the (original) step the problem belongs to
     reason: str
@@ -167,160 +125,25 @@ class Diagnostic:
 class CheckReport:
     open_assumptions: frozenset[Formula]
     diagnostics: tuple[Diagnostic, ...]
+    # the run's open hypotheses per step id, as bitsets over hyp_formulas
+    deps: dict[int, int] = field(compare=False, repr=False)
+    hyp_formulas: list[Formula] = field(compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
         return not self.diagnostics
+
+    def open_at(self, step_id: int) -> frozenset[Formula]:
+        """Hypothesis formulas a step of the checked script depends on."""
+        if step_id not in self.deps:
+            raise KernelError(UNKNOWN_PREMISE, "no step with id %d" % step_id)
+        return _formulas_of(self.hyp_formulas, self.deps[step_id])
 
 
 class KernelError(Exception):
     def __init__(self, code: str, message: str):
         super().__init__(message)
         self.code = code
-
-
-class _Expand(Exception):
-    def __init__(self, reason: str, message: str):
-        self.reason = reason
-        self.message = message
-
-
-def expand_derived(step: ProofStep, premises: Mapping[int, Formula],
-                   first_id: Optional[int] = None) -> list[ProofStep]:
-    """Primitive steps replacing a derived step.
-
-    The final step keeps the derived step's id, conclusion and
-    discharges; helper steps take ids first_id, first_id+1, ...  The
-    result is not trusted: it is checked like hand-written steps, and
-    its final conclusion depends exactly on the derived step's premises
-    and undischarged hypotheses.
-    """
-    if step.rule not in DERIVED:
-        raise KernelError(UNKNOWN_DERIVED_RULE,
-                          "%r is not a derived rule" % step.rule)
-    if len(step.premises) != _ARITY[step.rule]:
-        raise KernelError(WRONG_ARITY, "%s takes %d premises, got %d"
-                          % (step.rule, _ARITY[step.rule], len(step.premises)))
-    res = {}
-    for pid in step.premises:
-        if pid not in premises:
-            raise KernelError(UNKNOWN_PREMISE,
-                              "premise %d is not an earlier step" % pid)
-        res[pid] = premises[pid]
-    if first_id is None:
-        first_id = max([step.id] + list(premises)) + 1
-    try:
-        return _expansion(step, res, first_id)
-    except _Expand as e:
-        raise KernelError(e.reason, e.message) from None
-
-
-def _labelled(f: Formula, what: str) -> Labelled:
-    if not isinstance(f, Labelled):
-        raise _Expand(SCHEMA_MISMATCH, "%s must be a labelled formula, got %s"
-                      % (what, print_formula(f)))
-    return f
-
-
-def _expansion(step: ProofStep, res: dict[int, Formula],
-               nid: int) -> list[ProofStep]:
-    rule = step.rule
-    pids = step.premises
-
-    if rule == "NegE":
-        # x:~A, x:A => x:bot is an ImpE instance
-        return [ProofStep(step.id, step.formula, "ImpE", pids)]
-
-    if rule == "NegI":
-        # subproof of y:bot from [x:A]; BotE moves bot to x, ImpI closes
-        concl = _labelled(step.formula, "NegI conclusion")
-        bot_at_x = Labelled(concl.label, BOT)
-        return [
-            ProofStep(nid, bot_at_x, "BotE", (pids[0],)),
-            ProofStep(step.id, step.formula, "ImpI", (nid,),
-                      step.discharges),
-        ]
-
-    if rule in ("AndI", "IffI"):
-        # from x:A and x:B, close a hypothesis x:A->(B->bot)
-        p1 = _labelled(res[pids[0]], "%s premise" % rule)
-        p2 = _labelled(res[pids[1]], "%s premise" % rule)
-        x = p1.label
-        guard = Labelled(x, Implies(p1.body, Implies(p2.body, BOT)))
-        return [
-            ProofStep(nid, guard, HYP),
-            ProofStep(nid + 1, Labelled(x, Implies(p2.body, BOT)),
-                      "ImpE", (nid, pids[0])),
-            ProofStep(nid + 2, Labelled(x, BOT), "ImpE", (nid + 1, pids[1])),
-            ProofStep(step.id, step.formula, "ImpI", (nid + 2,), (nid,)),
-        ]
-
-    if rule in ("AndE1", "AndE2", "IffE1", "IffE2"):
-        p = _labelled(res[pids[0]], "%s premise" % rule)
-        shape = p.body
-        ok = (isinstance(shape, Implies) and shape.right == BOT
-              and isinstance(shape.left, Implies)
-              and isinstance(shape.left.right, Implies)
-              and shape.left.right.right == BOT)
-        if not ok:
-            raise _Expand(SCHEMA_MISMATCH,
-                          "%s premise is not a conjunction: %s"
-                          % (rule, print_formula(p)))
-        x = p.label
-        a, b = shape.left.left, shape.left.right.left
-        if rule in ("AndE1", "IffE1"):
-            # refute x:A->bot: from it A->(B->bot) follows via BotE
-            h1 = Labelled(x, Implies(a, BOT))
-            h2 = Labelled(x, a)
-            return [
-                ProofStep(nid, h1, HYP),
-                ProofStep(nid + 1, h2, HYP),
-                ProofStep(nid + 2, Labelled(x, BOT), "ImpE", (nid, nid + 1)),
-                ProofStep(nid + 3, Labelled(x, Implies(b, BOT)),
-                          "BotE", (nid + 2,)),
-                ProofStep(nid + 4, Labelled(x, shape.left),
-                          "ImpI", (nid + 3,), (nid + 1,)),
-                ProofStep(nid + 5, Labelled(x, BOT),
-                          "ImpE", (pids[0], nid + 4)),
-                ProofStep(step.id, step.formula, "RAA", (nid + 5,), (nid,)),
-            ]
-        # refute x:B->bot: A->(B->bot) follows by two ImpI
-        h1 = Labelled(x, Implies(b, BOT))
-        h2 = Labelled(x, a)
-        h3 = Labelled(x, b)
-        return [
-            ProofStep(nid, h1, HYP),
-            ProofStep(nid + 1, h2, HYP),
-            ProofStep(nid + 2, h3, HYP),
-            ProofStep(nid + 3, Labelled(x, BOT), "ImpE", (nid, nid + 2)),
-            ProofStep(nid + 4, Labelled(x, Implies(b, BOT)),
-                      "ImpI", (nid + 3,), (nid + 2,)),
-            ProofStep(nid + 5, Labelled(x, shape.left),
-                      "ImpI", (nid + 4,), (nid + 1,)),
-            ProofStep(nid + 6, Labelled(x, BOT), "ImpE", (pids[0], nid + 5)),
-            ProofStep(step.id, step.formula, "RAA", (nid + 6,), (nid,)),
-        ]
-
-    if rule == "Mtrans":
-        # a M b, b M c => a M c; the customary display derives c M c by
-        # Msrefl, but the Msub1 instance that actually fires needs
-        # b M b, so both shift-reflexivity steps are emitted
-        p1, p2 = res[pids[0]], res[pids[1]]
-        for p in (p1, p2):
-            if not (isinstance(p, Relational) and p.rel is Rel.M):
-                raise _Expand(SCHEMA_MISMATCH,
-                              "Mtrans premise must be an M formula, got %s"
-                              % print_formula(p))
-        b = p1.right
-        c = p2.right
-        return [
-            ProofStep(nid, Relational(c, Rel.M, c), "Msrefl", (pids[1],)),
-            ProofStep(nid + 1, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
-            ProofStep(step.id, step.formula, "Msub1",
-                      (pids[0], nid + 1, pids[1])),
-        ]
-
-    raise AssertionError("unhandled derived rule %r" % rule)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +161,12 @@ def check(script: ProofScript, system: Optional[System] = None) -> CheckReport:
 
 
 def open_assumptions(script: ProofScript, step_id: int) -> frozenset[Formula]:
-    """Hypothesis formulas a step still depends on."""
-    state = _run(script, None)
-    if step_id not in state.deps:
-        raise KernelError(UNKNOWN_PREMISE, "no step with id %d" % step_id)
-    return state.formulas_of(state.deps[step_id])
+    """Hypothesis formulas a step still depends on.
+
+    One call checks the whole script; to read many steps, keep the
+    report of one check and call its open_at.
+    """
+    return check(script).open_at(step_id)
 
 
 def _bits(mask: int):
@@ -351,6 +175,10 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _formulas_of(hyp_formulas: list[Formula], mask: int) -> frozenset[Formula]:
+    return frozenset(hyp_formulas[i] for i in _bits(mask))
 
 
 class _State:
@@ -380,12 +208,9 @@ class _State:
                 mask |= 1 << self.index[i]
         return mask
 
-    def formulas_of(self, mask: int) -> frozenset[Formula]:
-        return frozenset(self.hyp_formulas[i] for i in _bits(mask))
-
     def report(self) -> CheckReport:
         final = self.script.steps[-1].id
-        open_ = self.formulas_of(self.deps[final])
+        open_ = _formulas_of(self.hyp_formulas, self.deps[final])
         stmt = self.script.statement
         if stmt is not None:
             if self.formulas[final] != stmt:
@@ -397,7 +222,8 @@ class _State:
                 self.diag(final, UNDISCHARGED_AT_THEOREM,
                           "open assumptions remain: %s"
                           % ", ".join(sorted(map(print_formula, open_))))
-        return CheckReport(open_, tuple(self.diags))
+        return CheckReport(open_, tuple(self.diags), self.deps,
+                           self.hyp_formulas)
 
 
 def _run(script: ProofScript, system: Optional[System]) -> _State:
@@ -512,10 +338,12 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
 
 def _expand(state: _State, st: ProofStep, origin: int) -> None:
+    # expand_derived is looked up in this module at call time, where
+    # perfbench wraps it to count expansions
     try:
         steps = expand_derived(st, state.formulas, state.helper_base)
-    except KernelError as e:
-        state.diag(origin, e.code, str(e))
+    except ExpansionError as e:
+        state.diag(origin, SCHEMA_MISMATCH, str(e))
         _record(state, st)
         return
     # the last step repeats st's conclusion, whose vocabulary is checked
@@ -769,147 +597,3 @@ def _schema(state: _State, st: ProofStep, origin: int,
         return
 
     raise AssertionError("unhandled rule %r" % rule)
-
-
-# ---------------------------------------------------------------------------
-# script files
-
-def parse_script(text: str) -> ProofScript:
-    """Parse a proof script file.
-
-    Formulas are parsed with the full vocabulary; using the wrong
-    system's relations is reported by check as wrong-system, so a
-    script can be rechecked under the other system.
-    """
-    system: Optional[System] = None
-    name: Optional[str] = None
-    statement: Optional[Formula] = None
-    steps: list[ProofStep] = []
-    seen: set[int] = set()
-    done = False
-
-    def err(lineno: int, msg: str) -> ParseError:
-        return ParseError(msg, lineno, 1)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if done:
-            raise err(lineno, "content after qed")
-        if system is None:
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != "system" \
-                    or fields[1] not in ("MSQR", "MSPQR"):
-                raise err(lineno, "expected 'system MSQR' or 'system MSPQR'")
-            system = System(fields[1])
-            continue
-        if name is None:
-            head, sep, rest = line.partition(":")
-            fields = head.split()
-            if len(fields) != 2 or fields[0] != "theorem" or not sep:
-                raise err(lineno, "expected 'theorem <name> : <formula>'")
-            name = fields[1]
-            try:
-                statement = parse_formula(rest)
-            except ParseError as e:
-                raise ParseError("in theorem statement: %s" % e.message,
-                                 lineno, e.col, e.expected, e.reason)
-            continue
-        if line == "qed":
-            done = True
-            continue
-        steps.append(_parse_step(line, lineno, seen))
-
-    if system is None or name is None:
-        raise ParseError("missing system or theorem line", 1, 1)
-    if not steps:
-        raise ParseError("a proof needs at least one step", 1, 1)
-    if not done:
-        raise ParseError("missing qed line", 1, 1)
-    return ProofScript(system, name, statement, tuple(steps))
-
-
-# An id list runs over the fields up to the next keyword field; it is
-# read with its blanks removed, so "1, 2" is "1,2".
-_ID_FIELDS = r"( (?: \s+ (?! (?:discharge|fresh) (?!\S) ) \S+ )* )"
-_STEP = re.compile(r"""
-    ([0-9]+) \s* \.                      # step id
-    ([^;]*)                              # formula
-    (?: ; \s* (\S*)                      # rule
-        """ + _ID_FIELDS + r"""           # premise ids
-        (?: \s+ (discharge) """ + _ID_FIELDS + r""" )?
-        (?: \s+ (fresh) (?: \s+ (\S+) )? )?
-        \s* (\S*)                        # the first field left over
-    )?""", re.VERBOSE)
-_ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
-
-
-def _parse_step(line: str, lineno: int, seen: set[int]) -> ProofStep:
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, lineno, 1)
-
-    m = _STEP.match(line)
-    if m is None:
-        raise err("expected '<id>. <formula> ; <justification>'")
-    head, ftext, rule, premises, discharge, discharges, fresh_kw, fresh, \
-        junk = m.groups()
-    sid = int(head)
-    if sid <= 0:
-        raise err("step ids are positive")
-    if sid in seen:
-        raise err("duplicate step id %d" % sid)
-    seen.add(sid)
-    if rule is None:
-        raise err("missing ';' before the justification")
-    try:
-        formula = parse_formula(ftext)
-    except ParseError as e:
-        raise ParseError("in step %d: %s" % (sid, e.message), lineno, e.col,
-                         e.expected, e.reason)
-    if not rule:
-        raise err("empty justification")
-    if rule not in ALL_RULES:
-        raise err("unknown rule %r" % rule)
-    premise_ids = _ids(premises, "premise", err)
-    discharge_ids: tuple[int, ...] = ()
-    if discharge:
-        discharge_ids = _ids(discharges, "discharge", err)
-        if not discharge_ids:
-            raise err("discharge needs at least one id")
-    if fresh_kw and fresh is None:
-        raise err("fresh needs a label")
-    if junk:
-        raise err("trailing junk in justification: %r" % junk)
-    return ProofStep(sid, formula, rule, premise_ids, discharge_ids, fresh)
-
-
-def _ids(fields: str, what: str, err) -> tuple[int, ...]:
-    # a comma list of ASCII decimal ids, blanks ignored
-    if not fields:
-        return ()
-    blob = "".join(fields.split())
-    ids = blob.split(",")
-    if _ID_LIST.fullmatch(blob) is None:
-        bad = next(i for i in ids if not (i.isascii() and i.isdigit()))
-        raise err("bad %s id %r" % (what, bad))
-    return tuple(map(int, ids))
-
-
-def print_script(script: ProofScript) -> str:
-    """Canonical script text; parse_script inverts it."""
-    lines = ["system " + script.system.value]
-    stmt = script.statement if script.statement is not None \
-        else script.steps[-1].formula
-    lines.append("theorem %s : %s" % (script.name, print_formula(stmt)))
-    for st in script.steps:
-        just = st.rule
-        if st.premises:
-            just += " " + ",".join(map(str, st.premises))
-        if st.discharges:
-            just += " discharge " + ",".join(map(str, st.discharges))
-        if st.fresh is not None:
-            just += " fresh " + st.fresh
-        lines.append("%d. %s ; %s" % (st.id, print_formula(st.formula), just))
-    lines.append("qed")
-    return "\n".join(lines) + "\n"

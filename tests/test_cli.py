@@ -384,6 +384,15 @@ def test_non_ascii_step_id_is_a_parse_error(tmp_path, line):
     assert "Traceback" not in proc.stderr
 
 
+def test_blank_separated_ids_are_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "ids.prf"
+    path.write_text("system MSQR\ntheorem t : x : p\n1. x : p -> p ; hyp\n"
+                    "2. x : p ; hyp\n3. x : p ; ImpE 1 2\nqed\n")
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: 5:1: premise ids must be separated by commas")
+
+
 # -- installed entry point ---------------------------------------------------
 
 def test_console_script_runs():

@@ -4,14 +4,15 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrmodal import kernel
+from qrmodal import kernel, syntax
+from qrmodal.derived import expand_derived
 from qrmodal.kernel import (
     ALL_RULES,
+    DERIVED,
     KernelError,
     ProofScript,
     ProofStep,
     check,
-    expand_derived,
     open_assumptions,
     parse_script,
     print_script,
@@ -167,16 +168,16 @@ def test_open_assumptions_match_frozenset_oracle():
             assert open_assumptions(script, step.id) == \
                 {formulas[h] for h in want[step.id]}, (entry["name"], step.id)
     # open_assumptions checks the whole script on each call, so the
-    # chain's 1,002 steps are read from the state of a single run
+    # chain's 1,002 steps are read from the report of a single check
     script = utrans_chain(200)
     formulas = {s.id: s.formula for s in script.steps}
     want = frozenset_deps(script)
-    state = kernel._run(script, None)
+    report = check(script)
     assert max(len(ids) for ids in want.values()) == 201
     for step in script.steps:
-        assert state.formulas_of(state.deps[step.id]) == \
+        assert report.open_at(step.id) == \
             {formulas[h] for h in want[step.id]}, step.id
-    assert check(script).accepted
+    assert report.accepted
     # a failed step clears its listed discharges whatever its rule: every
     # step of a non-discharging rule, primitive or derived, made to list
     # every earlier hypothesis
@@ -193,9 +194,9 @@ def test_open_assumptions_match_frozenset_oracle():
         script = ProofScript(script.system, script.name, None, tuple(steps))
         formulas = {s.id: s.formula for s in steps}
         want = frozenset_deps(script)
-        state = kernel._run(script, None)
+        report = check(script)
         for step in steps:
-            assert state.formulas_of(state.deps[step.id]) == \
+            assert report.open_at(step.id) == \
                 {formulas[h] for h in want[step.id]}, (entry["name"], step.id)
 
 
@@ -314,6 +315,33 @@ def test_admission_same_for_derived_and_primitive(system, derived, primitive,
     assert step3(derived) == step3(primitive) == [code]
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x : r0 ; AndE1 1", "AndE1 premise is not a conjunction: x : r0"),
+    ("x : r0 & r0 ; AndI 1,3", "AndI premise must be a labelled formula, "
+     "got x U x"),
+    ("x M x ; Mtrans 1,3", "Mtrans premise must be an M formula, "
+     "got x : r0"),
+    ("x U x ; NegI 1", "NegI conclusion must be a labelled formula, "
+     "got x U x"),
+])
+def test_expansion_failure_is_a_schema_mismatch(line, message):
+    report = check(parse_script(
+        "system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+        "3. x U x ; hyp\n4. %s\n5. x : r0 ; hyp\nqed\n" % line))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics
+            if d.step == 4] == [(4, "schema-mismatch", message)]
+
+
+def test_unknown_rule_is_a_schema_mismatch():
+    # parse_script refuses unknown rule names, but a script built in code
+    # can carry one; check rejects it before any expansion
+    report = check(ProofScript(System.MSQR, "t", None, (
+        ProofStep(1, parse_formula("x : r0"), "hyp"),
+        ProofStep(2, parse_formula("x : r0"), "Frobnicate", (1,)))))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (2, "schema-mismatch", "unknown rule 'Frobnicate'")]
+
+
 def test_vocabulary_of_derived_step_checked_once():
     # step 11 of mspqr/thm3 is a NegI discharging hypothesis 3; under
     # MSQR its conclusion is foreign vocabulary
@@ -335,7 +363,7 @@ def test_vocabulary_of_derived_step_checked_once():
 def test_expand_mtrans_three_steps():
     step = ProofStep(5, parse_formula("x M z"), "Mtrans", premises=(1, 2))
     out = expand_derived(step, {1: parse_formula("x M y"),
-                                2: parse_formula("y M z")})
+                                2: parse_formula("y M z")}, 6)
     assert len(out) == 3
     assert out[-1].id == 5
     assert out[-1].rule == "Msub1"
@@ -348,7 +376,7 @@ def test_expand_negi_is_impi_over_bote():
     step = ProofStep(3, parse_formula("x : ~ r0"), "NegI",
                      premises=(2,), discharges=(1,))
     out = expand_derived(step, {1: parse_formula("x : r0"),
-                                2: parse_formula("y : bot")})
+                                2: parse_formula("y : bot")}, 4)
     assert [s.rule for s in out] == ["BotE", "ImpI"]
     assert out[-1].formula == parse_formula("x : r0 -> bot")
     assert out[-1].discharges == (1,)
@@ -357,33 +385,9 @@ def test_expand_negi_is_impi_over_bote():
 def test_expand_iffi_concludes_the_sugar():
     step = ProofStep(9, parse_formula("x : r0 <-> r1"), "IffI", premises=(1, 2))
     out = expand_derived(step, {1: parse_formula("x : r0 -> r1"),
-                                2: parse_formula("x : r1 -> r0")})
+                                2: parse_formula("x : r1 -> r0")}, 10)
     assert out[-1].formula == parse_formula("x : r0 <-> r1")
     assert all(s.rule in {"hyp", "ImpI", "ImpE"} for s in out)
-
-
-def test_expand_unknown_rule():
-    step = ProofStep(2, parse_formula("x : r0"), "Frobnicate", premises=(1,))
-    with pytest.raises(KernelError) as exc:
-        expand_derived(step, {1: parse_formula("x : r0")})
-    assert exc.value.code == "unknown-derived-rule"
-    prim = ProofStep(2, parse_formula("x U x"), "Urefl")
-    with pytest.raises(KernelError) as exc:
-        expand_derived(prim, {})
-    assert exc.value.code == "unknown-derived-rule"
-
-
-def test_expand_checks_arity_and_premises():
-    step = ProofStep(2, parse_formula("x M z"), "Mtrans", premises=(1,))
-    with pytest.raises(KernelError) as exc:
-        expand_derived(step, {1: parse_formula("x M y")})
-    assert exc.value.code == "wrong-arity"
-    step = ProofStep(2, parse_formula("x M z"), "Mtrans", premises=(1, 7))
-    with pytest.raises(KernelError) as exc:
-        expand_derived(step, {1: parse_formula("x M y")})
-    assert exc.value.code == "unknown-premise"
-    # the same wording as check's own unknown-premise diagnostic
-    assert str(exc.value) == "premise 7 is not an earlier step"
 
 
 def test_expansion_conservativity():
@@ -394,6 +398,32 @@ def test_expansion_conservativity():
     # the sugar script survives a print/parse cycle as well
     again = parse_script(print_script(sugar))
     assert check(again).accepted
+
+
+def test_layer_boundaries_are_module_attributes(monkeypatch):
+    # perfbench counts parses and expansions by wrapping the module
+    # attributes syntax.parse_formula and kernel.expand_derived, so the
+    # script reader and the kernel must reach them through those, once
+    # per formula and once per derived step
+    parses, expansions = [], []
+    parse, expand = syntax.parse_formula, kernel.expand_derived
+
+    def counting_parse(text, *args):
+        parses.append(text)
+        return parse(text, *args)
+
+    def counting_expand(step, *args):
+        expansions.append(step.id)
+        return expand(step, *args)
+
+    monkeypatch.setattr(syntax, "parse_formula", counting_parse)
+    monkeypatch.setattr(kernel, "expand_derived", counting_expand)
+    text = (CORPUS / "msqr" / "thm6_via_mtrans.prf").read_text()
+    script = kernel.parse_script(text)
+    assert len(parses) == 1 + len(script.steps)
+    assert kernel.check(script).accepted
+    derived = [s.id for s in script.steps if s.rule in DERIVED]
+    assert derived and expansions == derived
 
 
 # -- per-rule scripts --------------------------------------------------------
@@ -776,14 +806,50 @@ def test_parse_script_errors():
     ("2. x : r0 ; ImpI 1 discharge \u00b2", "bad discharge id '\u00b2'"),
     ("2. x : r0 ; BoxE 1,\u0661", "bad premise id '\u0661'"),
     ("2. x : r0 ; BoxE 1,1\u0662", "bad premise id '1\u0662'"),
+    ("2. x : r0 ; ImpE 1 2", "premise ids must be separated by commas"),
+    ("2. x : r0 ; Msub1 1,1 1", "premise ids must be separated by commas"),
+    ("2. x : r0 -> r0 ; ImpI 1 discharge 1 2",
+     "discharge ids must be separated by commas"),
 ])
 def test_step_ids_are_ascii_digits(line, message):
-    # str.isdigit() accepts these, and int() reads some of them
+    # str.isdigit() accepts the first five, and int() reads some of them;
+    # the last three were once read as the single id 12 or 11
     with pytest.raises(ParseError) as exc:
         parse_script("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
                      "%s\nqed\n" % line)
     assert (exc.value.message, exc.value.line, exc.value.col) == \
         (message, 4, 1)
+
+
+def test_blanks_beside_commas_are_accepted():
+    script = parse_script(
+        "system MSQR\ntheorem t : x : r0\n1. x : r0 -> r0 ; hyp\n"
+        "2. x : r0 ; hyp\n3. x : r0 ; ImpE 1 , 2\n"
+        "4. x : r0 -> r0 ; ImpI 3 discharge 2, 2\nqed\n")
+    assert [(s.premises, s.discharges) for s in script.steps[2:]] == \
+        [((1, 2), ()), ((3,), (2, 2))]
+
+
+@pytest.mark.parametrize("text, formula, where, line, col", [
+    ("theorem t : x : p & &\n1. x : p ; hyp\n", " x : p & &",
+     "in theorem statement", 2, 21),
+    ("theorem t : x : p\n\n12. x : p & & ; hyp\n", " x : p & & ",
+     "in step 12", 4, 13),
+    ("theorem t : x : p\n   12. x : p & & ; hyp # note\n", " x : p & & ",
+     "in step 12", 3, 16),
+    ("\ttheorem t:x : p & &\n1. x : p ; hyp\n", "x : p & &",
+     "in theorem statement", 2, 20),
+])
+def test_formula_errors_report_the_column_on_the_line(text, formula, where,
+                                                      line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_script("system MSQR\n" + text + "qed\n")
+    with pytest.raises(ParseError) as inner:
+        parse_formula(formula)
+    e, f = exc.value, inner.value
+    assert (e.line, e.col) == (line, col)
+    assert (e.message, e.expected, e.reason) == \
+        ("%s: %s" % (where, f.message), f.expected, f.reason)
 
 
 def test_parse_script_reports_line_numbers():
@@ -826,7 +892,7 @@ def test_relational_statement_scripts():
 REASON_CODES = frozenset((
     "wrong-arity", "schema-mismatch", "illegal-discharge",
     "freshness-violation", "undischarged-at-theorem", "wrong-system",
-    "unknown-premise", "unknown-derived-rule",
+    "unknown-premise",
 ))
 MUTATIONS = ("swap-premises", "retarget-premise", "drop-discharge",
              "add-discharge", "rename-label", "swap-rule")

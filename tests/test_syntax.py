@@ -4,7 +4,7 @@ from importlib import resources
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qrmodal import syntax
 from qrmodal.kernel import (
@@ -914,20 +914,63 @@ NON_ASCII_ID = ("expected '<id>. <formula> ; <justification>'",
                 "step ids are positive")
 
 
+def id_lists(line):
+    """The premise and discharge fields of a step line, split as the
+    oracle splits them."""
+    fields = line.split("#", 1)[0].partition(";")[2].split()[1:]
+    lists = {"premise": [], "discharge": []}
+    what = "premise"
+    for f in fields:
+        if f == "fresh":
+            break
+        if f == "discharge":
+            what = "discharge"
+        else:
+            lists[what].append(f)
+    return lists
+
+
+def blank_separated_digits(fields):
+    digits = "0123456789"
+    return any(a[-1] in digits and b[0] in digits
+               for a, b in zip(fields, fields[1:]))
+
+
+def column_on_the_line(old, line):
+    """The oracle's formula error, with its column moved from the
+    formula's start to the line's."""
+    start = line.index(":" if old[0].startswith("in theorem") else ".") + 1
+    e = ParseError(old[0], old[1], start + old[2], old[3], old[4])
+    return (e.message, e.line, e.col, e.expected, e.reason, str(e))
+
+
 @given(_script_mutants())
+@example("system MSQR\ntheorem t : x : r0 & &\n1. x : r0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n 1. x : r0 ; hyp\n"
+         "2. x : r0 -> r0 ; ImpI 1 discharge 1 1\nqed\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_script_matches_the_oracle(text):
     new, old = outcome(parse_script, text), _old_script(text)
     if new == old:
         return
-    # the only differences: ids that are not ASCII digits, which the
-    # oracle read with int() or crashed on, and formulas over the size cap
+    # the differences: ids that are not ASCII digits, which the oracle
+    # read with int() or crashed on; formulas over the size cap; formula
+    # errors, which the oracle placed by the formula's own columns; and
+    # id lists with blanks between digits, which the oracle read as one id
     assert isinstance(new, tuple), (new, old)
     if new[4] == "too-large":
         return
     line = text.splitlines()[new[1] - 1]
-    assert any(c.isdigit() and not c.isascii() for c in line), (new, old)
-    assert new[0].startswith(NON_ASCII_ID), (new, old)
+    if new[0].startswith(("in step ", "in theorem statement: ")):
+        assert new == column_on_the_line(old, line), (new, old)
+    elif new[0].endswith(" ids must be separated by commas"):
+        what = new[0].split()[0]
+        assert new[0] == "%s ids must be separated by commas" % what
+        assert new[2] == 1
+        assert blank_separated_digits(id_lists(line)[what]), (new, old)
+    else:
+        assert any(c.isdigit() and not c.isascii() for c in line), (new, old)
+        assert new[0].startswith(NON_ASCII_ID), (new, old)
 
 
 # -- the tokenize boundary ---------------------------------------------------
