@@ -151,10 +151,17 @@ _BLANK_BETWEEN_DIGITS = re.compile(r"[0-9]\s+[0-9]")
 
 def _parse_step(line: str, lineno: int, indent: int,
                 seen: set[int]) -> ProofStep:
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, lineno, 1)
-
     m = _STEP.match(line)
+
+    def err(msg: str, group: int = 1) -> ParseError:
+        # at the first nonblank of the field (a group of _STEP) that msg
+        # is about; the line's start when the line does not match
+        at = 0
+        if m is not None:
+            field = m.group(group)
+            at = m.start(group) + len(field) - len(field.lstrip())
+        return ParseError(msg, lineno, indent + at + 1)
+
     if m is None:
         raise err("expected '<id>. <formula> ; <justification>'")
     head, ftext, rule, premises, discharge, discharges, fresh_kw, fresh, \
@@ -173,19 +180,19 @@ def _parse_step(line: str, lineno: int, indent: int,
         raise _shifted(e, "in step %d" % sid, lineno,
                        indent + m.start(2)) from None
     if not rule:
-        raise err("empty justification")
+        raise err("empty justification", 3)
     if rule not in ALL_RULES:
-        raise err("unknown rule %r" % rule)
-    premise_ids = _ids(premises, "premise", err)
+        raise err("unknown rule %r" % rule, 3)
+    premise_ids = _ids(premises, "premise", lambda msg: err(msg, 4))
     discharge_ids: tuple[int, ...] = ()
     if discharge:
-        discharge_ids = _ids(discharges, "discharge", err)
+        discharge_ids = _ids(discharges, "discharge", lambda msg: err(msg, 6))
         if not discharge_ids:
-            raise err("discharge needs at least one id")
+            raise err("discharge needs at least one id", 5)
     if fresh_kw and fresh is None:
-        raise err("fresh needs a label")
+        raise err("fresh needs a label", 7)
     if junk:
-        raise err("trailing junk in justification: %r" % junk)
+        raise err("trailing junk in justification: %r" % junk, 9)
     return ProofStep(sid, formula, rule, premise_ids, discharge_ids, fresh)
 
 

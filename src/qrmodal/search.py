@@ -10,7 +10,8 @@ under MSpQR any edges among the non-classical worlds.  With a condition
 disabled, the candidates are every mask over the allowed pairs instead.
 Each candidate is kept when validate_frame accepts it.  Membership is
 decided by the validator alone, so the enumeration cannot drift from
-the frame conditions.
+the frame conditions, and neither can random_valid_frame, which draws
+its frames from it.
 
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the proposition
@@ -170,82 +171,22 @@ def enumerate_frames(system: System, size: int,
     return iter(_frames(system, size, tuple(sorted(set(disabled)))))
 
 
-def _nonempty_subset(rng: random.Random, items: Sequence[int]) -> list[int]:
-    chosen = [x for x in items if rng.random() < 0.5]
-    if not chosen:
-        chosen = [rng.choice(items)]
-    return chosen
-
-
-def _closure(size: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closed):
-            for c in range(size):
-                if (b, c) in closed and (a, c) not in closed:
-                    closed.add((a, c))
-                    changed = True
-    return closed
-
-
 def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
     """A pseudorandom valid frame, a deterministic function of the seed.
 
-    Construction: sample a world count and a U-partition, mark a
-    nonempty classical subset per block, give classical worlds only
-    their self-loop and every other world a nonempty set of classical
-    targets in its block.  Under MSpQR, optionally throw in edges
-    between non-classical worlds of a block, transitively close, and
-    keep the result only if it still validates (bounded retries, then
-    the classical-only frame).
+    A world count uniform in 1..max_worlds, then a frame uniform among
+    the enumerated frames of that size, so every frame of at most
+    max_worlds worlds can be drawn.  Bounds above MAX_ENUM_SIZE raise
+    BoundTooLarge, as enumerate_frames does.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be at least 1")
+    if max_worlds > MAX_ENUM_SIZE:
+        raise BoundTooLarge("enumeration is capped at %d worlds"
+                            % MAX_ENUM_SIZE)
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
-    assignment = [0] * n
-    used = 1
-    for i in range(1, n):
-        assignment[i] = rng.randint(0, used)
-        used = max(used, assignment[i] + 1)
-    u = _u_pairs(assignment)
-    blocks: dict[int, list[int]] = {}
-    for w in range(n):
-        blocks.setdefault(assignment[w], []).append(w)
-
-    base: set[tuple[int, int]] = set()
-    nonclassical: list[int] = []
-    classical_of: dict[int, list[int]] = {}
-    for b, members in sorted(blocks.items()):
-        classical = _nonempty_subset(rng, members)
-        classical_of[b] = classical
-        for c in classical:
-            base.add((c, c))
-        for v in members:
-            if v in classical:
-                continue
-            nonclassical.append(v)
-            for c in _nonempty_subset(rng, classical):
-                base.add((v, c))
-
-    meas = base
-    if system is System.MSPQR and nonclassical and rng.random() < 0.5:
-        for _ in range(8):
-            extra = set(base)
-            for v in nonclassical:
-                peers = [w for w in blocks[assignment[v]]
-                         if w != v and w in nonclassical]
-                for w in peers:
-                    if rng.random() < 0.3:
-                        extra.add((v, w))
-            extra = _closure(n, extra)
-            frame = Frame(system, n, u, extra)
-            if not validate_frame(frame):
-                return frame
-        # retries exhausted: fall back to the classical-only frame
-    return Frame(system, n, u, meas)
+    return rng.choice(_frames(system, n, ()))
 
 
 def _patterns(bits: int, full: int) -> list[int]:

@@ -45,8 +45,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    Bottom, Box, Formula, Implies, Labelled, MFormula, ParseError, Prop, Rel,
-    System, labels_in, legal_rels, print_formula, rels_in, well_formed,
+    MEASUREMENT, Bottom, Box, Formula, Implies, Labelled, MFormula, ParseError,
+    Prop, Rel, System, labels_in, legal_rels, print_formula, rels_in,
+    well_formed,
 )
 
 
@@ -71,8 +72,9 @@ class InvalidFrame(SemanticsError):
 
     code = "invalid-frame"
 
-    def __init__(self, violations):
-        super().__init__("; ".join(str(v) for v in violations))
+    def __init__(self, frame, violations):
+        super().__init__("; ".join(describe_violation(frame, v)
+                                   for v in violations))
         self.violations = violations
 
 
@@ -100,10 +102,9 @@ class Frame:
             if len(names) != size or len(set(names)) != size:
                 raise ValueError("need %d distinct world names" % size)
         self.names = names
-        meas_rel = Rel.M if system is System.MSQR else Rel.P
         self.succ = {
             Rel.U: _rows(size, self.u),
-            meas_rel: _rows(size, self.meas),
+            MEASUREMENT[system]: _rows(size, self.meas),
         }
 
     def pairs(self, rel: Rel) -> frozenset[Pair]:
@@ -142,9 +143,6 @@ def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
 class FrameViolation:
     prop: str  # stable property name
     witnesses: tuple[int, ...]
-
-    def __str__(self):
-        return "%s at (%s)" % (self.prop, ", ".join(map(str, self.witnesses)))
 
 
 def describe_violation(frame: Frame, v: FrameViolation) -> str:
@@ -338,10 +336,8 @@ def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     """Truth of an m-formula at a world of a model."""
     if not (0 <= world < model.frame.size):
         raise UnknownWorld("world %r out of range" % (world,))
-    bad = rels_in(phi) - legal_rels(model.frame.system)
-    if bad:
-        raise WrongSystem("relation %s is not part of %s"
-                          % (sorted(bad)[0].value, model.frame.system.value))
+    for rel in rels_in(phi):
+        model.frame.pairs(rel)  # raises WrongSystem for a foreign relation
     return _truth(model, phi)[world] == 1
 
 
@@ -460,7 +456,7 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
     frame = Frame(system, len(names), u, meas, names)
     violations = validate_frame(frame)
     if violations and not allow_invalid:
-        raise InvalidFrame(violations)
+        raise InvalidFrame(frame, violations)
     return Structure(Model(frame, val), interp)
 
 
@@ -468,7 +464,7 @@ def print_structure(structure: Structure) -> str:
     """Canonical model file text; parse_structure inverts it."""
     model = structure.model
     frame = model.frame
-    meas_sym = "M" if frame.system is System.MSQR else "P"
+    meas_sym = MEASUREMENT[frame.system].value
     lines = ["system " + frame.system.value,
              "worlds " + " ".join(frame.names)]
     for (v, w) in sorted(frame.u):

@@ -73,8 +73,11 @@ class Rel(enum.Enum):
     P = "P"
 
 
-_LEGAL_RELS = {System.MSQR: frozenset((Rel.U, Rel.M)),
-               System.MSPQR: frozenset((Rel.U, Rel.P))}
+# The relation each system measures with; U belongs to both.  The
+# parser's gate, well_formed, Frame and model files all read this table.
+MEASUREMENT = {System.MSQR: Rel.M, System.MSPQR: Rel.P}
+_LEGAL_RELS = {system: frozenset((Rel.U, rel))
+               for system, rel in MEASUREMENT.items()}
 
 
 def legal_rels(system: System) -> frozenset[Rel]:
@@ -341,13 +344,14 @@ def _error(text: str, index: int, message: str,
 
 
 _PREFIX = frozenset(("~", "[]", "[M]", "[P]", "<>", "<M>", "<P>"))
-_MSQR_ONLY = frozenset(("[M]", "<M>", "M"))
-_MSPQR_ONLY = frozenset(("[P]", "<P>", "P"))
-_FOREIGN = {None: frozenset(), System.MSQR: _MSPQR_ONLY,
-            System.MSPQR: _MSQR_ONLY}
 _REL_OF_BOX = {"[]": Rel.U, "[M]": Rel.M, "[P]": Rel.P}
 _REL_OF_DIA = {"<>": Rel.U, "<M>": Rel.M, "<P>": Rel.P}
 _REL = {"U": Rel.U, "M": Rel.M, "P": Rel.P}
+# per system, the tokens that name a relation outside its vocabulary
+_FOREIGN = {None: frozenset(), **{
+    system: frozenset(tok for table in (_REL_OF_BOX, _REL_OF_DIA, _REL)
+                      for tok, rel in table.items() if rel not in legal)
+    for system, legal in _LEGAL_RELS.items()}}
 
 # The deepest nesting a parsed m-formula may have, counted both in its
 # syntax tree once sugar is expanded and in its parentheses.  hash, ==,

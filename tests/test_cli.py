@@ -130,8 +130,9 @@ def test_eval_unknown_world(model_file, capsys):
 def test_eval_invalid_frame_refused(bad_model_file, capsys):
     code = main(["eval", bad_model_file, "x : r0"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert "not-serial" in err or "serial" in err
+    assert capsys.readouterr().err == (
+        "error: meas-not-sub-U at (v, w); not-serial at (w); "
+        "not-shift-reflexive at (v, w)\n")
 
 
 def test_eval_allow_invalid(bad_model_file, capsys):
@@ -380,7 +381,8 @@ def test_non_ascii_step_id_is_a_parse_error(tmp_path, line):
         [sys.executable, "-m", "qrmodal.cli", "check", str(path)],
         capture_output=True, text=True)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: 4:1:")
+    assert proc.stderr.startswith("error: 4:1:" if line[0] == "\u00b2"
+                                  else "error: 4:34:")
     assert "Traceback" not in proc.stderr
 
 
@@ -390,7 +392,25 @@ def test_blank_separated_ids_are_a_parse_error(tmp_path, capsys):
                     "2. x : p ; hyp\n3. x : p ; ImpE 1 2\nqed\n")
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err.startswith(
-        "error: 5:1: premise ids must be separated by commas")
+        "error: 5:17: premise ids must be separated by commas")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("  1. x : p ; hyp", "4:3: duplicate step id 1"),
+    ("  2. x : p ; Foo 1", "4:14: unknown rule 'Foo'"),
+    ("  2. x : p ;  ", "4:13: empty justification"),
+    ("  2. x : p ; ImpE 1 2", "4:19: premise ids must be separated by commas"),
+    ("  2. x : p ; ImpI 1 discharge 1,a", "4:31: bad discharge id 'a'"),
+    ("  2. x : p ; ImpI 1 discharge", "4:21: discharge needs at least one id"),
+    ("  2. x : p ; BoxI 1 fresh", "4:21: fresh needs a label"),
+    ("  2. x : p ; BoxI 1 fresh y z", "4:29: trailing junk in justification: 'z'"),
+])
+def test_step_line_errors_give_the_field_column(tmp_path, capsys, line, error):
+    path = tmp_path / "cols.prf"
+    path.write_text("system MSQR\ntheorem t : x : p\n1. x : p ; hyp\n"
+                    "%s\nqed\n" % line)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % error
 
 
 # -- installed entry point ---------------------------------------------------

@@ -817,8 +817,14 @@ def test_step_ids_are_ascii_digits(line, message):
     with pytest.raises(ParseError) as exc:
         parse_script("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
                      "%s\nqed\n" % line)
+    if message.startswith("expected"):
+        col = 1  # the step id
+    else:  # the id list, after the rule or "discharge"
+        word = ("discharge" if "discharge" in message
+                else line.partition(";")[2].split()[0])
+        col = line.index(word) + len(word) + 2
     assert (exc.value.message, exc.value.line, exc.value.col) == \
-        (message, 4, 1)
+        (message, 4, col)
 
 
 def test_blanks_beside_commas_are_accepted():

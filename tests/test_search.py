@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from qrmodal.search import (
+    MAX_ENUM_SIZE,
     BoundTooLarge,
     Found,
     NotFoundWithin,
@@ -171,11 +172,28 @@ def test_random_frame_single_world():
 
 def test_random_frame_golden_seed_42():
     u_total3 = frozenset((a, b) for a in range(3) for b in range(3))
+    meas = {System.MSQR: {(0, 1), (1, 1), (2, 1)},
+            System.MSPQR: {(0, 0), (1, 1), (2, 1)}}
     for system in System:
         frame = random_valid_frame(system, 3, 42)
         assert frame.size == 3
         assert frame.u == u_total3
-        assert frame.meas == {(0, 1), (1, 1), (2, 2)}
+        assert frame.meas == meas[system]
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_random_frames_cover_the_enumeration(system):
+    # every valid frame of at most 4 worlds is drawn within 20,000 seeds
+    every = {f.key() for n in range(1, 5) for f in enumerate_frames(system, n)}
+    drawn = {random_valid_frame(system, 4, seed).key()
+             for seed in range(20_000)}
+    assert drawn == every
+
+
+def test_random_frame_bound():
+    for system in System:
+        with pytest.raises(BoundTooLarge):
+            random_valid_frame(system, MAX_ENUM_SIZE + 1, 0)
 
 
 def test_random_frame_deterministic_and_valid():

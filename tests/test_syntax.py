@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -152,6 +153,18 @@ def test_system_gating():
     with pytest.raises(ParseError) as exc:
         parse_formula("x M y", System.MSPQR)
     assert exc.value.reason == "wrong-system"
+    # the parser's gate and well_formed read the same vocabulary table
+    for text in ("x : [] r0", "x : [M] r0", "x : [P] r0", "x : <> r0",
+                 "x : <M> r0", "x : <P> r0", "x U y", "x M y", "x P y"):
+        for system in System:
+            legal = well_formed(parse_formula(text), system)
+            try:
+                parse_formula(text, system)
+                refused = False
+            except ParseError as e:
+                assert e.reason == "wrong-system"
+                refused = True
+            assert refused is not legal, (text, system)
 
 
 def test_legal_rels():
@@ -936,12 +949,55 @@ def blank_separated_digits(fields):
                for a, b in zip(fields, fields[1:]))
 
 
+def at_column(old, col):
+    """The oracle's error, moved to column col."""
+    e = ParseError(old[0], old[1], col, old[3], old[4])
+    return (e.message, e.line, e.col, e.expected, e.reason, str(e))
+
+
 def column_on_the_line(old, line):
     """The oracle's formula error, with its column moved from the
     formula's start to the line's."""
     start = line.index(":" if old[0].startswith("in theorem") else ".") + 1
-    e = ParseError(old[0], old[1], start + old[2], old[3], old[4])
-    return (e.message, e.line, e.col, e.expected, e.reason, str(e))
+    return at_column(old, start + old[2])
+
+
+def step_field_column(message, line):
+    """The column on a step line of the field that a step-line error is
+    about, with the justification split into fields as the oracle
+    splits it: the rule, the premise ids, "discharge" and its ids,
+    "fresh" and its label, then the first field left over."""
+    text = line.split("#", 1)[0]
+    semi = text.find(";") + 1
+    starts = [m.start() + semi + 1 for m in re.finditer(r"\S+", text[semi:])]
+    words = text[semi:].split()
+    discharge = fresh = None
+    i = 1
+    while i < len(words) and words[i] not in ("discharge", "fresh"):
+        i += 1
+    if i < len(words) and words[i] == "discharge":
+        discharge = i
+        i += 1
+        while i < len(words) and words[i] not in ("discharge", "fresh"):
+            i += 1
+    if i < len(words) and words[i] == "fresh":
+        fresh = i
+        i += 2
+    if message == "empty justification":
+        return len(text.rstrip()) + 1
+    if message.startswith("unknown rule"):
+        return starts[0]
+    if message.startswith(("bad premise id", "premise ids")):
+        return starts[1]
+    if message.startswith("discharge needs"):
+        return starts[discharge]
+    if message.startswith(("bad discharge id", "discharge ids")):
+        return starts[discharge + 1]
+    if message.startswith("fresh needs"):
+        return starts[fresh]
+    if message.startswith("trailing junk"):
+        return starts[i]
+    return len(line) - len(line.lstrip()) + 1  # the step id
 
 
 @given(_script_mutants())
@@ -955,8 +1011,9 @@ def test_parse_script_matches_the_oracle(text):
         return
     # the differences: ids that are not ASCII digits, which the oracle
     # read with int() or crashed on; formulas over the size cap; formula
-    # errors, which the oracle placed by the formula's own columns; and
-    # id lists with blanks between digits, which the oracle read as one id
+    # errors, which the oracle placed by the formula's own columns; id
+    # lists with blanks between digits, which the oracle read as one id;
+    # and other step-line errors, which the oracle placed at column 1
     assert isinstance(new, tuple), (new, old)
     if new[4] == "too-large":
         return
@@ -966,8 +1023,11 @@ def test_parse_script_matches_the_oracle(text):
     elif new[0].endswith(" ids must be separated by commas"):
         what = new[0].split()[0]
         assert new[0] == "%s ids must be separated by commas" % what
-        assert new[2] == 1
+        assert new[2] == step_field_column(new[0], line), (new, line)
         assert blank_separated_digits(id_lists(line)[what]), (new, old)
+    elif isinstance(old, tuple) and old[0] == new[0]:
+        assert new == at_column(old, step_field_column(old[0], line)), \
+            (new, old)
     else:
         assert any(c.isdigit() and not c.isascii() for c in line), (new, old)
         assert new[0].startswith(NON_ASCII_ID), (new, old)
