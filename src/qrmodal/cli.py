@@ -23,7 +23,7 @@ from .semantics import (
 from .search import (
     BoundTooLarge, Found, SearchBudget, SearchError, find_countermodel,
 )
-from . import kernel
+from . import kernel, syntax
 
 _SYSTEMS = {"msqr": System.MSQR, "mspqr": System.MSPQR}
 
@@ -68,7 +68,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                    help="file with one assumption formula per line")
     p.add_argument("--system", choices=sorted(_SYSTEMS), default="msqr")
     p.add_argument("--max-worlds", type=int, default=3)
-    p.add_argument("--props", help="comma separated proposition budget")
 
     p = sub.add_parser("frame", help="frame utilities")
     fsub = p.add_subparsers(dest="frame_cmd", required=True)
@@ -134,15 +133,10 @@ def _cmd_eval(args) -> int:
 def _cmd_countermodel(args) -> int:
     system = _SYSTEMS[args.system]
     alpha = parse_formula(args.formula, system)
-    gamma = []
-    if args.assumptions:
-        for line in _read(args.assumptions).splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                gamma.append(parse_formula(line, system))
-    props = tuple(p for p in (args.props or "").split(",") if p)
-    budget = SearchBudget(max_worlds=args.max_worlds, propositions=props)
-    result = find_countermodel(system, gamma, alpha, budget)
+    text = _read(args.assumptions) if args.assumptions else ""
+    gamma = [line.formula(system=system) for line in syntax.read_lines(text)]
+    result = find_countermodel(system, gamma, alpha,
+                               SearchBudget(max_worlds=args.max_worlds))
     if isinstance(result, Found):
         sys.stdout.write(print_structure(result.structure))
         return 0

@@ -14,8 +14,11 @@ Justifications are ``hyp`` or ``Rule p1,p2 [discharge h1,h2] [fresh y]``;
 the optional ``fresh`` names the fresh label of BoxI/Mser/Class and is
 checked against the inferred one.  Ids are ASCII decimal numbers, and
 the ids of a list are separated by commas, with or without blanks
-beside them.  ``#`` comments and blank lines are ignored.  The final
-step must restate the theorem.
+beside them.  The final step must restate the theorem.  Lines are read
+by ``syntax.read_lines``, as model and assumption files are.  A
+step-line error points at the field it is about, a formula error at
+its token, another line's error at the line's first nonblank
+character, and a missing part of the script at 1:1.
 
 The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
@@ -81,41 +84,24 @@ def parse_script(text: str) -> ProofScript:
     seen: set[int] = set()
     done = False
 
-    def err(lineno: int, msg: str) -> ParseError:
-        return ParseError(msg, lineno, 1)
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.lstrip()
-        line = stripped.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        # where line starts on the raw line, for formula error columns
-        indent = len(raw) - len(stripped)
+    for line in syntax.read_lines(text):
         if done:
-            raise err(lineno, "content after qed")
+            raise line.error("content after qed")
         if system is None:
-            fields = line.split()
-            if len(fields) != 2 or fields[0] != "system" \
-                    or fields[1] not in ("MSQR", "MSPQR"):
-                raise err(lineno, "expected 'system MSQR' or 'system MSPQR'")
-            system = System(fields[1])
+            system = line.system()
             continue
         if name is None:
-            head, sep, rest = line.partition(":")
+            head, sep, _ = line.text.partition(":")
             fields = head.split()
             if len(fields) != 2 or fields[0] != "theorem" or not sep:
-                raise err(lineno, "expected 'theorem <name> : <formula>'")
+                raise line.error("expected 'theorem <name> : <formula>'")
             name = fields[1]
-            try:
-                statement = syntax.parse_formula(rest)
-            except ParseError as e:
-                raise _shifted(e, "in theorem statement", lineno,
-                               indent + len(head) + 1) from None
+            statement = line.formula("in theorem statement: ", len(head) + 1)
             continue
-        if line == "qed":
+        if line.text == "qed":
             done = True
             continue
-        steps.append(_parse_step(line, lineno, indent, seen))
+        steps.append(_parse_step(line, seen))
 
     if system is None or name is None:
         raise ParseError("missing system or theorem line", 1, 1)
@@ -124,14 +110,6 @@ def parse_script(text: str) -> ProofScript:
     if not done:
         raise ParseError("missing qed line", 1, 1)
     return ProofScript(system, name, statement, tuple(steps))
-
-
-def _shifted(e: ParseError, where: str, lineno: int,
-             start: int) -> ParseError:
-    # e is the error of a formula that begins at 0-based column start
-    # of line lineno
-    return ParseError("%s: %s" % (where, e.message), lineno, start + e.col,
-                      e.expected, e.reason)
 
 
 # An id list runs over the fields up to the next keyword field.
@@ -149,9 +127,8 @@ _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 _BLANK_BETWEEN_DIGITS = re.compile(r"[0-9]\s+[0-9]")
 
 
-def _parse_step(line: str, lineno: int, indent: int,
-                seen: set[int]) -> ProofStep:
-    m = _STEP.match(line)
+def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
+    m = _STEP.match(line.text)
 
     def err(msg: str, group: int = 1) -> ParseError:
         # at the first nonblank of the field (a group of _STEP) that msg
@@ -160,11 +137,11 @@ def _parse_step(line: str, lineno: int, indent: int,
         if m is not None:
             field = m.group(group)
             at = m.start(group) + len(field) - len(field.lstrip())
-        return ParseError(msg, lineno, indent + at + 1)
+        return ParseError(msg, line.number, line.start + at + 1)
 
     if m is None:
         raise err("expected '<id>. <formula> ; <justification>'")
-    head, ftext, rule, premises, discharge, discharges, fresh_kw, fresh, \
+    head, _, rule, premises, discharge, discharges, fresh_kw, fresh, \
         junk = m.groups()
     sid = int(head)
     if sid <= 0:
@@ -174,19 +151,15 @@ def _parse_step(line: str, lineno: int, indent: int,
     seen.add(sid)
     if rule is None:
         raise err("missing ';' before the justification")
-    try:
-        formula = syntax.parse_formula(ftext)
-    except ParseError as e:
-        raise _shifted(e, "in step %d" % sid, lineno,
-                       indent + m.start(2)) from None
+    formula = line.formula("in step %d: ", m.start(2), m.end(2), sid)
     if not rule:
         raise err("empty justification", 3)
     if rule not in ALL_RULES:
         raise err("unknown rule %r" % rule, 3)
-    premise_ids = _ids(premises, "premise", lambda msg: err(msg, 4))
+    premise_ids = _ids(premises, "premise", err, 4)
     discharge_ids: tuple[int, ...] = ()
     if discharge:
-        discharge_ids = _ids(discharges, "discharge", lambda msg: err(msg, 6))
+        discharge_ids = _ids(discharges, "discharge", err, 6)
         if not discharge_ids:
             raise err("discharge needs at least one id", 5)
     if fresh_kw and fresh is None:
@@ -196,18 +169,18 @@ def _parse_step(line: str, lineno: int, indent: int,
     return ProofStep(sid, formula, rule, premise_ids, discharge_ids, fresh)
 
 
-def _ids(fields: str, what: str, err) -> tuple[int, ...]:
+def _ids(fields: str, what: str, err, group: int) -> tuple[int, ...]:
     # a comma list of ASCII decimal ids; blanks may stand beside a comma
     # but not between two ids, so "1 2" is not read as 12
     if not fields:
         return ()
     if _BLANK_BETWEEN_DIGITS.search(fields):
-        raise err("%s ids must be separated by commas" % what)
+        raise err("%s ids must be separated by commas" % what, group)
     blob = "".join(fields.split())
     ids = blob.split(",")
     if _ID_LIST.fullmatch(blob) is None:
         bad = next(i for i in ids if not (i.isascii() and i.isdigit()))
-        raise err("bad %s id %r" % (what, bad))
+        raise err("bad %s id %r" % (what, bad), group)
     return tuple(map(int, ids))
 
 

@@ -14,8 +14,8 @@ the frame conditions, and neither can random_valid_frame, which draws
 its frames from it.
 
 The countermodel search returns the first failing structure in the
-order frames of growing size, then valuations over the proposition
-budget (itertools.product order, world 0 slowest), then label
+order frames of growing size, then valuations over the propositions of
+the query (itertools.product order, world 0 slowest), then label
 interpretations (product order; labels may share worlds).  It does not
 visit the structures one by one: per frame it computes the truth set of
 every subformula for a chunk of valuations at once (see
@@ -60,11 +60,9 @@ class BoundTooLarge(SearchError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE;
-    propositions: what valuations range over (empty: the query's)."""
+    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE."""
 
     max_worlds: int = 3
-    propositions: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -225,12 +223,7 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
     if budget.max_worlds > MAX_ENUM_SIZE:
         raise BoundTooLarge("search is capped at %d worlds" % MAX_ENUM_SIZE)
 
-    props = budget.propositions
-    if not props:
-        gathered: set[str] = set()
-        for f in formulas:
-            gathered |= props_in_formula(f)
-        props = tuple(sorted(gathered))
+    props = sorted(set().union(*(props_in_formula(f) for f in formulas)))
     labels = sorted(set().union(*(labels_in(f) for f in formulas)))
     slot = {lab: k for k, lab in enumerate(labels)}
     program, roots = compile_formulas(

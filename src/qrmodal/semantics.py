@@ -37,6 +37,9 @@ Model files look like:
 
 One relation pair per line, `val` lines list the propositions true at a
 world (worlds with no line get none), `interp` binds labels to worlds.
+Lines are read by syntax.read_lines, as scripts are.  An error points
+at the field it is about, such as an unknown world, or else at the
+line's first field.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    MEASUREMENT, Bottom, Box, Formula, Implies, Labelled, MFormula, ParseError,
-    Prop, Rel, System, labels_in, legal_rels, print_formula, rels_in,
-    well_formed,
+    MEASUREMENT, Bottom, Box, Formula, Implies, Labelled, Line, MFormula,
+    ParseError, Prop, Rel, System, labels_in, legal_rels, print_formula,
+    read_lines, rels_in, well_formed,
 )
 
 
@@ -386,68 +389,58 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
     u: set[Pair] = set()
     meas: set[Pair] = set()
     val: dict[int, set[str]] = {}
-    val_seen: set[int] = set()
     interp: dict[str, int] = {}
 
-    def err(lineno: int, msg: str, reason: str = "syntax") -> ParseError:
-        return ParseError(msg, lineno, 1, reason=reason)
-
-    def world(lineno: int, name: str) -> int:
+    def world(line: Line, name: str, field: int) -> int:
         if names is None:
-            raise err(lineno, "worlds must be declared first")
+            raise line.error("worlds must be declared first")
         if name not in index:
-            raise err(lineno, "unknown world %r" % name)
+            raise line.error("unknown world %r" % name, field)
         return index[name]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for line in read_lines(text):
+        fields = line.text.split()
         head = fields[0]
+        if system is None and head in ("worlds", "U", "M", "P"):
+            raise line.error("system must be declared first")
         if head == "system":
             if system is not None:
-                raise err(lineno, "duplicate system line")
-            if len(fields) != 2 or fields[1] not in ("MSQR", "MSPQR"):
-                raise err(lineno, "expected 'system MSQR' or 'system MSPQR'")
-            system = System(fields[1])
+                raise line.error("duplicate system line")
+            system = line.system()
         elif head == "worlds":
-            if system is None:
-                raise err(lineno, "system must be declared first")
             if names is not None:
-                raise err(lineno, "duplicate worlds line")
+                raise line.error("duplicate worlds line")
             if len(fields) < 2:
-                raise err(lineno, "at least one world is required")
+                raise line.error("at least one world is required")
             names = fields[1:]
             if len(set(names)) != len(names):
-                raise err(lineno, "duplicate world name")
+                k = next(k for k, n in enumerate(names) if names.index(n) < k)
+                raise line.error("duplicate world name", k + 1)
             index = {n: i for i, n in enumerate(names)}
         elif head in ("U", "M", "P"):
-            if system is None:
-                raise err(lineno, "system must be declared first")
             if head != "U" and Rel(head) not in legal_rels(system):
-                raise err(lineno, "relation %s is not part of %s"
-                          % (head, system.value), reason="wrong-system")
+                raise line.error("relation %s is not part of %s"
+                                 % (head, system.value), reason="wrong-system")
             if len(fields) != 3:
-                raise err(lineno, "expected '%s <world> <world>'" % head)
-            pair = (world(lineno, fields[1]), world(lineno, fields[2]))
+                raise line.error("expected '%s <world> <world>'" % head)
+            pair = (world(line, fields[1], 1), world(line, fields[2], 2))
             (u if head == "U" else meas).add(pair)
         elif head == "val":
             if len(fields) < 2 or not fields[1].endswith(":"):
-                raise err(lineno, "expected 'val <world>: <props>'")
-            w = world(lineno, fields[1][:-1])
-            if w in val_seen:
-                raise err(lineno, "duplicate val line for %r" % fields[1][:-1])
-            val_seen.add(w)
+                raise line.error("expected 'val <world>: <props>'")
+            w = world(line, fields[1][:-1], 1)
+            if w in val:
+                raise line.error("duplicate val line for %r" % names[w], 1)
             val[w] = set(fields[2:])
         elif head == "interp":
             if len(fields) != 4 or fields[2] != "=":
-                raise err(lineno, "expected 'interp <label> = <world>'")
+                raise line.error("expected 'interp <label> = <world>'")
             if fields[1] in interp:
-                raise err(lineno, "duplicate interp for label %r" % fields[1])
-            interp[fields[1]] = world(lineno, fields[3])
+                raise line.error("duplicate interp for label %r"
+                                 % fields[1], 1)
+            interp[fields[1]] = world(line, fields[3], 3)
         else:
-            raise err(lineno, "unrecognized line %r" % head)
+            raise line.error("unrecognized line %r" % head)
 
     if system is None:
         raise ParseError("missing system line", 1, 1)

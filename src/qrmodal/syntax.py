@@ -59,7 +59,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import Iterator, NoReturn, Optional
 
 
 class System(enum.Enum):
@@ -550,3 +550,50 @@ def parse_formula(text: str, system: Optional[System] = None) -> Formula:
         p.end(3)
         return Relational(label, _REL[kind], toks[2][1])
     raise p.fail(1, (":", "U", "M", "P"))
+
+
+# ---------------------------------------------------------------------------
+# line-oriented input
+
+@dataclass(slots=True)
+class Line:
+    """A nonblank line of a script, model or assumption file: its
+    number, its text from the first nonblank character up to any "#"
+    comment, stripped, and the offset of that character on the line."""
+
+    number: int
+    text: str
+    start: int
+
+    def error(self, message: str, field: int = 0,
+              reason: str = "syntax") -> ParseError:
+        """A ParseError at the blank-separated field number field."""
+        at = [m.start() for m in re.finditer(r"\S+", self.text)][field]
+        return ParseError(message, self.number, self.start + at + 1,
+                          reason=reason)
+
+    def formula(self, where: str = "", at: int = 0, end: Optional[int] = None,
+                *args: object, system: Optional[System] = None) -> Formula:
+        """The formula in text[at:end]; errors start with where % args."""
+        try:
+            return parse_formula(self.text[at:end], system)
+        except ParseError as e:
+            raise ParseError(where % args + e.message, self.number,
+                             self.start + at + e.col, e.expected,
+                             e.reason) from None
+
+    def system(self) -> System:
+        """The system that a system line names."""
+        fields = self.text.split()
+        if fields not in (["system", "MSQR"], ["system", "MSPQR"]):
+            raise self.error("expected 'system MSQR' or 'system MSPQR'")
+        return System(fields[1])
+
+
+def read_lines(text: str) -> Iterator[Line]:
+    """Nonblank lines; they end at "\\n" only, as the tokenizer counts."""
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0]
+        stripped = line.lstrip()
+        if stripped:
+            yield Line(number, stripped.rstrip(), len(line) - len(stripped))

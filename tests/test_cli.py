@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -194,12 +196,12 @@ def test_countermodel_bound_below_one(capsys, bound):
 
 
 def test_countermodel_labels_note(capsys):
-    gamma_dir = Path(str(CORPUS))
-    del gamma_dir
-    code = main(["countermodel", "x : r0 -> [M] r0", "--max-worlds", "2",
-                 "--props", "r0"])
-    assert code == 0
-    capsys.readouterr()
+    code = main(["countermodel", "x U y", "--max-worlds", "1"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "no countermodel within 1 worlds (1 frames checked)\n"
+        "note: the query names more labels than the world bound; "
+        "interpretations could not separate them all\n")
 
 
 def test_countermodel_seed_reproducible(capsys):
@@ -411,6 +413,141 @@ def test_step_line_errors_give_the_field_column(tmp_path, capsys, line, error):
                     "%s\nqed\n" % line)
     assert main(["check", str(path)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % error
+
+
+# -- error positions in line-oriented input ----------------------------------
+
+MODEL_ERRORS = [
+    (MODEL + "  system MSQR\n", "11:3: duplicate system line"),
+    ("  system MSQ\n", "1:3: expected 'system MSQR' or 'system MSPQR'"),
+    ("\n worlds v\n", "2:2: system must be declared first"),
+    ("\tU v v\nsystem MSQR\n", "1:2: system must be declared first"),
+    (MODEL + "  worlds a\n", "11:3: duplicate worlds line"),
+    ("system MSQR\n   worlds\n", "2:4: at least one world is required"),
+    ("system MSQR\nworlds v  w v\n", "2:13: duplicate world name"),
+    (MODEL + "  P v v\n", "11:3: relation P is not part of MSQR"),
+    (MODEL + "  U v\n", "11:3: expected 'U <world> <world>'"),
+    ("system MSQR\n  M v v\n", "2:3: worlds must be declared first"),
+    ("system MSQR\n val v:\n", "2:2: worlds must be declared first"),
+    (MODEL.replace("M v w", "   M v q"), "7:8: unknown world 'q'"),
+    (MODEL.replace("M v w", "   M q v"), "7:6: unknown world 'q'"),
+    (MODEL + "  val q: r1\n", "11:7: unknown world 'q'"),
+    (MODEL + "  val w r1\n", "11:3: expected 'val <world>: <props>'"),
+    (MODEL + "  val  w: r1\n", "11:8: duplicate val line for 'w'"),
+    (MODEL + " interp x v\n", "11:2: expected 'interp <label> = <world>'"),
+    (MODEL + " interp  x = w\n", "11:10: duplicate interp for label 'x'"),
+    (MODEL + " interp y = q\n", "11:13: unknown world 'q'"),
+    (MODEL + "  frob v\n", "11:3: unrecognized line 'frob'"),
+    ("# no system\n", "1:1: missing system line"),
+    ("  system MSQR\n", "1:1: missing worlds line"),
+]
+SCRIPT_ERRORS = [
+    ("  system MSQ\n", "1:3: expected 'system MSQR' or 'system MSPQR'"),
+    ("system MSQR\n  theorem t x : p\n",
+     "2:3: expected 'theorem <name> : <formula>'"),
+    ("system MSQR\ntheorem t : x : p\n1. x : p ; hyp\nqed\n   qed\n",
+     "5:4: content after qed"),
+    ("system MSQR\ntheorem t : x : p\n1. x : p ; hyp\n",
+     "1:1: missing qed line"),
+    ("system MSQR\ntheorem t : x : p\nqed\n",
+     "1:1: a proof needs at least one step"),
+    ("  system MSQR\n", "1:1: missing system or theorem line"),
+]
+
+
+@pytest.mark.parametrize("text, error", MODEL_ERRORS,
+                         ids=[e for _, e in MODEL_ERRORS])
+def test_model_file_errors_give_the_field_column(tmp_path, capsys, text,
+                                                 error):
+    path = tmp_path / "model.txt"
+    path.write_text(text)
+    assert main(["frame", "validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % error
+
+
+@pytest.mark.parametrize("text, error", SCRIPT_ERRORS,
+                         ids=[e for _, e in SCRIPT_ERRORS])
+def test_script_line_errors_give_the_line_column(tmp_path, capsys, text,
+                                                 error):
+    path = tmp_path / "lines.prf"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % error
+
+
+def test_assumption_errors_give_the_line_column(tmp_path, capsys):
+    path = tmp_path / "gamma.txt"
+    path.write_text("x M y  # edge\n\n  x : p & &\n")
+    assert main(["countermodel", "x : p", "--assumptions", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 3:11: expected identifier or bot or (, found '&'\n")
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"],
+                         ids=["form-feed", "U+0085", "U+2028"])
+@pytest.mark.parametrize("argv, text", [
+    (["check"], (CORPUS / "msqr" / "thm1.prf").read_text()),
+    (["frame", "validate"], MODEL),
+], ids=["script", "model"])
+def test_comments_end_at_the_newline_only(tmp_path, capsys, char, argv,
+                                          text):
+    # a comment holding a character that str.splitlines would break at
+    # is cut off whole, so the file reads as it does without it
+    lines = text.split("\n")
+    lines[1] += "  # a%sb" % char
+    outputs = []
+    for body in (text, "\n".join(lines)):
+        path = tmp_path / "input.txt"
+        path.write_text(body)
+        outputs.append((main(argv + [str(path)]), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
+# -- the README's examples ---------------------------------------------------
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def readme_examples():
+    """The README's model block, and each `$ qrmodal ...` line of its sh
+    blocks as (argv, the output lines shown under it)."""
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", (REPO / "README.md")
+                        .read_text(), re.MULTILINE | re.DOTALL)
+    model = next(body for lang, body in blocks
+                 if body.startswith("system MSQR\nworlds "))
+    commands = []
+    for lang, body in blocks:
+        shown = None  # the output lines of the block's last command
+        for line in body.splitlines() if lang == "sh" else ():
+            if line.startswith("$ qrmodal "):
+                shown = []
+                commands.append((shlex.split(line[len("$ qrmodal "):]),
+                                 shown))
+            elif line.startswith("$"):
+                raise AssertionError("not a qrmodal command: " + line)
+            elif shown is not None:
+                shown.append(line)
+    return model, commands
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # `model.txt` is the README's model block; a "..." line stands for
+    # any lines, and the lines after it must end the output
+    model, commands = readme_examples()
+    assert len(commands) >= 5
+    (tmp_path / "model.txt").write_text(model)
+    monkeypatch.chdir(REPO)
+    for argv, shown in commands:
+        main([str(tmp_path / a) if a == "model.txt" else a for a in argv])
+        out = capsys.readouterr().out.splitlines()
+        if "..." in shown:
+            k = shown.index("...")
+            head, tail = shown[:k], shown[k + 1:]
+            assert out[:len(head)] == head, argv
+            assert out[len(out) - len(tail):] == tail, argv
+        else:
+            assert out == shown, argv
 
 
 # -- installed entry point ---------------------------------------------------

@@ -281,17 +281,6 @@ def test_search_deterministic():
     assert a.structure.interp == b.structure.interp
 
 
-def test_search_propositions_default_to_those_occurring():
-    # an explicit larger universe may not change the verdict
-    alpha = parse_formula("x : r0 -> [M] r0")
-    given = find_countermodel(
-        System.MSQR, [], alpha,
-        SearchBudget(max_worlds=2, propositions=("r0", "r1")))
-    defaulted = find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=2))
-    assert isinstance(given, Found) and isinstance(defaulted, Found)
-    assert not holds(defaulted.structure, alpha)
-
-
 def test_correspondence_shift_reflexivity():
     alpha = parse_formula("x : [M](r0 <-> [M] r0)")
     strict = find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=3))

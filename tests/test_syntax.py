@@ -681,8 +681,8 @@ def old_parse_formula(text: str, system: Optional[System] = None) -> Formula:
     raise p.fail((":", "U", "M", "P"))
 
 
-def old_parse_script(text: str) -> ProofScript:
-    """Parse a proof script file.
+def old_parse_script(text: str, split=str.splitlines) -> ProofScript:
+    """Parse a proof script file, cut into lines by split.
 
     Formulas are parsed with the full vocabulary; using the wrong
     system's relations is reported by check as wrong-system, so a
@@ -698,7 +698,7 @@ def old_parse_script(text: str) -> ProofScript:
     def err(lineno: int, msg: str) -> ParseError:
         return ParseError(msg, lineno, 1)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(split(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -915,13 +915,27 @@ def _script_mutants(draw):
     return "\n".join(lines)
 
 
+def splitlines_only_ends(text):
+    """Whether text holds a line end that str.splitlines honours and
+    the line reader does not: anything but "\\n"."""
+    rest = text.replace("\n", "")
+    return rest.splitlines() != ([rest] if rest else [])
+
+
 def _old_script(text):
+    # the oracle cut lines with str.splitlines; texts that tell the two
+    # splits apart are compared with the oracle cutting at "\n" only
+    split = (lambda t: t.split("\n")) if splitlines_only_ends(text) \
+        else str.splitlines
     try:
-        return outcome(old_parse_script, text)
+        return outcome(old_parse_script, text, split)
     except ValueError:  # int() of a non-ASCII digit the oracle let through
         return "ValueError"
 
 
+# errors about a whole line that is not a step line
+LINE_ERRORS = ("expected 'system MSQR' or 'system MSPQR'",
+               "expected 'theorem <name> : <formula>'", "content after qed")
 NON_ASCII_ID = ("expected '<id>. <formula> ; <justification>'",
                 "bad premise id", "bad discharge id", "duplicate step id",
                 "step ids are positive")
@@ -997,13 +1011,23 @@ def step_field_column(message, line):
         return starts[fresh]
     if message.startswith("trailing junk"):
         return starts[i]
-    return len(line) - len(line.lstrip()) + 1  # the step id
+    return first_nonblank_column(line)  # the step id
+
+
+def first_nonblank_column(line):
+    return len(line) - len(line.lstrip()) + 1
 
 
 @given(_script_mutants())
 @example("system MSQR\ntheorem t : x : r0 & &\n1. x : r0 ; hyp\nqed\n")
 @example("system MSQR\ntheorem t : x : r0\n 1. x : r0 ; hyp\n"
          "2. x : r0 -> r0 ; ImpI 1 discharge 1 1\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; BoxI 1 fresh y z\n"
+         "qed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; BoxI 1 fresh\nqed\n")
+@example("  system MSQR\n\ttheorem t x : r0\n1. x : r0 ; hyp\nqed\n")
+@example("system MSQR # a\x0cb\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "  qed # \x85\n 2. x : r0 ; hyp # \u2028\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_script_matches_the_oracle(text):
     new, old = outcome(parse_script, text), _old_script(text)
@@ -1013,12 +1037,16 @@ def test_parse_script_matches_the_oracle(text):
     # read with int() or crashed on; formulas over the size cap; formula
     # errors, which the oracle placed by the formula's own columns; id
     # lists with blanks between digits, which the oracle read as one id;
-    # and other step-line errors, which the oracle placed at column 1
+    # other step-line errors, which the oracle placed at column 1; and
+    # errors about a whole other line, which the oracle placed at column
+    # 1 and the reader places at the line's first nonblank character
     assert isinstance(new, tuple), (new, old)
     if new[4] == "too-large":
         return
-    line = text.splitlines()[new[1] - 1]
-    if new[0].startswith(("in step ", "in theorem statement: ")):
+    line = text.split("\n")[new[1] - 1]
+    if new[0] in LINE_ERRORS:
+        assert new == at_column(old, first_nonblank_column(line)), (new, old)
+    elif new[0].startswith(("in step ", "in theorem statement: ")):
         assert new == column_on_the_line(old, line), (new, old)
     elif new[0].endswith(" ids must be separated by commas"):
         what = new[0].split()[0]
