@@ -29,8 +29,10 @@ _SYSTEMS = {"msqr": System.MSQR, "mspqr": System.MSPQR}
 
 
 def _read(path: str | Path) -> str:
+    # untranslated: lines end at "\n" only, and a lone "\r" is a blank
     try:
-        return Path(path).read_text()
+        with open(path, newline="") as f:
+            return f.read()
     except OSError as e:
         raise _Usage("cannot read %s: %s" % (path, e.strerror or e))
     except UnicodeDecodeError as e:
@@ -172,8 +174,11 @@ def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
     path = base / entry["path"]
     if not path.is_file():
         raise _Usage("corpus entry %s: missing file %s" % (name, path))
-    script = kernel.parse_script(_read(path))
-    statement = parse_formula(entry["statement"])
+    try:
+        script = kernel.parse_script(_read(path))
+        statement = parse_formula(entry["statement"])
+    except ParseError as e:
+        raise _Usage("corpus entry %s: %s" % (name, e))
     if script.statement != statement:
         return False, "%s: script states %s, manifest states %s" % (
             name, script.statement, statement)

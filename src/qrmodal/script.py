@@ -92,7 +92,7 @@ def parse_script(text: str) -> ProofScript:
             continue
         if name is None:
             head, sep, _ = line.text.partition(":")
-            fields = head.split()
+            fields = syntax.split_fields(head)
             if len(fields) != 2 or fields[0] != "theorem" or not sep:
                 raise line.error("expected 'theorem <name> : <formula>'")
             name = fields[1]
@@ -112,19 +112,21 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(system, name, statement, tuple(steps))
 
 
-# An id list runs over the fields up to the next keyword field.
-_ID_FIELDS = r"( (?: \s+ (?! (?:discharge|fresh) (?!\S) ) \S+ )* )"
-_STEP = re.compile(r"""
-    ([0-9]+) \s* \.                      # step id
+# Blanks (B) and the fields they separate (F+) are the tokenizer's.  An
+# id list runs over the fields up to the next keyword field.
+_B, _F = syntax.BLANK, syntax.NOT_BLANK
+_ID_FIELDS = rf"( (?: {_B}+ (?! (?:discharge|fresh) (?!{_F}) ) {_F}+ )* )"
+_STEP = re.compile(rf"""
+    ([0-9]+) {_B}* \.                    # step id
     ([^;]*)                              # formula
-    (?: ; \s* (\S*)                      # rule
-        """ + _ID_FIELDS + r"""           # premise ids
-        (?: \s+ (discharge) """ + _ID_FIELDS + r""" )?
-        (?: \s+ (fresh) (?: \s+ (\S+) )? )?
-        \s* (\S*)                        # the first field left over
+    (?: ; {_B}* ({_F}*)                   # rule
+        {_ID_FIELDS}                     # premise ids
+        (?: {_B}+ (discharge) {_ID_FIELDS} )?
+        (?: {_B}+ (fresh) (?: {_B}+ ({_F}+) )? )?
+        {_B}* ({_F}*)                     # the first field left over
     )?""", re.VERBOSE)
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
-_BLANK_BETWEEN_DIGITS = re.compile(r"[0-9]\s+[0-9]")
+_BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
 
 
 def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
@@ -136,7 +138,8 @@ def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
         at = 0
         if m is not None:
             field = m.group(group)
-            at = m.start(group) + len(field) - len(field.lstrip())
+            at = m.start(group) + len(field) \
+                - len(field.lstrip(syntax.BLANKS))
         return ParseError(msg, line.number, line.start + at + 1)
 
     if m is None:
@@ -176,7 +179,7 @@ def _ids(fields: str, what: str, err, group: int) -> tuple[int, ...]:
         return ()
     if _BLANK_BETWEEN_DIGITS.search(fields):
         raise err("%s ids must be separated by commas" % what, group)
-    blob = "".join(fields.split())
+    blob = "".join(syntax.split_fields(fields))
     ids = blob.split(",")
     if _ID_LIST.fullmatch(blob) is None:
         bad = next(i for i in ids if not (i.isascii() and i.isdigit()))

@@ -6,12 +6,11 @@ yields the valid measurement relations over U in bitmask order over the
 sorted U-pairs.  The candidates are built from the frame conditions,
 block by block: a nonempty classical set C whose worlds measure only
 themselves, every other world measuring a nonempty subset of C, and
-under MSpQR any edges among the non-classical worlds.  With a condition
-disabled, the candidates are every mask over the allowed pairs instead.
-Each candidate is kept when validate_frame accepts it.  Membership is
-decided by the validator alone, so the enumeration cannot drift from
-the frame conditions, and neither can random_valid_frame, which draws
-its frames from it.
+under MSpQR any edges among the non-classical worlds.  Each candidate
+is kept when validate_frame accepts it.  Membership is decided by the
+validator alone, so the enumeration cannot drift from the frame
+conditions, and neither can random_valid_frame, which draws its frames
+from it.
 
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
@@ -126,47 +125,32 @@ def _block_relations(system: System,
 
 
 @lru_cache(maxsize=None)
-def _frames(system: System, size: int,
-            disabled: tuple[str, ...]) -> tuple[Frame, ...]:
+def _frames(system: System, size: int) -> tuple[Frame, ...]:
     out = []
     for assignment in _partitions(size):
         u = _u_pairs(assignment)
-        if "meas-not-sub-U" in disabled:
-            pool = sorted((v, w) for v in range(size) for w in range(size))
-        else:
-            pool = sorted(u)  # anything else already fails meas-not-sub-U
-        if disabled:
-            candidates = [frozenset(p for k, p in enumerate(pool)
-                                    if mask >> k & 1)
-                          for mask in range(1 << len(pool))]
-        else:
-            bit = {p: 1 << k for k, p in enumerate(pool)}
-            blocks = [[w for w in range(size) if assignment[w] == b]
-                      for b in range(max(assignment) + 1)]
-            candidates = sorted(
-                (frozenset().union(*parts) for parts in itertools.product(
-                    *(_block_relations(system, blk) for blk in blocks))),
-                key=lambda meas: sum(bit[p] for p in meas))
+        bit = {p: 1 << k for k, p in enumerate(sorted(u))}
+        blocks = [[w for w in range(size) if assignment[w] == b]
+                  for b in range(max(assignment) + 1)]
+        candidates = sorted(
+            (frozenset().union(*parts) for parts in itertools.product(
+                *(_block_relations(system, blk) for blk in blocks))),
+            key=lambda meas: sum(bit[p] for p in meas))
         for meas in candidates:
             frame = Frame(system, size, u, meas)
-            if not validate_frame(frame, disabled):
+            if not validate_frame(frame):
                 out.append(frame)
     return tuple(out)
 
 
-def enumerate_frames(system: System, size: int,
-                     disabled: Iterable[str] = ()) -> Iterator[Frame]:
-    """All valid frames on worlds {0..size-1}, each exactly once.
-
-    disabled switches off individual frame conditions (by violation
-    name) so the surviving frame class can be explored.
-    """
+def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
+    """All valid frames on worlds {0..size-1}, each exactly once."""
     if size < 1:
         raise ValueError("size must be at least 1")
     if size > MAX_ENUM_SIZE:
         raise BoundTooLarge("enumeration is capped at %d worlds"
                             % MAX_ENUM_SIZE)
-    return iter(_frames(system, size, tuple(sorted(set(disabled)))))
+    return iter(_frames(system, size))
 
 
 def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
@@ -184,7 +168,7 @@ def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
                             % MAX_ENUM_SIZE)
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
-    return rng.choice(_frames(system, n, ()))
+    return rng.choice(_frames(system, n))
 
 
 def _patterns(bits: int, full: int) -> list[int]:
@@ -208,8 +192,8 @@ def _columns(places: list[tuple[str, int, int]], size: int, chunk: int,
 
 
 def find_countermodel(system: System, gamma: Iterable[Formula],
-                      alpha: Formula, budget: SearchBudget,
-                      disabled: Iterable[str] = ()) -> CountermodelResult:
+                      alpha: Formula,
+                      budget: SearchBudget) -> CountermodelResult:
     """Search every structure within the budget for one where all of
     gamma holds and alpha fails, in enumeration order."""
     gamma = list(gamma)
@@ -250,7 +234,7 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
         low = _patterns(chunk_bits, full)
         first = _columns(places, size, 0, chunk_bits, low, full)
         combos = list(itertools.product(range(size), repeat=len(labels)))
-        for frame in enumerate_frames(system, size, disabled):
+        for frame in enumerate_frames(system, size):
             frames_checked += 1
             for chunk in range(1 << (total_bits - chunk_bits)):
                 columns = first if chunk == 0 else _columns(

@@ -37,6 +37,8 @@ Model files look like:
 
 One relation pair per line, `val` lines list the propositions true at a
 world (worlds with no line get none), `interp` binds labels to worlds.
+Propositions and labels are identifiers, as syntax.is_identifier
+decides; world names are any fields.
 Lines are read by syntax.read_lines, as scripts are.  An error points
 at the field it is about, such as an unknown world, or else at the
 line's first field.
@@ -49,8 +51,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
     MEASUREMENT, Bottom, Box, Formula, Implies, Labelled, Line, MFormula,
-    ParseError, Prop, Rel, System, labels_in, legal_rels, print_formula,
-    read_lines, rels_in, well_formed,
+    ParseError, Prop, Rel, System, is_identifier, labels_in, legal_rels,
+    print_formula, read_lines, rels_in, split_fields, well_formed,
 )
 
 
@@ -121,9 +123,6 @@ class Frame:
     def classical(self, w: int) -> bool:
         return (w, w) in self.meas
 
-    def key(self):
-        return (self.size, tuple(sorted(self.u)), tuple(sorted(self.meas)))
-
     def __eq__(self, other):
         return (isinstance(other, Frame) and self.system == other.system
                 and self.size == other.size and self.u == other.u
@@ -152,58 +151,47 @@ def describe_violation(frame: Frame, v: FrameViolation) -> str:
     return "%s at (%s)" % (v.prop, ", ".join(frame.names[w] for w in v.witnesses))
 
 
-def validate_frame(frame: Frame, disabled: Iterable[str] = ()) -> list[FrameViolation]:
-    """All violated frame conditions, one entry per witness.
-
-    disabled names properties to skip, using the violation names
-    (not-equivalence, meas-not-sub-U, not-serial, not-shift-reflexive,
-    classical-not-unique, not-transitive, no-classical-reachable).
-    """
-    skip = frozenset(disabled)
+def validate_frame(frame: Frame) -> list[FrameViolation]:
+    """All violated frame conditions, one entry per witness, named
+    not-equivalence, meas-not-sub-U, not-serial, not-shift-reflexive,
+    classical-not-unique, not-transitive or no-classical-reachable."""
     out: list[FrameViolation] = []
     rng = range(frame.size)
     u, meas = frame.u, frame.meas
 
-    if "not-equivalence" not in skip:
-        for w in rng:
-            if (w, w) not in u:
-                out.append(FrameViolation("not-equivalence", (w,)))
-        for (v, w) in sorted(u):
-            if (w, v) not in u:
-                out.append(FrameViolation("not-equivalence", (v, w)))
-        for (v, w) in sorted(u):
-            for z in rng:
-                if (w, z) in u and (v, z) not in u:
-                    out.append(FrameViolation("not-equivalence", (v, w, z)))
-    if "meas-not-sub-U" not in skip:
-        for (v, w) in sorted(meas):
-            if (v, w) not in u:
-                out.append(FrameViolation("meas-not-sub-U", (v, w)))
+    for w in rng:
+        if (w, w) not in u:
+            out.append(FrameViolation("not-equivalence", (w,)))
+    for (v, w) in sorted(u):
+        if (w, v) not in u:
+            out.append(FrameViolation("not-equivalence", (v, w)))
+    for (v, w) in sorted(u):
+        for z in rng:
+            if (w, z) in u and (v, z) not in u:
+                out.append(FrameViolation("not-equivalence", (v, w, z)))
+    for (v, w) in sorted(meas):
+        if (v, w) not in u:
+            out.append(FrameViolation("meas-not-sub-U", (v, w)))
     if frame.system is System.MSQR:
-        if "not-serial" not in skip:
-            for v in rng:
-                if not any((v, w) in meas for w in rng):
-                    out.append(FrameViolation("not-serial", (v,)))
-        if "not-shift-reflexive" not in skip:
-            for (v, w) in sorted(meas):
-                if (w, w) not in meas:
-                    out.append(FrameViolation("not-shift-reflexive", (v, w)))
-    else:
-        if "not-transitive" not in skip:
-            for (v, w) in sorted(meas):
-                for z in rng:
-                    if (w, z) in meas and (v, z) not in meas:
-                        out.append(FrameViolation("not-transitive", (v, w, z)))
-        if "no-classical-reachable" not in skip:
-            for v in rng:
-                if not any((v, w) in meas and (w, w) in meas for w in rng):
-                    out.append(FrameViolation("no-classical-reachable", (v,)))
-    if "classical-not-unique" not in skip:
         for v in rng:
-            if (v, v) in meas:
-                for w in rng:
-                    if w != v and (v, w) in meas:
-                        out.append(FrameViolation("classical-not-unique", (v, w)))
+            if not any((v, w) in meas for w in rng):
+                out.append(FrameViolation("not-serial", (v,)))
+        for (v, w) in sorted(meas):
+            if (w, w) not in meas:
+                out.append(FrameViolation("not-shift-reflexive", (v, w)))
+    else:
+        for (v, w) in sorted(meas):
+            for z in rng:
+                if (w, z) in meas and (v, z) not in meas:
+                    out.append(FrameViolation("not-transitive", (v, w, z)))
+        for v in rng:
+            if not any((v, w) in meas and (w, w) in meas for w in rng):
+                out.append(FrameViolation("no-classical-reachable", (v,)))
+    for v in rng:
+        if (v, v) in meas:
+            for w in rng:
+                if w != v and (v, w) in meas:
+                    out.append(FrameViolation("classical-not-unique", (v, w)))
     return out
 
 
@@ -399,7 +387,7 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
         return index[name]
 
     for line in read_lines(text):
-        fields = line.text.split()
+        fields = split_fields(line.text)
         head = fields[0]
         if system is None and head in ("worlds", "U", "M", "P"):
             raise line.error("system must be declared first")
@@ -431,10 +419,16 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
             w = world(line, fields[1][:-1], 1)
             if w in val:
                 raise line.error("duplicate val line for %r" % names[w], 1)
+            for k, p in enumerate(fields[2:], start=2):
+                if not is_identifier(p):
+                    raise line.error("expected a proposition, found %r" % p,
+                                     k)
             val[w] = set(fields[2:])
         elif head == "interp":
             if len(fields) != 4 or fields[2] != "=":
                 raise line.error("expected 'interp <label> = <world>'")
+            if not is_identifier(fields[1]):
+                raise line.error("expected a label, found %r" % fields[1], 1)
             if fields[1] in interp:
                 raise line.error("duplicate interp for label %r"
                                  % fields[1], 1)

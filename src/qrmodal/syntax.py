@@ -43,14 +43,16 @@ Reading a text takes two passes.  ``tokenize`` runs one compiled
 pattern over the text with ``findall``.  Each match is a token and the
 blanks and comments after it.  A token is a word (a run of letters,
 digits and ``_``), an operator, or any other single character that is
-not blank.  One dict lookup classifies operators and reserved words.
-Any other word is an identifier when it starts with a letter or
-``_``; everything else is refused.  Tokens are plain ``(kind, text)``
-pairs.  The line and column of a token are computed only when a
-ParseError is raised, by scanning the text again up to that token.
-The parser reads the tokens by index.  One loop per parenthesis level
-reads the operands and closes each binary operator level as soon as
-the next token ends it.
+not blank.  The blanks are space, tab, CR and LF (``BLANKS``), here and
+in every line-oriented reader.  One dict lookup classifies operators
+and reserved words.  Any other word is an identifier when it starts
+with a letter or ``_`` (``is_identifier`` applies the same test to a
+whole field); everything else is refused.  Tokens are plain
+``(kind, text)`` pairs.  The line and column of a token are computed
+only when a ParseError is raised, by scanning the text again up to
+that token.  The parser reads the tokens by index.  One loop per
+parenthesis level reads the operands and closes each binary operator
+level as soon as the next token ends it.
 """
 
 from __future__ import annotations
@@ -282,12 +284,21 @@ class ParseError(Exception):
         self.reason = reason
 
 
+# The blanks that separate tokens, and the fields of a script, model or
+# assumption line.  Every reader takes these and no other blank, so a
+# no-break space or a form feed is an ordinary character everywhere.
+BLANKS = " \t\r\n"
+BLANK = "[%s]" % re.escape(BLANKS)
+NOT_BLANK = "[^%s]" % re.escape(BLANKS)
+_FIELD = re.compile(NOT_BLANK + "+")
 # blanks and comments
-_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_SKIP = r"%s*(?:#[^\n]*%s*)*" % (BLANK, BLANK)
 _LEADING = re.compile(_SKIP)
 # one token and what follows it up to the next; the last alternative
 # takes any other character, which tokenize then refuses
-_TOKEN = re.compile(r"(\w+|<->|<[MP]?>|\[[MP]?\]|->|[^ \t\r\n])" + _SKIP)
+_WORD = r"\w+"
+_TOKEN = re.compile(r"(%s|<->|<[MP]?>|\[[MP]?\]|->|%s)" % (_WORD, NOT_BLANK)
+                    + _SKIP)
 # the kind of each operator and reserved word; other words are identifiers
 _KIND = {w: w for w in ("bot", "U", "M", "P", "<->", "<>", "<M>", "<P>",
                         "[]", "[M]", "[P]", "->", "(", ")", "~", "&", "|",
@@ -298,13 +309,31 @@ _PARTIAL = {"<": ("<->", "<>", "<M>", "<P>"), "[": ("[]", "[M]", "[P]"),
             "-": ("->",)}
 
 
+def split_fields(text: str) -> list[str]:
+    """The blank-separated fields of text."""
+    return _FIELD.findall(text)
+
+
+def _starts_identifier(c: str) -> bool:
+    # a word token that starts so and is not reserved is an identifier
+    return c.isalpha() or c == "_"
+
+
+def is_identifier(word: str) -> bool:
+    """Whether word is read as one identifier token: a word of letters,
+    digits and "_" that starts with a letter or "_" and is not a
+    reserved word."""
+    return (re.fullmatch(_WORD, word) is not None and word not in _KIND
+            and _starts_identifier(word[0]))
+
+
 def tokenize(text: str) -> list[tuple[str, str]]:
     """The (kind, text) tokens of text, then ("end", "").
 
     A kind is an operator, "bot", "U", "M", "P" or "ident".
     """
     words = _TOKEN.findall(text, _LEADING.match(text).end())
-    toks = [(_KIND.get(w) or ("ident" if w[0].isalpha() or w[0] == "_"
+    toks = [(_KIND.get(w) or ("ident" if _starts_identifier(w[0])
                               else _unexpected(text, words)), w)
             for w in words]
     toks.append(_END)
@@ -313,8 +342,8 @@ def tokenize(text: str) -> list[tuple[str, str]]:
 
 def _unexpected(text: str, words: list[str]) -> NoReturn:
     # the first word that is neither a known token nor an identifier
-    i = next(i for i, w in enumerate(words) if w not in _KIND
-             and not (w[0].isalpha() or w[0] == "_"))
+    i = next(i for i, w in enumerate(words)
+             if w not in _KIND and not _starts_identifier(w[0]))
     c = words[i][0]
     if c in _PARTIAL:
         raise _error(text, i, "unexpected %r" % c, _PARTIAL[c])
@@ -568,7 +597,7 @@ class Line:
     def error(self, message: str, field: int = 0,
               reason: str = "syntax") -> ParseError:
         """A ParseError at the blank-separated field number field."""
-        at = [m.start() for m in re.finditer(r"\S+", self.text)][field]
+        at = [m.start() for m in _FIELD.finditer(self.text)][field]
         return ParseError(message, self.number, self.start + at + 1,
                           reason=reason)
 
@@ -584,7 +613,7 @@ class Line:
 
     def system(self) -> System:
         """The system that a system line names."""
-        fields = self.text.split()
+        fields = split_fields(self.text)
         if fields not in (["system", "MSQR"], ["system", "MSPQR"]):
             raise self.error("expected 'system MSQR' or 'system MSPQR'")
         return System(fields[1])
@@ -594,6 +623,7 @@ def read_lines(text: str) -> Iterator[Line]:
     """Nonblank lines; they end at "\\n" only, as the tokenizer counts."""
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
-        stripped = line.lstrip()
+        stripped = line.lstrip(BLANKS)
         if stripped:
-            yield Line(number, stripped.rstrip(), len(line) - len(stripped))
+            yield Line(number, stripped.rstrip(BLANKS),
+                       len(line) - len(stripped))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from qrmodal.cli import main
+from qrmodal.search import Found
 from qrmodal.semantics import parse_structure
+from qrmodal.syntax import parse_formula
 
 CORPUS = Path(str(resources.files("qrmodal") / "corpus"))
 
@@ -297,6 +299,24 @@ def test_corpus_run_malformed_manifest(tmp_path, capsys, manifest):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("junk, statement, error", [
+    ("junk", "x : [] r0 -> r0", "6:39: bad discharge id '1junk'"),
+    ("", "x : [] r0 ->",
+     "1:13: expected identifier or bot or (, found end of input"),
+], ids=["script", "statement"])
+def test_corpus_run_parse_errors_name_the_entry(tmp_path, capsys, junk,
+                                                statement, error):
+    text = (CORPUS / "msqr" / "thm1.prf").read_text()
+    (tmp_path / "thm1.prf").write_text(
+        text.replace("discharge 1", "discharge 1" + junk))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"entries": [dict(THM1, statement=statement)]}))
+    assert main(["corpus", "run", "--dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: corpus entry thm1: %s\n" % error
+    assert captured.out == ""
+
+
 def test_corpus_run_statement_mismatch(tmp_path, capsys):
     dest = _copy_corpus(tmp_path)
     manifest = json.loads((dest / "manifest.json").read_text())
@@ -437,6 +457,9 @@ MODEL_ERRORS = [
     (MODEL + " interp x v\n", "11:2: expected 'interp <label> = <world>'"),
     (MODEL + " interp  x = w\n", "11:10: duplicate interp for label 'x'"),
     (MODEL + " interp y = q\n", "11:13: unknown world 'q'"),
+    (MODEL + "  val v: -> bot [M]\n",
+     "11:10: expected a proposition, found '->'"),
+    (MODEL + " interp U = v\n", "11:9: expected a label, found 'U'"),
     (MODEL + "  frob v\n", "11:3: unrecognized line 'frob'"),
     ("# no system\n", "1:1: missing system line"),
     ("  system MSQR\n", "1:1: missing worlds line"),
@@ -483,8 +506,49 @@ def test_assumption_errors_give_the_line_column(tmp_path, capsys):
         "error: 3:11: expected identifier or bot or (, found '&'\n")
 
 
-@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"],
-                         ids=["form-feed", "U+0085", "U+2028"])
+BLANK_ERRORS = [
+    (["frame", "validate"], "system MSQR\n  worlds{c}v w\n",
+     "2:3: unrecognized line 'worlds{r}v'"),
+    (["check"], "system MSQR\n  theorem{c}t : x : p\n",
+     "2:3: expected 'theorem <name> : <formula>'"),
+    (["check"], "system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
+     "2. x : p -> p ; ImpI 1{c}discharge 1\nqed\n",
+     "4:22: bad premise id '1{r}discharge1'"),
+]
+
+
+@pytest.mark.parametrize("char, shown", [("\xa0", "\\xa0"),
+                                         ("\x0c", "\\x0c")],
+                         ids=["U+00A0", "form-feed"])
+@pytest.mark.parametrize("argv, text, error", BLANK_ERRORS,
+                         ids=["model-worlds", "theorem-header", "id-list"])
+def test_fields_are_separated_by_the_tokenizer_blanks_only(
+        tmp_path, capsys, char, shown, argv, text, error):
+    # a blank that str.split takes but the tokenizer does not is an
+    # ordinary character in a field, as it is inside a formula
+    path = tmp_path / "input.txt"
+    path.write_text(text.replace("{c}", char))
+    assert main(argv + [str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: %s\n" % error.replace("{r}", shown)
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["check"], (CORPUS / "msqr" / "thm1.prf").read_text()),
+    (["frame", "validate"], MODEL),
+], ids=["script", "model"])
+def test_crlf_line_ends_read_as_newlines(tmp_path, capsys, argv, text):
+    outputs = []
+    for body in (text, text.replace("\n", "\r\n")):
+        path = tmp_path / "input.txt"
+        path.write_bytes(body.encode())
+        outputs.append((main(argv + [str(path)]), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
+@pytest.mark.parametrize("char", ["\r", "\x0c", "\x85", "\u2028"],
+                         ids=["CR", "form-feed", "U+0085", "U+2028"])
 @pytest.mark.parametrize("argv, text", [
     (["check"], (CORPUS / "msqr" / "thm1.prf").read_text()),
     (["frame", "validate"], MODEL),
@@ -509,11 +573,16 @@ def test_comments_end_at_the_newline_only(tmp_path, capsys, char, argv,
 REPO = Path(__file__).resolve().parents[1]
 
 
+def readme_blocks():
+    """The README's fenced blocks as (language, body)."""
+    return re.findall(r"^```(\w*)\n(.*?)^```", (REPO / "README.md")
+                      .read_text(), re.MULTILINE | re.DOTALL)
+
+
 def readme_examples():
     """The README's model block, and each `$ qrmodal ...` line of its sh
     blocks as (argv, the output lines shown under it)."""
-    blocks = re.findall(r"^```(\w*)\n(.*?)^```", (REPO / "README.md")
-                        .read_text(), re.MULTILINE | re.DOTALL)
+    blocks = readme_blocks()
     model = next(body for lang, body in blocks
                  if body.startswith("system MSQR\nworlds "))
     commands = []
@@ -548,6 +617,22 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
             assert out[len(out) - len(tail):] == tail, argv
         else:
             assert out == shown, argv
+
+
+def test_readme_library_use(tmp_path, monkeypatch, capsys):
+    # the "Library use" block runs as written, with the README's own
+    # box_u_reflects script as proof.prf
+    blocks = readme_blocks()
+    proof = next(body for lang, body in blocks
+                 if body.startswith("system MSQR\ntheorem box_u_reflects "))
+    (tmp_path / "proof.prf").write_text(proof)
+    monkeypatch.chdir(tmp_path)
+    (code,) = [body for lang, body in blocks if lang == "python"]
+    scope = {}
+    exec(code, scope)
+    hyp = frozenset({parse_formula("x : [] r0")})
+    assert capsys.readouterr().out == "True ()\n%r\n" % (hyp,)
+    assert isinstance(scope["result"], Found)
 
 
 # -- installed entry point ---------------------------------------------------

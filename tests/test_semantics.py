@@ -122,13 +122,6 @@ def test_mspqr_classical_reachability():
     assert "no-classical-reachable" in props
 
 
-def test_disabled_properties_are_skipped():
-    frame = Frame(System.MSQR, 2, U_TOTAL2, {(0, 1)})
-    assert validate_frame(frame, disabled=("not-serial", "not-shift-reflexive")) == []
-    left = validate_frame(frame, disabled=("not-serial",))
-    assert {v.prop for v in left} == {"not-shift-reflexive"}
-
-
 def test_describe_violation_uses_world_names():
     frame = Frame(System.MSQR, 2, U_TOTAL2, {(0, 1)}, names=("v", "w"))
     texts = [describe_violation(frame, v) for v in validate_frame(frame)]

@@ -681,6 +681,15 @@ def old_parse_formula(text: str, system: Optional[System] = None) -> Formula:
     raise p.fail((":", "U", "M", "P"))
 
 
+# The blanks of the oracle's line and field splits: the tokenizer's
+# four, not every blank that str.split and str.strip take.
+BLANKS = " \t\r\n"
+
+
+def blank_split(text: str) -> list[str]:
+    return re.findall(r"[^ \t\r\n]+", text)
+
+
 def old_parse_script(text: str, split=str.splitlines) -> ProofScript:
     """Parse a proof script file, cut into lines by split.
 
@@ -699,13 +708,13 @@ def old_parse_script(text: str, split=str.splitlines) -> ProofScript:
         return ParseError(msg, lineno, 1)
 
     for lineno, raw in enumerate(split(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip(BLANKS)
         if not line:
             continue
         if done:
             raise err(lineno, "content after qed")
         if system is None:
-            fields = line.split()
+            fields = blank_split(line)
             if len(fields) != 2 or fields[0] != "system" \
                     or fields[1] not in ("MSQR", "MSPQR"):
                 raise err(lineno, "expected 'system MSQR' or 'system MSPQR'")
@@ -713,7 +722,7 @@ def old_parse_script(text: str, split=str.splitlines) -> ProofScript:
             continue
         if name is None:
             head, sep, rest = line.partition(":")
-            fields = head.split()
+            fields = blank_split(head)
             if len(fields) != 2 or fields[0] != "theorem" or not sep:
                 raise err(lineno, "expected 'theorem <name> : <formula>'")
             name = fields[1]
@@ -742,9 +751,9 @@ def old_parse_step(line: str, lineno: int, seen: set[int]) -> ProofStep:
         return ParseError(msg, lineno, 1)
 
     head, dot, rest = line.partition(".")
-    if not dot or not head.strip().isdigit():
+    if not dot or not head.strip(BLANKS).isdigit():
         raise err("expected '<id>. <formula> ; <justification>'")
-    sid = int(head.strip())
+    sid = int(head.strip(BLANKS))
     if sid <= 0:
         raise err("step ids are positive")
     if sid in seen:
@@ -759,7 +768,7 @@ def old_parse_step(line: str, lineno: int, seen: set[int]) -> ProofStep:
         raise ParseError("in step %d: %s" % (sid, e.message), lineno, e.col,
                          e.expected, e.reason)
 
-    fields = jtext.split()
+    fields = blank_split(jtext)
     if not fields:
         raise err("empty justification")
     rule = fields[0]
@@ -944,7 +953,7 @@ NON_ASCII_ID = ("expected '<id>. <formula> ; <justification>'",
 def id_lists(line):
     """The premise and discharge fields of a step line, split as the
     oracle splits them."""
-    fields = line.split("#", 1)[0].partition(";")[2].split()[1:]
+    fields = blank_split(line.split("#", 1)[0].partition(";")[2])[1:]
     lists = {"premise": [], "discharge": []}
     what = "premise"
     for f in fields:
@@ -983,8 +992,9 @@ def step_field_column(message, line):
     "fresh" and its label, then the first field left over."""
     text = line.split("#", 1)[0]
     semi = text.find(";") + 1
-    starts = [m.start() + semi + 1 for m in re.finditer(r"\S+", text[semi:])]
-    words = text[semi:].split()
+    starts = [m.start() + semi + 1
+              for m in re.finditer(r"[^ \t\r\n]+", text[semi:])]
+    words = blank_split(text[semi:])
     discharge = fresh = None
     i = 1
     while i < len(words) and words[i] not in ("discharge", "fresh"):
@@ -998,7 +1008,7 @@ def step_field_column(message, line):
         fresh = i
         i += 2
     if message == "empty justification":
-        return len(text.rstrip()) + 1
+        return len(text.rstrip(BLANKS)) + 1
     if message.startswith("unknown rule"):
         return starts[0]
     if message.startswith(("bad premise id", "premise ids")):
@@ -1015,7 +1025,7 @@ def step_field_column(message, line):
 
 
 def first_nonblank_column(line):
-    return len(line) - len(line.lstrip()) + 1
+    return len(line) - len(line.lstrip(BLANKS)) + 1
 
 
 @given(_script_mutants())
@@ -1028,6 +1038,9 @@ def first_nonblank_column(line):
 @example("  system MSQR\n\ttheorem t x : r0\n1. x : r0 ; hyp\nqed\n")
 @example("system MSQR # a\x0cb\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
          "  qed # \x85\n 2. x : r0 ; hyp # \u2028\n")
+@example("system MSQR\ntheorem\xa0t : x : r0\n1. x : r0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 -> r0 ; ImpI 1\x0cdischarge 1\nqed\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_script_matches_the_oracle(text):
     new, old = outcome(parse_script, text), _old_script(text)
