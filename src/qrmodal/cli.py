@@ -168,7 +168,8 @@ def _corpus_dir(args) -> Path:
     return Path(str(resources.files("qrmodal") / "corpus"))
 
 
-def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
+def _run_entry(base: Path, entry: dict,
+               budget: SearchBudget) -> tuple[bool, str]:
     name = entry["name"]
     system = _SYSTEMS[entry["system"]]
     path = base / entry["path"]
@@ -187,13 +188,12 @@ def _run_entry(base: Path, entry: dict, max_worlds: int) -> tuple[bool, str]:
         if not report.accepted:
             return False, "%s: rejected: %s" % (
                 name, "; ".join(str(d) for d in report.diagnostics))
-        result = find_countermodel(system, [], statement,
-                                   SearchBudget(max_worlds=max_worlds))
+        result = find_countermodel(system, [], statement, budget)
         if isinstance(result, Found):
             return False, "%s: accepted but refuted by\n%s" % (
                 name, print_structure(result.structure))
         return True, "%s: accepted, no countermodel within %d worlds" % (
-            name, max_worlds)
+            name, budget.max_worlds)
     reasons = {d.reason for d in report.diagnostics}
     if report.accepted:
         return False, "%s: accepted, expected rejection (%s)" % (
@@ -227,13 +227,14 @@ def _manifest_entries(path: Path) -> list[dict]:
 
 
 def _cmd_corpus_run(args) -> int:
+    budget = SearchBudget(max_worlds=args.max_worlds)
     base = _corpus_dir(args)
     manifest_path = base / "manifest.json"
     if not manifest_path.is_file():
         raise _Usage("no manifest at %s" % manifest_path)
     entries = _manifest_entries(manifest_path)
     # run every entry before printing, so an error leaves no partial report
-    results = [_run_entry(base, e, args.max_worlds) for e in entries]
+    results = [_run_entry(base, e, budget) for e in entries]
     ok = 0
     for passed, message in results:
         print(("ok   " if passed else "FAIL ") + message)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import syntax
 from .syntax import Formula, ParseError, System, print_formula
@@ -126,20 +126,23 @@ _STEP = re.compile(rf"""
         {_B}* ({_F}*)                     # the first field left over
     )?""", re.VERBOSE)
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
+_FIELD = re.compile(rf"{_F}+")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
 
 
 def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
     m = _STEP.match(line.text)
 
-    def err(msg: str, group: int = 1) -> ParseError:
-        # at the first nonblank of the field (a group of _STEP) that msg
-        # is about; the line's start when the line does not match
-        at = 0
-        if m is not None:
-            field = m.group(group)
-            at = m.start(group) + len(field) \
-                - len(field.lstrip(syntax.BLANKS))
+    def err(msg: str, group: int = 1, at: Optional[int] = None) -> ParseError:
+        # at offset at of the line's text, else at the first nonblank of
+        # the field (a group of _STEP) that msg is about; the line's start
+        # when the line does not match
+        if at is None:
+            at = 0
+            if m is not None:
+                field = m.group(group)
+                at = m.start(group) + len(field) \
+                    - len(field.lstrip(syntax.BLANKS))
         return ParseError(msg, line.number, line.start + at + 1)
 
     if m is None:
@@ -159,10 +162,10 @@ def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
         raise err("empty justification", 3)
     if rule not in ALL_RULES:
         raise err("unknown rule %r" % rule, 3)
-    premise_ids = _ids(premises, "premise", err, 4)
+    premise_ids = _ids(m, 4, "premise", err)
     discharge_ids: tuple[int, ...] = ()
     if discharge:
-        discharge_ids = _ids(discharges, "discharge", err, 6)
+        discharge_ids = _ids(m, 6, "discharge", err)
         if not discharge_ids:
             raise err("discharge needs at least one id", 5)
     if fresh_kw and fresh is None:
@@ -172,19 +175,33 @@ def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
     return ProofStep(sid, formula, rule, premise_ids, discharge_ids, fresh)
 
 
-def _ids(fields: str, what: str, err, group: int) -> tuple[int, ...]:
-    # a comma list of ASCII decimal ids; blanks may stand beside a comma
-    # but not between two ids, so "1 2" is not read as 12
+def _ids(m: re.Match, group: int, what: str, err) -> tuple[int, ...]:
+    # the id list in a group of _STEP: a comma list of ASCII decimal ids;
+    # blanks may stand beside a comma but not between two ids, so "1 2"
+    # is not read as 12
+    fields = m.group(group)
     if not fields:
         return ()
     if _BLANK_BETWEEN_DIGITS.search(fields):
         raise err("%s ids must be separated by commas" % what, group)
     blob = "".join(syntax.split_fields(fields))
-    ids = blob.split(",")
     if _ID_LIST.fullmatch(blob) is None:
-        bad = next(i for i in ids if not (i.isascii() and i.isdigit()))
-        raise err("bad %s id %r" % (what, bad), group)
-    return tuple(map(int, ids))
+        bad, at = next((piece, at) for piece, at in _pieces(fields)
+                       if not (piece.isascii() and piece.isdigit()))
+        raise err("bad %s id %r" % (what, bad), at=m.start(group) + at)
+    return tuple(map(int, blob.split(",")))
+
+
+def _pieces(text: str) -> Iterator[tuple[str, int]]:
+    # text split at commas, then at blanks, with the offset of each
+    # piece; a part holding only blanks is an empty piece at the comma,
+    # or the end, that closes it
+    start = 0
+    for part in text.split(","):
+        pieces = [(f.group(), start + f.start())
+                  for f in _FIELD.finditer(part)]
+        yield from pieces or [("", start + len(part))]
+        start += len(part) + 1
 
 
 def print_script(script: ProofScript) -> str:

@@ -15,17 +15,25 @@ from it.
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
 the query (itertools.product order, world 0 slowest), then label
-interpretations (product order; labels may share worlds).  It does not
-visit the structures one by one: per frame it computes the truth set of
-every subformula for a chunk of valuations at once (see
+interpretations (product order; labels may share worlds).  It evaluates
+one frame per isomorphism class: the frame conditions do not change
+when worlds are renamed, and valuations and interpretations range over
+all worlds, so a class fails exactly when its first frame in
+enumeration order does, and that frame comes before every other member
+of its class.  The first failing frame is therefore the one the
+labelled order would reach first.  Nor does the search visit the
+structures one by one: per frame it computes the truth set of every
+subformula for a chunk of valuations at once (see
 semantics.truth_sets), ANDs the gamma columns and masks out alpha for
 each interpretation, and takes the lowest failing valuation, then the
 first interpretation failing under it.  Otherwise the search reports how
-many frames it checked.  A no-countermodel answer is relative to the
-bound and is never a theoremhood claim.
+many frames it checked, counting every labelled frame of each class it
+evaluated.  A no-countermodel answer is relative to the bound and is
+never a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
-search exhaustive within sane time, and bounds below 1 with SearchError.
+search exhaustive within sane time, and bounds below 1 with SearchError;
+a SearchBudget decides both when it is made.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from .syntax import (
-    Formula, Labelled, System, labels_in, props_in_formula, well_formed,
+    Formula, Labelled, Rel, System, labels_in, props_in_formula, well_formed,
 )
 from .semantics import (
     Frame, Model, Pair, Structure, WrongSystem, compile_formulas, truth_sets,
@@ -59,9 +67,17 @@ class BoundTooLarge(SearchError):
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE."""
+    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE; any
+    other bound is refused here, before any search."""
 
     max_worlds: int = 3
+
+    def __post_init__(self):
+        if self.max_worlds < 1:
+            raise SearchError("the world bound must be at least 1")
+        if self.max_worlds > MAX_ENUM_SIZE:
+            raise BoundTooLarge("search is capped at %d worlds"
+                                % MAX_ENUM_SIZE)
 
 
 @dataclass(frozen=True)
@@ -71,6 +87,13 @@ class Found:
 
 @dataclass(frozen=True)
 class NotFoundWithin:
+    """No structure within bound worlds refutes the query.
+
+    frames_checked counts labelled frames: every frame of each
+    isomorphism class the search evaluated, although it evaluated one
+    frame per class.
+    """
+
     bound: int
     frames_checked: int
     labels_exceed_bound: bool = False
@@ -143,6 +166,41 @@ def _frames(system: System, size: int) -> tuple[Frame, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _classes(system: System, size: int) -> tuple[tuple[Frame, int], ...]:
+    """One (frame, orbit) per isomorphism class of _frames(system, size):
+    the class's first frame in that order and the number of its frames,
+    the classes in the order of their first frames."""
+    classes: dict[tuple, list] = {}
+    for frame in _frames(system, size):
+        entry = classes.setdefault(_class_key(frame), [frame, 0])
+        entry[1] += 1
+    return tuple((frame, orbit) for frame, orbit in classes.values())
+
+
+def _class_key(frame: Frame) -> tuple[tuple[int, int], ...]:
+    # Meas lies within U, so a renaming of worlds maps U-blocks onto
+    # U-blocks: a class is the multiset of its blocks' one-block classes
+    key = []
+    for block in set(frame.succ[Rel.U]):
+        k = len(block)
+        at = {w: i for i, w in enumerate(block)}
+        mask = sum(1 << (at[v] * k + at[w]) for v, w in frame.meas
+                   if v in at)
+        key.append((k, _block_class(k, mask)))
+    return tuple(sorted(key))
+
+
+@lru_cache(maxsize=None)
+def _block_class(k: int, mask: int) -> int:
+    # the least relabelling of a relation on k worlds, pair (i, j) being
+    # bit i * k + j
+    pairs = [(i, j) for i in range(k) for j in range(k)
+             if mask >> (i * k + j) & 1]
+    return min(sum(1 << (p[i] * k + p[j]) for i, j in pairs)
+               for p in itertools.permutations(range(k)))
+
+
 def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
     """All valid frames on worlds {0..size-1}, each exactly once."""
     if size < 1:
@@ -202,10 +260,6 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
         if not well_formed(f, system):
             raise WrongSystem("formula %s is not in the %s vocabulary"
                               % (f, system.value))
-    if budget.max_worlds < 1:
-        raise SearchError("the world bound must be at least 1")
-    if budget.max_worlds > MAX_ENUM_SIZE:
-        raise BoundTooLarge("search is capped at %d worlds" % MAX_ENUM_SIZE)
 
     props = sorted(set().union(*(props_in_formula(f) for f in formulas)))
     labels = sorted(set().union(*(labels_in(f) for f in formulas)))
@@ -234,8 +288,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
         low = _patterns(chunk_bits, full)
         first = _columns(places, size, 0, chunk_bits, low, full)
         combos = list(itertools.product(range(size), repeat=len(labels)))
-        for frame in enumerate_frames(system, size):
-            frames_checked += 1
+        for frame, orbit in _classes(system, size):
+            frames_checked += orbit
             for chunk in range(1 << (total_bits - chunk_bits)):
                 columns = first if chunk == 0 else _columns(
                     places, size, chunk, chunk_bits, low, full)

@@ -329,6 +329,28 @@ def test_corpus_run_statement_mismatch(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bound, error", [
+    ("0", "the world bound must be at least 1"),
+    ("99", "search is capped at 4 worlds"),
+])
+def test_corpus_run_refuses_a_bad_bound_before_any_entry(tmp_path, capsys,
+                                                         bound, error):
+    # a corpus of expected rejections never searches, and its bound is
+    # refused all the same
+    dest = _copy_corpus(tmp_path)
+    manifest = json.loads((dest / "manifest.json").read_text())
+    manifest["entries"] = [e for e in manifest["entries"]
+                           if e["expected"] != "accepted"]
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["corpus", "run", "--dir", str(dest)]) == 0
+    capsys.readouterr()
+    code = main(["corpus", "run", "--dir", str(dest), "--max-worlds", bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: %s\n" % error
+    assert captured.out == ""
+
+
 NOT_UTF8 = b"system MSQR\n\xff\n"
 
 
@@ -422,7 +444,8 @@ def test_blank_separated_ids_are_a_parse_error(tmp_path, capsys):
     ("  2. x : p ; Foo 1", "4:14: unknown rule 'Foo'"),
     ("  2. x : p ;  ", "4:13: empty justification"),
     ("  2. x : p ; ImpE 1 2", "4:19: premise ids must be separated by commas"),
-    ("  2. x : p ; ImpI 1 discharge 1,a", "4:31: bad discharge id 'a'"),
+    ("  2. x : p ; ImpI 1 discharge 1,a", "4:33: bad discharge id 'a'"),
+    ("  2. x : p ; ImpE 1 x", "4:21: bad premise id 'x'"),
     ("  2. x : p ; ImpI 1 discharge", "4:21: discharge needs at least one id"),
     ("  2. x : p ; BoxI 1 fresh", "4:21: fresh needs a label"),
     ("  2. x : p ; BoxI 1 fresh y z", "4:29: trailing junk in justification: 'z'"),
@@ -513,7 +536,7 @@ BLANK_ERRORS = [
      "2:3: expected 'theorem <name> : <formula>'"),
     (["check"], "system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
      "2. x : p -> p ; ImpI 1{c}discharge 1\nqed\n",
-     "4:22: bad premise id '1{r}discharge1'"),
+     "4:22: bad premise id '1{r}discharge'"),
 ]
 
 

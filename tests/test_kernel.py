@@ -819,6 +819,8 @@ def test_step_ids_are_ascii_digits(line, message):
                      "%s\nqed\n" % line)
     if message.startswith("expected"):
         col = 1  # the step id
+    elif message.startswith("bad"):  # the bad piece of the id list
+        col = line.rindex(message.split("'")[1]) + 1
     else:  # the id list, after the rule or "discharge"
         word = ("discharge" if "discharge" in message
                 else line.partition(";")[2].split()[0])

@@ -1,9 +1,10 @@
 import json
 from importlib import resources
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+import qrmodal.search as search
 from qrmodal.search import (
     MAX_ENUM_SIZE,
     BoundTooLarge,
@@ -144,6 +145,46 @@ def test_enumeration_bound():
         list(enumerate_frames(System.MSQR, 0))
 
 
+# -- isomorphism classes -----------------------------------------------------
+
+CLASS_COUNTS = [(System.MSQR, (1, 3, 7, 19), (1, 4, 23, 185)),
+                (System.MSPQR, (1, 3, 8, 27), (1, 4, 29, 341))]
+
+
+@pytest.mark.parametrize("system, classes, frames", CLASS_COUNTS)
+def test_class_counts_and_orbits(system, classes, frames):
+    for n, want, labelled in zip((1, 2, 3, 4), classes, frames):
+        table = search._classes(system, n)
+        assert len(table) == want
+        assert sum(orbit for _, orbit in table) == labelled
+        for frame, _ in table:
+            assert validate_frame(frame) == []
+
+
+def canonical(frame):
+    """The least (U, Meas) image of frame over every renaming of its
+    worlds: one key per isomorphism class."""
+    n = frame.size
+    return min((tuple(sorted((p[v], p[w]) for v, w in frame.u)),
+                tuple(sorted((p[v], p[w]) for v, w in frame.meas)))
+               for p in permutations(range(n)))
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_classes_match_brute_force_canonical_forms(system):
+    # every labelled frame, canonicalised over all n! renamings: each
+    # class's representative is its first frame in enumeration order,
+    # and its orbit is the number of frames in the class
+    for n in (1, 2, 3, 4):
+        first, orbit = {}, {}
+        for frame in enumerate_frames(system, n):
+            key = canonical(frame)
+            first.setdefault(key, frame)
+            orbit[key] = orbit.get(key, 0) + 1
+        want = [(first[k], orbit[k]) for k in first]
+        assert list(search._classes(system, n)) == want
+
+
 # -- random generation -------------------------------------------------------
 
 def test_random_frame_single_world():
@@ -218,7 +259,7 @@ def test_theorem_has_no_countermodel_at_bound_four():
     result = find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=4))
     assert isinstance(result, NotFoundWithin)
     assert result.bound == 4
-    assert result.frames_checked > 0
+    assert result.frames_checked == 1 + 4 + 23 + 185
 
 
 def test_meas_implies_u_semantically():
@@ -407,3 +448,26 @@ def test_search_in_small_valuation_chunks(monkeypatch, chunk_bits):
     got = [find_countermodel(s, [], a, budget) for s, a in queries]
     assert got == want
     assert any(isinstance(r, Found) for r in want)
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_search_at_bound_four_matches_every_labelled_frame(monkeypatch,
+                                                           system):
+    # one frame per class gives what evaluating every labelled frame
+    # gives: the same structure, or the same labelled frame count
+    queries = []
+    for assumptions, goal in QUERIES:
+        gamma = [parse_formula(a) for a in assumptions]
+        alpha = parse_formula(goal)
+        if all(well_formed(f, system) for f in gamma + [alpha]):
+            queries.append((gamma, alpha))
+    budget = SearchBudget(max_worlds=4)
+    want = [find_countermodel(system, gamma, alpha, budget)
+            for gamma, alpha in queries]
+    monkeypatch.setattr(search, "_classes", lambda system, size: (
+        (frame, 1) for frame in search._frames(system, size)))
+    got = [find_countermodel(system, gamma, alpha, budget)
+           for gamma, alpha in queries]
+    assert got == want
+    assert any(isinstance(r, Found) for r in want)
+    assert any(isinstance(r, NotFoundWithin) for r in want)

@@ -1024,12 +1024,47 @@ def step_field_column(message, line):
     return first_nonblank_column(line)  # the step id
 
 
+def bad_id(line, what):
+    """The first piece of a step line's premise or discharge id list
+    that is not an ASCII id, with its column.  The list is split at
+    commas and blanks; a comma with no piece since the list's start or
+    the last comma, and a comma that ends the list, close an empty
+    piece, at that comma or at the list's end."""
+    col = step_field_column("bad %s id" % what, line)
+    text = line.split("#", 1)[0]
+    fields = list(re.finditer(r"[^ \t\r\n]+", text[col - 1:]))
+    raw = text[col - 1:][:fields[len(id_lists(line)[what]) - 1].end()]
+    pieces, piece, seen = [], None, False
+    for i, c in enumerate(raw + ","):
+        if c == "," or c in BLANKS:
+            if piece is not None:
+                pieces.append(piece)
+                piece, seen = None, True
+            if c == ",":
+                if not seen:
+                    pieces.append(("", i))
+                seen = False
+        elif piece is None:
+            piece = (c, i)
+        else:
+            piece = (piece[0] + c, piece[1])
+    bad, at = next((p, at) for p, at in pieces
+                   if not (p.isascii() and p.isdigit()))
+    return bad, col + at
+
+
 def first_nonblank_column(line):
     return len(line) - len(line.lstrip(BLANKS)) + 1
 
 
 @given(_script_mutants())
 @example("system MSQR\ntheorem t : x : r0 & &\n1. x : r0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpE 1 x\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpE 1, ,1 discharge 1,\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpI 1 discharge 1 ,\nqed\n")
 @example("system MSQR\ntheorem t : x : r0\n 1. x : r0 ; hyp\n"
          "2. x : r0 -> r0 ; ImpI 1 discharge 1 1\nqed\n")
 @example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; BoxI 1 fresh y z\n"
@@ -1050,7 +1085,9 @@ def test_parse_script_matches_the_oracle(text):
     # read with int() or crashed on; formulas over the size cap; formula
     # errors, which the oracle placed by the formula's own columns; id
     # lists with blanks between digits, which the oracle read as one id;
-    # other step-line errors, which the oracle placed at column 1; and
+    # bad ids, which the oracle named as a comma piece of the list's
+    # fields joined, at column 1; other step-line errors, which the
+    # oracle placed at column 1; and
     # errors about a whole other line, which the oracle placed at column
     # 1 and the reader places at the line's first nonblank character
     assert isinstance(new, tuple), (new, old)
@@ -1066,12 +1103,47 @@ def test_parse_script_matches_the_oracle(text):
         assert new[0] == "%s ids must be separated by commas" % what
         assert new[2] == step_field_column(new[0], line), (new, line)
         assert blank_separated_digits(id_lists(line)[what]), (new, old)
+    elif new[0].startswith(("bad premise id", "bad discharge id")):
+        what = new[0].split()[1]
+        piece, col = bad_id(line, what)
+        assert (new[0], new[2]) == ("bad %s id %r" % (what, piece), col), \
+            (new, line)
+        assert (isinstance(old, tuple)
+                and old[0].startswith("bad %s id" % what)
+                or any(c.isdigit() and not c.isascii() for c in line)), \
+            (new, old)
     elif isinstance(old, tuple) and old[0] == new[0]:
         assert new == at_column(old, step_field_column(old[0], line)), \
             (new, old)
     else:
         assert any(c.isdigit() and not c.isascii() for c in line), (new, old)
         assert new[0].startswith(NON_ASCII_ID), (new, old)
+
+
+ID_LISTS = [
+    ("ImpE 1 x", "bad premise id 'x'", "x"),
+    ("ImpE 1x,2", "bad premise id '1x'", "1x,2"),
+    ("ImpE 1,\xa02", "bad premise id '\\xa02'", "\xa02"),
+    ("ImpE 1 ,x", "bad premise id 'x'", "x"),
+    ("ImpE ,1", "bad premise id ''", ",1"),
+    ("ImpE 1, ,2", "bad premise id ''", ",2"),
+    ("ImpE 1,", "bad premise id ''", ""),
+    ("ImpI 1 discharge 1 y", "bad discharge id 'y'", "y"),
+]
+
+
+@pytest.mark.parametrize("just, message, rest", ID_LISTS,
+                         ids=[j for j, _, _ in ID_LISTS])
+def test_bad_id_is_the_piece_at_its_column(just, message, rest):
+    # the list is split at commas and blanks, and the first piece that is
+    # not an id is named at its own column; an empty one at its comma,
+    # or past the end of the list
+    line = "2. x : r0 ; " + just
+    with pytest.raises(ParseError) as exc:
+        parse_script("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+                     "%s\nqed\n" % line)
+    assert (exc.value.message, exc.value.line) == (message, 4)
+    assert line[exc.value.col - 1:] == rest
 
 
 # -- the tokenize boundary ---------------------------------------------------
