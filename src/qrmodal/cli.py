@@ -9,21 +9,22 @@ corpus failures), 2 usage, parse, or I/O errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .syntax import ParseError, System, parse_formula, parse_mformula
-from .semantics import (
-    InvalidFrame, SemanticsError, describe_violation, holds, evaluate,
-    parse_structure, print_structure, validate_frame,
+from .syntax import (
+    InputError, ParseError, System, parse_formula, parse_mformula,
 )
-from .search import (
-    BoundTooLarge, Found, SearchBudget, SearchError, find_countermodel,
-)
-from . import kernel, syntax
+from . import syntax
+
+if TYPE_CHECKING:
+    from .search import SearchBudget
+
+# Each command imports the modules it runs when it runs, so a process
+# loads only those: check never loads semantics or search.  The library
+# functions are looked up in their modules at call time, where
+# perfbench wraps them to trace calls.
 
 _SYSTEMS = {"msqr": System.MSQR, "mspqr": System.MSPQR}
 
@@ -39,7 +40,7 @@ def _read(path: str | Path) -> str:
         raise _Usage("cannot read %s: %s" % (path, e))
 
 
-class _Usage(Exception):
+class _Usage(InputError):
     pass
 
 
@@ -97,13 +98,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.cmd == "frame":
             return _cmd_frame_validate(args)
         return _cmd_corpus_run(args)
-    except (ParseError, _Usage, BoundTooLarge, InvalidFrame,
-            SemanticsError, SearchError) as e:
+    except InputError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 
 
 def _cmd_check(args) -> int:
+    from . import kernel
     script = kernel.parse_script(_read(args.script))
     system = _SYSTEMS[args.system] if args.system else None
     report = kernel.check(script, system)
@@ -117,6 +118,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .semantics import evaluate, holds, parse_structure
     structure = parse_structure(_read(args.model),
                                 allow_invalid=args.allow_invalid)
     frame = structure.model.frame
@@ -133,6 +135,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_countermodel(args) -> int:
+    from .search import Found, SearchBudget, find_countermodel
+    from .semantics import print_structure
     system = _SYSTEMS[args.system]
     alpha = parse_formula(args.formula, system)
     text = _read(args.assumptions) if args.assumptions else ""
@@ -151,6 +155,7 @@ def _cmd_countermodel(args) -> int:
 
 
 def _cmd_frame_validate(args) -> int:
+    from .semantics import describe_violation, parse_structure, validate_frame
     structure = parse_structure(_read(args.model), allow_invalid=True)
     frame = structure.model.frame
     violations = validate_frame(frame)
@@ -165,11 +170,14 @@ def _cmd_frame_validate(args) -> int:
 def _corpus_dir(args) -> Path:
     if args.dir:
         return Path(args.dir)
-    return Path(str(resources.files("qrmodal") / "corpus"))
+    return Path(__file__).parent / "corpus"
 
 
 def _run_entry(base: Path, entry: dict,
                budget: SearchBudget) -> tuple[bool, str]:
+    from . import kernel
+    from .search import Found, find_countermodel
+    from .semantics import print_structure
     name = entry["name"]
     system = _SYSTEMS[entry["system"]]
     path = base / entry["path"]
@@ -205,6 +213,7 @@ def _run_entry(base: Path, entry: dict,
 
 
 def _manifest_entries(path: Path) -> list[dict]:
+    import json
     try:
         manifest = json.loads(_read(path))
     except json.JSONDecodeError as e:
@@ -227,6 +236,7 @@ def _manifest_entries(path: Path) -> list[dict]:
 
 
 def _cmd_corpus_run(args) -> int:
+    from .search import SearchBudget
     budget = SearchBudget(max_worlds=args.max_worlds)
     base = _corpus_dir(args)
     manifest_path = base / "manifest.json"

@@ -66,7 +66,6 @@ re-exports parse_script, print_script, ProofStep and ProofScript.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .derived import ExpansionError, expand_derived
@@ -76,8 +75,8 @@ from .script import (
     print_script,
 )
 from .syntax import (
-    BOT, Box, Formula, Implies, Labelled, Rel, Relational, System, labels_in,
-    print_formula, substitute, well_formed,
+    BOT, Box, Formula, Implies, Labelled, Record, Rel, Relational, System,
+    labels_in, print_formula, substitute, well_formed,
 )
 
 WRONG_ARITY = "wrong-arity"
@@ -111,23 +110,31 @@ def rules_of(system: System) -> frozenset[str]:
     return _RULES_OF[system]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    step: int  # id of the (original) step the problem belongs to
-    reason: str
-    message: str
+class Diagnostic(Record):
+    __slots__ = ("step", "reason", "message")
+
+    def __init__(self, step: int, reason: str, message: str):
+        # the id of the (original) step the problem belongs to
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "message", message)
 
     def __str__(self):
         return "step %d: %s: %s" % (self.step, self.reason, self.message)
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    open_assumptions: frozenset[Formula]
-    diagnostics: tuple[Diagnostic, ...]
-    # the run's open hypotheses per step id, as bitsets over hyp_formulas
-    deps: dict[int, int] = field(compare=False, repr=False)
-    hyp_formulas: list[Formula] = field(compare=False, repr=False)
+    __slots__ = ("open_assumptions", "diagnostics", "deps", "hyp_formulas")
+
+    def __init__(self, open_assumptions: frozenset[Formula],
+                 diagnostics: tuple[Diagnostic, ...], deps: dict[int, int],
+                 hyp_formulas: list[Formula]):
+        self.open_assumptions = open_assumptions
+        self.diagnostics = diagnostics
+        # the run's open hypotheses per step id, as bitsets over
+        # hyp_formulas
+        self.deps = deps
+        self.hyp_formulas = hyp_formulas
 
     @property
     def accepted(self) -> bool:
@@ -158,15 +165,6 @@ def check(script: ProofScript, system: Optional[System] = None) -> CheckReport:
     formula must equal the statement.
     """
     return _run(script, system).report()
-
-
-def open_assumptions(script: ProofScript, step_id: int) -> frozenset[Formula]:
-    """Hypothesis formulas a step still depends on.
-
-    One call checks the whole script; to read many steps, keep the
-    report of one check and call its open_at.
-    """
-    return check(script).open_at(step_id)
 
 
 def _bits(mask: int):

@@ -29,11 +29,10 @@ parses that way) sees every one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from . import syntax
-from .syntax import Formula, ParseError, System, print_formula
+from .syntax import Formula, ParseError, Record, System, print_formula
 
 HYP = "hyp"
 
@@ -52,22 +51,30 @@ ALL_RULES = (frozenset((HYP,)) | PRIMITIVE_SHARED | PRIMITIVE_MSQR
              | PRIMITIVE_MSPQR | DERIVED)
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    id: int
-    formula: Formula
-    rule: str
-    premises: tuple[int, ...] = ()
-    discharges: tuple[int, ...] = ()
-    fresh: Optional[str] = None
+class ProofStep(Record):
+    __slots__ = ("id", "formula", "rule", "premises", "discharges", "fresh")
+
+    def __init__(self, id: int, formula: Formula, rule: str,
+                 premises: tuple[int, ...] = (),
+                 discharges: tuple[int, ...] = (),
+                 fresh: Optional[str] = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "formula", formula)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "discharges", discharges)
+        object.__setattr__(self, "fresh", fresh)
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    system: System
-    name: str
-    statement: Optional[Formula]
-    steps: tuple[ProofStep, ...]
+class ProofScript(Record):
+    __slots__ = ("system", "name", "statement", "steps")
+
+    def __init__(self, system: System, name: str,
+                 statement: Optional[Formula], steps: tuple[ProofStep, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "statement", statement)
+        object.__setattr__(self, "steps", steps)
 
 
 def parse_script(text: str) -> ProofScript:

@@ -46,17 +46,16 @@ line's first field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    MEASUREMENT, Bottom, Box, Formula, Implies, Labelled, Line, MFormula,
-    ParseError, Prop, Rel, System, is_identifier, labels_in, legal_rels,
-    print_formula, read_lines, rels_in, split_fields, well_formed,
+    MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled, Line,
+    MFormula, ParseError, Prop, Record, Rel, System, is_identifier, labels_in,
+    legal_rels, print_formula, read_lines, rels_in, split_fields, well_formed,
 )
 
 
-class SemanticsError(Exception):
+class SemanticsError(InputError):
     code = "semantics"
 
 
@@ -141,10 +140,12 @@ def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
                  for v in range(size))
 
 
-@dataclass(frozen=True)
-class FrameViolation:
-    prop: str  # stable property name
-    witnesses: tuple[int, ...]
+class FrameViolation(Record):
+    __slots__ = ("prop", "witnesses")
+
+    def __init__(self, prop: str, witnesses: tuple[int, ...]):
+        object.__setattr__(self, "prop", prop)  # stable property name
+        object.__setattr__(self, "witnesses", witnesses)
 
 
 def describe_violation(frame: Frame, v: FrameViolation) -> str:
@@ -332,34 +333,19 @@ def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     return _truth(model, phi)[world] == 1
 
 
-def _check_bound(structure: Structure, f: Formula) -> None:
-    for lab in sorted(labels_in(f)):
-        if lab not in structure.interp:
-            raise UnboundLabel("label %s is not interpreted" % lab)
-
-
 def holds(structure: Structure, f: Formula) -> bool:
     """Truth of a labelled or relational formula under an interpretation."""
     system = structure.model.frame.system
     if not well_formed(f, system):
         raise WrongSystem("formula %s is not in the %s vocabulary"
                           % (print_formula(f), system.value))
-    _check_bound(structure, f)
     model, interp = structure.model, structure.interp
+    for lab in sorted(labels_in(f)):
+        if lab not in interp:
+            raise UnboundLabel("label %s is not interpreted" % lab)
     if isinstance(f, Labelled):
         return _truth(model, f.body)[interp[f.label]] == 1
     return (interp[f.left], interp[f.right]) in model.frame.pairs(f.rel)
-
-
-def entails_in(structure: Structure, gamma: Iterable[Formula],
-               alpha: Formula) -> bool:
-    """True unless every formula of gamma holds while alpha fails."""
-    gamma = list(gamma)
-    for g in gamma:  # surface unbound labels even when gamma fails early
-        _check_bound(structure, g)
-    if all(holds(structure, g) for g in gamma):
-        return holds(structure, alpha)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator, NoReturn, Optional
 
 
@@ -86,42 +85,123 @@ def legal_rels(system: System) -> frozenset[Rel]:
     return _LEGAL_RELS[system]
 
 
-class MFormula:
+# A Record sets its fields in __init__ through object.__setattr__,
+# because its own __setattr__ refuses every assignment.  The formula
+# nodes, built by the thousand while parsing, call it under this
+# module-level name, which is faster to look up.
+_set = object.__setattr__
+
+
+class Record:
+    """Base class of immutable values.
+
+    A subclass lists its fields in __slots__ and sets them in its
+    __init__ through object.__setattr__.  Two records are == when
+    they are of the same class and their fields are ==; the hash is
+    that of the tuple of fields.  Assigning a field raises
+    AttributeError.  Copies and pickles are rebuilt through __init__,
+    which takes the fields in __slots__ order.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable %s"
+                             % (name, type(self).__name__))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+# Formula nodes are compared and hashed throughout the kernel and the
+# search, so each spells out its == and hash over its fields, with the
+# values the Record methods would give, without their generic field
+# walk.  == compares tuples of fields, and a tuple comparison skips,
+# by identity, the subformulas two formulas share.
+
+class MFormula(Record):
     """Base class for m-formula nodes."""
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return print_mformula(self)
 
-@dataclass(frozen=True)
+
 class Bottom(MFormula):
-    def __str__(self) -> str:
-        return print_mformula(self)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is Bottom or NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Prop(MFormula):
-    name: str
+    __slots__ = ("name",)
 
-    def __str__(self) -> str:
-        return print_mformula(self)
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not Prop:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
 class Implies(MFormula):
-    left: MFormula
-    right: MFormula
+    __slots__ = ("left", "right")
 
-    def __str__(self) -> str:
-        return print_mformula(self)
+    def __init__(self, left: MFormula, right: MFormula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Implies:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Box(MFormula):
-    rel: Rel
-    body: MFormula
+    __slots__ = ("rel", "body")
 
-    def __str__(self) -> str:
-        return print_mformula(self)
+    def __init__(self, rel: Rel, body: MFormula):
+        _set(self, "rel", rel)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not Box:
+            return NotImplemented
+        return (self.rel, self.body) == (other.rel, other.body)
+
+    def __hash__(self):
+        return hash((self.rel, self.body))
 
 
 BOT = Bottom()
@@ -147,29 +227,47 @@ def diamond(rel: Rel, a: MFormula) -> MFormula:
     return neg(Box(rel, neg(a)))
 
 
-class Formula:
+class Formula(Record):
     """Base class for labelled and relational formulas."""
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return print_formula(self)
 
-@dataclass(frozen=True)
+
 class Labelled(Formula):
-    label: str
-    body: MFormula
+    __slots__ = ("label", "body")
 
-    def __str__(self) -> str:
-        return print_formula(self)
+    def __init__(self, label: str, body: MFormula):
+        _set(self, "label", label)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not Labelled:
+            return NotImplemented
+        return (self.label, self.body) == (other.label, other.body)
+
+    def __hash__(self):
+        return hash((self.label, self.body))
 
 
-@dataclass(frozen=True)
 class Relational(Formula):
-    left: str
-    rel: Rel
-    right: str
+    __slots__ = ("left", "rel", "right")
 
-    def __str__(self) -> str:
-        return print_formula(self)
+    def __init__(self, left: str, rel: Rel, right: str):
+        _set(self, "left", left)
+        _set(self, "rel", rel)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Relational:
+            return NotImplemented
+        return ((self.left, self.rel, self.right)
+                == (other.left, other.rel, other.right))
+
+    def __hash__(self):
+        return hash((self.left, self.rel, self.right))
 
 
 def labels_in(f: Formula) -> frozenset[str]:
@@ -271,7 +369,16 @@ def print_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-class ParseError(Exception):
+class InputError(Exception):
+    """Base class of the errors that refuse an input: a text that does
+    not parse (ParseError), a model or query the semantics cannot take
+    (semantics.SemanticsError), a search bound out of range
+    (search.SearchError), or a command-line argument or file the
+    command line cannot use.  The command line reports each one as an
+    "error:" line and exit status 2, and no other exception so."""
+
+
+class ParseError(InputError):
     """Rejected input, with a 1-based position and the expected tokens."""
 
     def __init__(self, message: str, line: int, col: int,
@@ -584,15 +691,17 @@ def parse_formula(text: str, system: Optional[System] = None) -> Formula:
 # ---------------------------------------------------------------------------
 # line-oriented input
 
-@dataclass(slots=True)
 class Line:
     """A nonblank line of a script, model or assumption file: its
     number, its text from the first nonblank character up to any "#"
     comment, stripped, and the offset of that character on the line."""
 
-    number: int
-    text: str
-    start: int
+    __slots__ = ("number", "text", "start")
+
+    def __init__(self, number: int, text: str, start: int):
+        self.number = number
+        self.text = text
+        self.start = start
 
     def error(self, message: str, field: int = 0,
               reason: str = "syntax") -> ParseError:

@@ -104,6 +104,48 @@ def test_usage_errors():
     assert main(["check"]) == 2
 
 
+# -- what a process loads ----------------------------------------------------
+#
+# Each probe runs in a fresh interpreter, so that the modules pytest has
+# already imported hide nothing.
+
+WATCHED = ("dataclasses", "inspect", "json", "qrmodal.kernel",
+           "qrmodal.semantics", "qrmodal.search")
+
+
+def _loaded_after(code: str) -> tuple[set[str], subprocess.CompletedProcess]:
+    """The WATCHED modules a fresh interpreter holds after running code,
+    and the process, whose stdout holds what code printed."""
+    probe = ("import sys\n%s\nprint('loaded:', *[m for m in %r "
+             "if m in sys.modules])" % (code, WATCHED))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    return set(last[1:]), proc
+
+
+def test_import_loads_no_command_module():
+    loaded, _ = _loaded_after("import qrmodal.cli")
+    assert loaded == set()
+
+
+def test_check_loads_neither_semantics_nor_search(tmp_path):
+    bad = tmp_path / "bad.prf"
+    bad.write_text("system MSQR\ntheorem t : x : r0\n1. x r0 ; hyp\nqed\n")
+    for path, code, out, err in [
+            (CORPUS / "msqr" / "thm1.prf", 0, "accepted\n", ""),
+            (bad, 2, "", "error: 3:6: in step 1: expected : or U or M "
+                         "or P, found 'r0'\n")]:
+        loaded, proc = _loaded_after(
+            "from qrmodal.cli import main\n"
+            "print('exit', main(['check', %r]))" % str(path))
+        assert proc.stdout.startswith("%sexit %d\n" % (out, code))
+        assert proc.stderr == err
+        assert loaded == {"qrmodal.kernel"}
+
+
 # -- eval --------------------------------------------------------------------
 
 def test_eval_true(model_file, capsys):

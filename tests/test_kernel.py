@@ -13,7 +13,6 @@ from qrmodal.kernel import (
     ProofScript,
     ProofStep,
     check,
-    open_assumptions,
     parse_script,
     print_script,
     rules_of,
@@ -86,7 +85,7 @@ def test_boxi_freshness_script_and_refutability():
 def test_open_assumptions_closed_theorem():
     script = load("msqr/thm5.prf")
     final = script.steps[-1].id
-    assert open_assumptions(script, final) == frozenset()
+    assert check(script).open_at(final) == frozenset()
 
 
 def test_open_assumptions_lone_hypothesis():
@@ -95,7 +94,7 @@ def test_open_assumptions_lone_hypothesis():
         "theorem t : x M y\n"
         "1. x M y ; hyp\n"
         "qed\n")
-    assert open_assumptions(script, 1) == {parse_formula("x M y")}
+    assert check(script).open_at(1) == {parse_formula("x M y")}
 
 
 def test_open_assumptions_boxe_over_urefl():
@@ -106,10 +105,10 @@ def test_open_assumptions_boxe_over_urefl():
         "2. x U x ; Urefl\n"
         "3. x : r0 ; BoxE 1,2\n"
         "qed\n")
-    assert open_assumptions(script, 3) == {parse_formula("x : [] r0")}
-    assert open_assumptions(script, 2) == frozenset()
+    assert check(script).open_at(3) == {parse_formula("x : [] r0")}
+    assert check(script).open_at(2) == frozenset()
     with pytest.raises(KernelError):
-        open_assumptions(script, 9)
+        check(script).open_at(9)
 
 
 # -- dependency bitsets against a frozenset oracle ---------------------------
@@ -165,10 +164,10 @@ def test_open_assumptions_match_frozenset_oracle():
         formulas = {s.id: s.formula for s in script.steps}
         want = frozenset_deps(script)
         for step in script.steps:
-            assert open_assumptions(script, step.id) == \
+            assert check(script).open_at(step.id) == \
                 {formulas[h] for h in want[step.id]}, (entry["name"], step.id)
-    # open_assumptions checks the whole script on each call, so the
-    # chain's 1,002 steps are read from the report of a single check
+    # each check runs the whole script, so the chain's 1,002 steps are
+    # read from the report of a single check
     script = utrans_chain(200)
     formulas = {s.id: s.formula for s in script.steps}
     want = frozenset_deps(script)
@@ -274,7 +273,7 @@ def test_helper_step_cannot_be_cited():
     assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
         (5, "unknown-premise", "premise 6 is not an earlier step")]
     with pytest.raises(KernelError) as exc:
-        open_assumptions(script, 6)
+        check(script).open_at(6)
     assert exc.value.code == "unknown-premise"
 
 

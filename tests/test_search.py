@@ -277,6 +277,16 @@ def test_search_bound_guard():
         find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=0))
 
 
+def test_search_budget_checks_its_bound():
+    with pytest.raises(SearchError) as exc:
+        SearchBudget(max_worlds=0)
+    assert not isinstance(exc.value, BoundTooLarge)
+    with pytest.raises(BoundTooLarge):
+        SearchBudget(max_worlds=MAX_ENUM_SIZE + 1)
+    assert SearchBudget().max_worlds == 3
+    assert SearchBudget(max_worlds=MAX_ENUM_SIZE).max_worlds == MAX_ENUM_SIZE
+
+
 def test_search_rejects_wrong_system_formulas():
     alpha = parse_formula("x : [P] r0")
     with pytest.raises(WrongSystem):

@@ -13,7 +13,6 @@ from qrmodal.semantics import (
     WrongSystem,
     compile_formulas,
     describe_violation,
-    entails_in,
     evaluate,
     holds,
     parse_structure,
@@ -241,23 +240,27 @@ def test_holds_labelled_and_relational():
         holds(st_, parse_formula("z : r0"))
 
 
-def test_entails_in_examples():
+def test_entailment_examples():
+    # gamma entails alpha in a structure unless all of gamma holds there
+    # while alpha fails
     m = two_world_model()
     gamma = [parse_formula("x : [] r0"), parse_formula("x U y")]
     alpha = parse_formula("y : r0")
     for ix, iy in itertools.product(range(2), repeat=2):
-        assert entails_in(Structure(m, {"x": ix, "y": iy}), gamma, alpha)
-    # premise false somewhere makes the entailment vacuous there
+        st_ = Structure(m, {"x": ix, "y": iy})
+        assert not all(holds(st_, g) for g in gamma) or holds(st_, alpha)
     st_ = Structure(m, {"x": 1})
-    assert entails_in(st_, [], parse_formula("x : r0 -> [] r0")) is False
-    assert entails_in(st_, [parse_formula("x : bot")], parse_formula("x : r1"))
+    assert holds(st_, parse_formula("x : r0 -> [] r0")) is False
+    # a premise false everywhere makes the entailment vacuous
+    assert holds(st_, parse_formula("x : bot")) is False
 
 
-def test_entails_in_unbound_label_in_gamma():
+def test_holds_unbound_label_in_false_formula():
+    # the label check comes first, also for a formula false everywhere
     m = two_world_model()
     st_ = Structure(m, {"x": 0})
     with pytest.raises(UnboundLabel):
-        entails_in(st_, [parse_formula("z : bot")], parse_formula("x : r0"))
+        holds(st_, parse_formula("z : bot"))
 
 
 def test_structure_rejects_out_of_range():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -408,6 +410,76 @@ def test_substitution_composition(f, frm):
 def test_substitution_identity(f):
     for lab in labels_in(f):
         assert substitute(f, lab, lab) == f
+
+
+# -- value semantics -------------------------------------------------------
+#
+# Formulas, proof steps and scripts are keys of the kernel's sets and
+# dicts: == and hash go by value, and no field can be reassigned.
+
+@given(_formulas())
+def test_two_parses_are_equal_values(f):
+    text = print_formula(f)
+    a, b = parse_formula(text), parse_formula(text)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_nodes_of_different_classes_are_never_equal():
+    # the same field values under each class
+    nodes = [BOT, Prop("x"), Implies("x", BOT), Box("x", BOT),
+             Labelled("x", BOT), Implies(Rel.U, BOT), Box(Rel.U, BOT),
+             Relational("x", Rel.U, "x")]
+    for a in nodes:
+        for b in nodes:
+            assert (a == b) is (a is b)
+    assert Prop("x") != ("x",) and Prop("x") != "x"
+    assert Labelled("x", BOT) != ("x", BOT)
+
+
+def test_values_build_by_keyword():
+    f = Labelled(label="x", body=Implies(left=Prop(name="r0"), right=BOT))
+    assert f == parse_formula("x : ~r0")
+    assert Relational(left="x", rel=Rel.M, right="y") == \
+        parse_formula("x M y")
+    assert ProofStep(id=1, formula=f, rule="hyp") == \
+        ProofStep(1, f, "hyp", (), (), None)
+    assert ProofScript(system=System.MSQR, name="t", statement=f,
+                       steps=()) == ProofScript(System.MSQR, "t", f, ())
+
+
+def test_values_copy_and_pickle():
+    f = parse_formula("x : [] r0 -> ~(r1 & bot)")
+    script = ProofScript(System.MSQR, "t", f, (ProofStep(1, f, "hyp"),))
+    for value in (BOT, f, parse_formula("x U y"), script):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+            assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("value, field", [
+    (BOT, "name"),
+    (Prop("r0"), "name"),
+    (Implies(BOT, BOT), "left"),
+    (Box(Rel.U, BOT), "body"),
+    (Labelled("x", BOT), "label"),
+    (Relational("x", Rel.U, "y"), "rel"),
+    (ProofStep(1, Labelled("x", BOT), "hyp"), "premises"),
+    (ProofScript(System.MSQR, "t", None, ()), "steps"),
+])
+def test_values_refuse_assignment(value, field):
+    before = repr(value)
+    with pytest.raises(AttributeError):
+        setattr(value, field, "changed")
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    if hasattr(value, field):
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert repr(value) == before
 
 
 # -- the character-loop front end, kept as the oracle ------------------------
