@@ -116,9 +116,8 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
         ]
 
     if rule == "Mtrans":
-        # a M b, b M c => a M c; the customary display derives c M c by
-        # Msrefl, but the Msub1 instance that actually fires needs
-        # b M b, so both shift-reflexivity steps are emitted
+        # a M b, b M c => a M c: Msrefl gives b M b from a M b, and
+        # Msub1 rewrites b to c in a M b
         p1, p2 = formulas[pids[0]], formulas[pids[1]]
         for p in (p1, p2):
             if not (isinstance(p, Relational) and p.rel is Rel.M):
@@ -126,12 +125,9 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
                     "Mtrans premise must be an M formula, got %s"
                     % print_formula(p))
         b = p1.right
-        c = p2.right
         return [
-            ProofStep(nid, Relational(c, Rel.M, c), "Msrefl", (pids[1],)),
-            ProofStep(nid + 1, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
-            ProofStep(step.id, step.formula, "Msub1",
-                      (pids[0], nid + 1, pids[1])),
+            ProofStep(nid, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
+            ProofStep(step.id, step.formula, "Msub1", (pids[0], nid, pids[1])),
         ]
 
     raise AssertionError("unhandled derived rule %r" % rule)

@@ -49,9 +49,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled, Line,
-    MFormula, ParseError, Prop, Record, Rel, System, is_identifier, labels_in,
-    legal_rels, print_formula, read_lines, rels_in, split_fields, well_formed,
+    MEASUREMENT, REL_BIT, Bottom, Box, Formula, Implies, InputError, Labelled,
+    Line, MFormula, ParseError, Prop, Record, Rel, System, is_identifier,
+    labels_in, legal_rels, print_formula, read_lines, split_fields,
+    well_formed,
 )
 
 
@@ -118,9 +119,6 @@ class Frame:
             raise WrongSystem("relation %s is not part of %s"
                               % (rel.value, self.system.value))
         return self.meas
-
-    def classical(self, w: int) -> bool:
-        return (w, w) in self.meas
 
     def __eq__(self, other):
         return (isinstance(other, Frame) and self.system == other.system
@@ -328,8 +326,9 @@ def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     """Truth of an m-formula at a world of a model."""
     if not (0 <= world < model.frame.size):
         raise UnknownWorld("world %r out of range" % (world,))
-    for rel in rels_in(phi):
-        model.frame.pairs(rel)  # raises WrongSystem for a foreign relation
+    for rel, bit in REL_BIT.items():
+        if phi.rels & bit:
+            model.frame.pairs(rel)  # raises WrongSystem for a foreign one
     return _truth(model, phi)[world] == 1
 
 

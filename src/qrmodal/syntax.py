@@ -75,10 +75,17 @@ class Rel(enum.Enum):
 
 
 # The relation each system measures with; U belongs to both.  The
-# parser's gate, well_formed, Frame and model files all read this table.
+# parser's gate, well_formed (and so the kernel, holds and the search),
+# evaluate, Frame and model files all read this table.
 MEASUREMENT = {System.MSQR: Rel.M, System.MSPQR: Rel.P}
 _LEGAL_RELS = {system: frozenset((Rel.U, rel))
                for system, rel in MEASUREMENT.items()}
+
+# Each relation's bit in the relation mask that every m-formula node
+# carries, and per system the bits of the relations outside it.
+REL_BIT = {rel: 1 << i for i, rel in enumerate(Rel)}
+_FOREIGN_BITS = {system: sum(REL_BIT[rel] for rel in Rel if rel not in legal)
+                 for system, legal in _LEGAL_RELS.items()}
 
 
 def legal_rels(system: System) -> frozenset[Rel]:
@@ -139,9 +146,15 @@ class Record:
 # by identity, the subformulas two formulas share.
 
 class MFormula(Record):
-    """Base class for m-formula nodes."""
+    """Base class for m-formula nodes.
 
-    __slots__ = ()
+    Each node carries rels, the REL_BIT mask of the relations named in
+    its subtree, computed when it is built: 0 for Prop and Bottom.  It
+    is not a field: the subclasses' __slots__ list the fields, and ==,
+    hash, repr, copy and pickle read only those.
+    """
+
+    __slots__ = ("rels",)
 
     def __str__(self) -> str:
         return print_mformula(self)
@@ -149,6 +162,7 @@ class MFormula(Record):
 
 class Bottom(MFormula):
     __slots__ = ()
+    rels = 0
 
     def __eq__(self, other):
         return other.__class__ is Bottom or NotImplemented
@@ -159,6 +173,7 @@ class Bottom(MFormula):
 
 class Prop(MFormula):
     __slots__ = ("name",)
+    rels = 0
 
     def __init__(self, name: str):
         _set(self, "name", name)
@@ -178,6 +193,7 @@ class Implies(MFormula):
     def __init__(self, left: MFormula, right: MFormula):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "rels", left.rels | right.rels)
 
     def __eq__(self, other):
         if other.__class__ is not Implies:
@@ -194,6 +210,7 @@ class Box(MFormula):
     def __init__(self, rel: Rel, body: MFormula):
         _set(self, "rel", rel)
         _set(self, "body", body)
+        _set(self, "rels", REL_BIT[rel] | body.rels)
 
     def __eq__(self, other):
         if other.__class__ is not Box:
@@ -291,24 +308,10 @@ def props_in_formula(f: Formula) -> frozenset[str]:
     return props_in(f.body) if isinstance(f, Labelled) else frozenset()
 
 
-def rels_in(phi: MFormula) -> frozenset[Rel]:
-    if isinstance(phi, Implies):
-        return rels_in(phi.left) | rels_in(phi.right)
-    if isinstance(phi, Box):
-        return frozenset((phi.rel,)) | rels_in(phi.body)
-    return frozenset()
-
-
-def rels_in_formula(f: Formula) -> frozenset[Rel]:
-    if isinstance(f, Labelled):
-        return rels_in(f.body)
-    assert isinstance(f, Relational)
-    return frozenset((f.rel,))
-
-
 def well_formed(f: Formula, system: System) -> bool:
     """True when every relation symbol in f belongs to the system."""
-    return rels_in_formula(f) <= legal_rels(system)
+    rels = f.body.rels if f.__class__ is Labelled else REL_BIT[f.rel]
+    return not rels & _FOREIGN_BITS[system]
 
 
 def substitute(f: Formula, frm: str, to: str) -> Formula:

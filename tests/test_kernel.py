@@ -357,18 +357,49 @@ def test_vocabulary_of_derived_step_checked_once():
     assert step11(no_hyp) == ["illegal-discharge", "wrong-system"]
 
 
+# a [P] box 60 levels down a chain of implications
+_DEEP_P = "r0 -> " * 59 + "[P] r0"
+
+
+def _foreign(text):
+    return ("formula %s is not in the MSQR vocabulary"
+            % print_formula(parse_formula(text)))
+
+
+@pytest.mark.parametrize("script, expected", [
+    ("theorem t : x : r0 -> r0\n1. x : %s ; hyp\n2. x : r0 ; hyp\n"
+     "3. x : r0 -> r0 ; ImpI 2 discharge 2\n" % _DEEP_P,
+     [(1, "wrong-system", _foreign("x : " + _DEEP_P))]),
+    ("theorem t : x : (%s) -> (%s)\n1. x : %s ; hyp\n"
+     "2. x : (%s) -> (%s) ; ImpI 1 discharge 1\n" % ((_DEEP_P,) * 5),
+     [(1, "wrong-system", _foreign("x : " + _DEEP_P)),
+      (2, "wrong-system", _foreign("x : (%s) -> (%s)" % (_DEEP_P, _DEEP_P)))]),
+    # the AndI conclusion, then the expansion's hypothesis x : A -> ~B
+    ("theorem t : x : [P] r0 & r1\n1. x : [P] r0 ; hyp\n2. x : r1 ; hyp\n"
+     "3. x : [P] r0 & r1 ; AndI 1,2\n",
+     [(1, "wrong-system", _foreign("x : [P] r0")),
+      (3, "wrong-system", _foreign("x : [P] r0 & r1")),
+      (3, "wrong-system", _foreign("x : [P] r0 -> ~r1")),
+      (3, "undischarged-at-theorem",
+       "open assumptions remain: x : [P] r0, x : r1")]),
+], ids=["deep-step", "deep-statement", "andi-conclusion"])
+def test_foreign_relation_is_wrong_system_wherever_it_sits(script, expected):
+    report = check(parse_script("system MSQR\n%sqed\n" % script))
+    assert [(d.step, d.reason, d.message)
+            for d in report.diagnostics] == expected
+
+
 # -- derived rule expansion --------------------------------------------------
 
-def test_expand_mtrans_three_steps():
+def test_expand_mtrans_two_steps():
+    # y M y by Msrefl from x M y, then Msub1 rewrites y to z in x M y
     step = ProofStep(5, parse_formula("x M z"), "Mtrans", premises=(1, 2))
     out = expand_derived(step, {1: parse_formula("x M y"),
                                 2: parse_formula("y M z")}, 6)
-    assert len(out) == 3
-    assert out[-1].id == 5
-    assert out[-1].rule == "Msub1"
-    assert out[-1].formula == parse_formula("x M z")
-    rules = [s.rule for s in out]
-    assert rules.count("Msrefl") == 2
+    assert out == [
+        ProofStep(6, parse_formula("y M y"), "Msrefl", (1,)),
+        ProofStep(5, parse_formula("x M z"), "Msub1", (1, 6, 2)),
+    ]
 
 
 def test_expand_negi_is_impi_over_bote():

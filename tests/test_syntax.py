@@ -42,7 +42,6 @@ from qrmodal.syntax import (
     print_mformula,
     props_in,
     props_in_formula,
-    rels_in_formula,
     substitute,
     tokenize,
     well_formed,
@@ -346,7 +345,7 @@ def test_label_and_prop_queries():
     f = parse_formula("x : r0 -> [M] r1")
     assert labels_in(f) == frozenset({"x"})
     assert props_in_formula(f) == frozenset({"r0", "r1"})
-    assert rels_in_formula(f) == frozenset({Rel.M})
+    assert rels_walk(f) == frozenset({Rel.M})
     g = parse_formula("x U y")
     assert labels_in(g) == frozenset({"x", "y"})
     assert props_in_formula(g) == frozenset()
@@ -427,10 +426,19 @@ def test_two_parses_are_equal_values(f):
     assert len({a, b}) == 1
 
 
+def _node(cls, *fields):
+    # a node whose fields need not be formulas, which the constructors
+    # refuse because they read the children's relation masks
+    node = cls.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(node, name, value)
+    return node
+
+
 def test_nodes_of_different_classes_are_never_equal():
     # the same field values under each class
-    nodes = [BOT, Prop("x"), Implies("x", BOT), Box("x", BOT),
-             Labelled("x", BOT), Implies(Rel.U, BOT), Box(Rel.U, BOT),
+    nodes = [BOT, Prop("x"), _node(Implies, "x", BOT), _node(Box, "x", BOT),
+             Labelled("x", BOT), _node(Implies, Rel.U, BOT), Box(Rel.U, BOT),
              Relational("x", Rel.U, "x")]
     for a in nodes:
         for b in nodes:
@@ -931,6 +939,53 @@ def _formula_texts():
 
 
 _SYSTEMS = st.sampled_from([None, System.MSQR, System.MSPQR])
+
+
+# -- relation masks ----------------------------------------------------------
+
+def rels_walk(f):
+    """The relations named in a formula or m-formula, by a recursive
+    walk: the oracle for the relation mask each m-formula node carries."""
+    if isinstance(f, Labelled):
+        return rels_walk(f.body)
+    if isinstance(f, Relational):
+        return frozenset((f.rel,))
+    if isinstance(f, Implies):
+        return rels_walk(f.left) | rels_walk(f.right)
+    if isinstance(f, Box):
+        return frozenset((f.rel,)) | rels_walk(f.body)
+    return frozenset()
+
+
+def _nodes(phi):
+    yield phi
+    for child in ((phi.left, phi.right) if isinstance(phi, Implies)
+                  else (phi.body,) if isinstance(phi, Box) else ()):
+        yield from _nodes(child)
+
+
+def _bracketed():
+    # m-formula text with every connective, each binary one parenthesised
+    return st.recursive(_ATOMS, lambda sub: st.one_of(
+        st.tuples(sub, _BINARY, sub).map("(%s %s %s)".__mod__),
+        st.tuples(_PREFIXES, sub).map(" ".join)), max_leaves=12)
+
+
+@given(st.one_of(_bracketed().map("x : ".__add__),
+                 st.sampled_from(["x U y", "x M y", "x P y"])))
+@settings(max_examples=300)
+def test_relation_masks_match_the_walk(text):
+    try:
+        f = parse_formula(text)
+    except ParseError as e:  # nested "<->" can pass the node cap
+        assert e.reason == "too-large"
+        return
+    if isinstance(f, Labelled):
+        for node in _nodes(f.body):
+            assert {rel for rel in Rel
+                    if node.rels & syntax.REL_BIT[rel]} == rels_walk(node)
+    for system in System:
+        assert well_formed(f, system) == (rels_walk(f) <= legal_rels(system))
 
 
 def agree_or_too_large(new, old):
