@@ -223,8 +223,13 @@ def _manifest_entries(path: Path) -> list[dict]:
             and all(isinstance(e, dict) for e in entries)):
         raise _Usage("%s needs an 'entries' list of objects" % path)
     for i, entry in enumerate(entries, start=1):
+        expected = entry.get("expected")
+        if isinstance(expected, str) and expected not in ("accepted",
+                                                          "rejected"):
+            raise _Usage("manifest entry %d: unknown expected verdict %r"
+                         % (i, expected))
         keys = ["name", "system", "path", "statement", "expected"]
-        if entry.get("expected") != "accepted":
+        if expected != "accepted":
             keys.append("reason")
         absent = [k for k in keys if not isinstance(entry.get(k), str)]
         if absent:

@@ -61,7 +61,8 @@ wrong-system, unknown-premise.
 
 Scripts are read and printed by qrmodal.script, and derived rules are
 expanded by qrmodal.derived; neither is trusted.  This module
-re-exports parse_script, print_script, ProofStep and ProofScript.
+re-exports parse_script only, because the CLI, the README's library
+example and perfbench call it as kernel.parse_script.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from .derived import ExpansionError, expand_derived
 from .script import (
     ALL_RULES, DERIVED, DERIVED_MSQR, DERIVED_SHARED, HYP, PRIMITIVE_MSPQR,
     PRIMITIVE_MSQR, PRIMITIVE_SHARED, ProofScript, ProofStep, parse_script,
-    print_script,
 )
 from .syntax import (
     BOT, Box, Formula, Implies, Labelled, Record, Rel, Relational, System,
@@ -344,9 +344,14 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
         state.diag(origin, SCHEMA_MISMATCH, str(e))
         _record(state, st)
         return
-    # the last step repeats st's conclusion, whose vocabulary is checked
+    # the last step repeats st's conclusion, whose vocabulary is checked.
+    # When st's formula or a premise is foreign, the script already has
+    # its wrong-system diagnostic, and a foreign helper would only echo it.
+    system = state.system
+    own = well_formed(st.formula, system) and all(
+        well_formed(state.formulas[pid], system) for pid in st.premises)
     for sub in steps:
-        if sub is not steps[-1]:
+        if own and sub is not steps[-1]:
             _vocabulary(state, sub, origin)
         _step(state, sub, origin)
     # helper ids are private to this expansion; the next one reuses them
@@ -357,12 +362,12 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
 
 def _fresh_check(state: _State, origin: int, y: str, x: str,
                  premise_id: int, discharged: int,
-                 conclusion: Optional[Formula]) -> None:
+                 conclusion: Formula) -> None:
     if y == x:
         state.diag(origin, FRESHNESS_VIOLATION,
                    "fresh label %s must differ from %s" % (y, x))
         return
-    if conclusion is not None and y in labels_in(conclusion):
+    if y in labels_in(conclusion):
         state.diag(origin, FRESHNESS_VIOLATION,
                    "fresh label %s occurs in the conclusion %s"
                    % (y, print_formula(conclusion)))
@@ -382,19 +387,16 @@ def _schema(state: _State, st: ProofStep, origin: int,
             dis: list[tuple[int, Formula]]) -> None:
     rule = st.rule
     f = st.formula
+    # what the rule instance fixes: its conclusion, the hypothesis it
+    # discharges, and its eigenvariable (the fresh label, and the label
+    # it must differ from)
+    want = assumed = eigen = None
 
     def mism(message: str) -> None:
         state.diag(origin, SCHEMA_MISMATCH, message)
 
     def bad_dis(message: str) -> None:
         state.diag(origin, ILLEGAL_DISCHARGE, message)
-
-    def fresh_matches(y: str) -> bool:
-        if st.fresh is not None and st.fresh != y:
-            mism("fresh annotation says %s, rule instance uses %s"
-                 % (st.fresh, y))
-            return False
-        return True
 
     if rule == "ImpI":
         if not (isinstance(f, Labelled) and isinstance(f.body, Implies)):
@@ -403,14 +405,9 @@ def _schema(state: _State, st: ProofStep, origin: int,
         x, a, b = f.label, f.body.left, f.body.right
         if prems[0][1] != Labelled(x, b):
             mism("premise must be %s" % print_formula(Labelled(x, b)))
-        want = Labelled(x, a)
-        for _, df in dis:
-            if df != want:
-                bad_dis("ImpI here discharges %s, not %s"
-                        % (print_formula(want), print_formula(df)))
-        return
+        assumed = Labelled(x, a)
 
-    if rule == "ImpE":
+    elif rule == "ImpE":
         p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Labelled) and isinstance(p1.body, Implies)):
             mism("major premise must be a labelled implication")
@@ -419,53 +416,35 @@ def _schema(state: _State, st: ProofStep, origin: int,
         if p2 != Labelled(x, a):
             mism("minor premise must be the antecedent %s"
                  % print_formula(Labelled(x, a)))
-        if f != Labelled(x, b):
-            mism("conclusion must be %s" % print_formula(Labelled(x, b)))
-        return
+        want = Labelled(x, b)
 
-    if rule == "RAA":
+    elif rule == "RAA":
         if not isinstance(f, Labelled):
             mism("RAA concludes a labelled formula")
             return
         p = prems[0][1]
         if not (isinstance(p, Labelled) and p.body == BOT):
             mism("premise must conclude bot at some label")
-        want = Labelled(f.label, Implies(f.body, BOT))
-        for _, df in dis:
-            if df != want:
-                bad_dis("RAA here discharges %s, not %s"
-                        % (print_formula(want), print_formula(df)))
-        return
+        assumed = Labelled(f.label, Implies(f.body, BOT))
 
-    if rule == "BotE":
+    elif rule == "BotE":
         p = prems[0][1]
         if not (isinstance(p, Labelled) and p.body == BOT):
             mism("premise must conclude bot at some label")
-        return
 
-    if rule == "BoxI":
+    elif rule == "BoxI":
         if not (isinstance(f, Labelled) and isinstance(f.body, Box)):
             mism("BoxI concludes a labelled box formula")
             return
         x, rel, body = f.label, f.body.rel, f.body.body
-        pid, p = prems[0]
+        p = prems[0][1]
         if not (isinstance(p, Labelled) and p.body == body):
             mism("premise must prove the box body at the fresh label")
             return
-        y = p.label
-        want = Relational(x, rel, y)
-        ok = True
-        for _, df in dis:
-            if df != want:
-                bad_dis("BoxI here discharges %s, not %s"
-                        % (print_formula(want), print_formula(df)))
-                ok = False
-        if ok and fresh_matches(y):
-            _fresh_check(state, origin, y, x, pid,
-                         state.mask_of(d for d, _ in dis), None)
-        return
+        assumed = Relational(x, rel, p.label)
+        eigen = p.label, x
 
-    if rule == "BoxE":
+    elif rule == "BoxE":
         p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Labelled) and isinstance(p1.body, Box)):
             mism("major premise must be a labelled box formula")
@@ -476,28 +455,21 @@ def _schema(state: _State, st: ProofStep, origin: int,
             mism("relational premise must be %s R y for the box relation"
                  % x)
             return
-        if f != Labelled(p2.right, body):
-            mism("conclusion must be %s"
-                 % print_formula(Labelled(p2.right, body)))
-        return
+        want = Labelled(p2.right, body)
 
-    if rule == "Urefl":
+    elif rule == "Urefl":
         if not (isinstance(f, Relational) and f.rel is Rel.U
                 and f.left == f.right):
             mism("conclusion must have the shape x U x")
-        return
 
-    if rule == "Usymm":
+    elif rule == "Usymm":
         p = prems[0][1]
         if not (isinstance(p, Relational) and p.rel is Rel.U):
             mism("premise must be a U formula")
             return
-        if f != Relational(p.right, Rel.U, p.left):
-            mism("conclusion must be %s"
-                 % print_formula(Relational(p.right, Rel.U, p.left)))
-        return
+        want = Relational(p.right, Rel.U, p.left)
 
-    if rule in ("Utrans", "Ptrans"):
+    elif rule in ("Utrans", "Ptrans"):
         rel = Rel.U if rule == "Utrans" else Rel.P
         p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Relational) and p1.rel is rel
@@ -507,33 +479,24 @@ def _schema(state: _State, st: ProofStep, origin: int,
         if p2.left != p1.right:
             mism("premises must chain: second must start at %s" % p1.right)
             return
-        if f != Relational(p1.left, rel, p2.right):
-            mism("conclusion must be %s"
-                 % print_formula(Relational(p1.left, rel, p2.right)))
-        return
+        want = Relational(p1.left, rel, p2.right)
 
-    if rule in ("UIfromM", "PUI"):
+    elif rule in ("UIfromM", "PUI"):
         rel = Rel.M if rule == "UIfromM" else Rel.P
         p = prems[0][1]
         if not (isinstance(p, Relational) and p.rel is rel):
             mism("premise must be a %s formula" % rel.value)
             return
-        if f != Relational(p.left, Rel.U, p.right):
-            mism("conclusion must be %s"
-                 % print_formula(Relational(p.left, Rel.U, p.right)))
-        return
+        want = Relational(p.left, Rel.U, p.right)
 
-    if rule == "Msrefl":
+    elif rule == "Msrefl":
         p = prems[0][1]
         if not (isinstance(p, Relational) and p.rel is Rel.M):
             mism("premise must be an M formula")
             return
-        if f != Relational(p.right, Rel.M, p.right):
-            mism("conclusion must be %s"
-                 % print_formula(Relational(p.right, Rel.M, p.right)))
-        return
+        want = Relational(p.right, Rel.M, p.right)
 
-    if rule in ("Msub1", "Msub2", "Psub1", "Psub2"):
+    elif rule in ("Msub1", "Msub2", "Psub1", "Psub2"):
         rel = Rel.M if rule[0] == "M" else Rel.P
         alpha = prems[0][1]
         p2, p3 = prems[1][1], prems[2][1]
@@ -549,13 +512,10 @@ def _schema(state: _State, st: ProofStep, origin: int,
         y = p3.right
         want = (substitute(alpha, x, y) if rule.endswith("1")
                 else substitute(alpha, y, x))
-        if f != want:
-            mism("conclusion must be %s" % print_formula(want))
-        return
 
-    if rule in ("Mser", "Class"):
+    elif rule in ("Mser", "Class"):
         rel = Rel.M if rule == "Mser" else Rel.P
-        pid, alpha = prems[0]
+        alpha = prems[0][1]
         if f != alpha:
             mism("conclusion must repeat the premise %s"
                  % print_formula(alpha))
@@ -589,9 +549,25 @@ def _schema(state: _State, st: ProofStep, origin: int,
                             % (print_formula(proper[0]),
                                print_formula(want_refl), print_formula(df)))
                     return
-        if fresh_matches(y):
-            _fresh_check(state, origin, y, x, pid,
-                         state.mask_of(d for d, _ in dis), alpha)
-        return
+        eigen = y, x
 
-    raise AssertionError("unhandled rule %r" % rule)
+    else:
+        raise AssertionError("unhandled rule %r" % rule)
+
+    if want is not None and f != want:
+        mism("conclusion must be %s" % print_formula(want))
+    if assumed is not None:
+        wrong = [df for _, df in dis if df != assumed]
+        for df in wrong:
+            bad_dis("%s here discharges %s, not %s"
+                    % (rule, print_formula(assumed), print_formula(df)))
+        if wrong:
+            return
+    if eigen is not None:
+        y, x = eigen
+        if st.fresh is not None and st.fresh != y:
+            mism("fresh annotation says %s, rule instance uses %s"
+                 % (st.fresh, y))
+        else:
+            _fresh_check(state, origin, y, x, prems[0][0],
+                         state.mask_of(d for d, _ in dis), f)

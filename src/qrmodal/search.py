@@ -45,8 +45,8 @@ from typing import Iterable, Iterator, Sequence, Union
 
 from . import semantics
 from .syntax import (
-    Formula, InputError, Labelled, Record, Rel, System, labels_in,
-    props_in_formula, well_formed,
+    Formula, InputError, Labelled, Prop, Record, Rel, System, labels_in,
+    well_formed,
 )
 from .semantics import (
     Frame, Model, Pair, Structure, WrongSystem, compile_formulas, truth_sets,
@@ -267,11 +267,11 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
             raise WrongSystem("formula %s is not in the %s vocabulary"
                               % (f, system.value))
 
-    props = sorted(set().union(*(props_in_formula(f) for f in formulas)))
     labels = sorted(set().union(*(labels_in(f) for f in formulas)))
     slot = {lab: k for k, lab in enumerate(labels)}
     program, roots = compile_formulas(
         [f.body for f in formulas if isinstance(f, Labelled)])
+    props = sorted(node[1] for node in program if node[0] is Prop)
     root = iter(roots)
     # per formula: ("lab", label slot, program root) or
     # ("rel", left slot, relation, right slot)

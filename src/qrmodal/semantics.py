@@ -353,8 +353,8 @@ def holds(structure: Structure, f: Formula) -> bool:
 def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
     """Load a structure from the model file format.
 
-    The frame is validated; violations raise InvalidFrame unless
-    allow_invalid is set.
+    Unless allow_invalid is set, the frame is validated and violations
+    raise InvalidFrame.
     """
     system: Optional[System] = None
     names: Optional[list[str]] = None
@@ -426,9 +426,10 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
     if names is None:
         raise ParseError("missing worlds line", 1, 1)
     frame = Frame(system, len(names), u, meas, names)
-    violations = validate_frame(frame)
-    if violations and not allow_invalid:
-        raise InvalidFrame(frame, violations)
+    if not allow_invalid:
+        violations = validate_frame(frame)
+        if violations:
+            raise InvalidFrame(frame, violations)
     return Structure(Model(frame, val), interp)
 
 

@@ -294,20 +294,6 @@ def labels_in(f: Formula) -> frozenset[str]:
     return frozenset((f.left, f.right))
 
 
-def props_in(phi: MFormula) -> frozenset[str]:
-    if isinstance(phi, Prop):
-        return frozenset((phi.name,))
-    if isinstance(phi, Implies):
-        return props_in(phi.left) | props_in(phi.right)
-    if isinstance(phi, Box):
-        return props_in(phi.body)
-    return frozenset()
-
-
-def props_in_formula(f: Formula) -> frozenset[str]:
-    return props_in(f.body) if isinstance(f, Labelled) else frozenset()
-
-
 def well_formed(f: Formula, system: System) -> bool:
     """True when every relation symbol in f belongs to the system."""
     rels = f.body.rels if f.__class__ is Labelled else REL_BIT[f.rel]

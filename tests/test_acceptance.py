@@ -16,7 +16,8 @@ from importlib import resources
 
 import pytest
 
-from qrmodal.kernel import check, parse_script, print_script
+from qrmodal.kernel import check, parse_script
+from qrmodal.script import print_script
 from qrmodal.search import (
     Found, NotFoundWithin, SearchBudget, enumerate_frames,
     find_countermodel, random_valid_frame,
@@ -28,9 +29,9 @@ from qrmodal.semantics import (
 from qrmodal.syntax import (
     Bottom, Box, Implies, Labelled, Prop, Rel, Relational, System,
     conj, diamond, disj, iff, labels_in, neg, parse_formula,
-    print_formula, props_in_formula,
+    print_formula,
 )
-from test_search import nested_loop
+from test_search import nested_loop, props_walk
 
 CORPUS = resources.files("qrmodal") / "corpus"
 MANIFEST = json.loads((CORPUS / "manifest.json").read_text())["entries"]
@@ -64,7 +65,7 @@ def _subsets(props):
 
 def _structures(system, formulas, max_worlds=3):
     """Every valid structure over the formulas' propositions and labels."""
-    props = sorted(set().union(*(props_in_formula(f) for f in formulas)))
+    props = sorted(set().union(*map(props_walk, formulas)))
     labels = sorted(set().union(*(labels_in(f) for f in formulas)))
     choices = _subsets(props)
     for size in range(1, max_worlds + 1):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import re
 import shlex
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qrmodal import semantics
 from qrmodal.cli import main
 from qrmodal.search import Found
 from qrmodal.semantics import parse_structure
@@ -272,6 +274,28 @@ def test_frame_validate_invalid(bad_model_file, capsys):
     assert "not-shift-reflexive" in out
 
 
+@pytest.mark.parametrize("argv, calls", [
+    (["frame", "validate", "bad"], 1),
+    (["frame", "validate", "good"], 1),
+    (["eval", "good", "x : r0"], 1),
+    (["eval", "--allow-invalid", "bad", "x : r0"], 0),
+], ids=["validate-invalid", "validate-valid", "eval", "eval-allow-invalid"])
+def test_a_loaded_frame_is_validated_at_most_once(
+        monkeypatch, model_file, bad_model_file, capsys, argv, calls):
+    # frame validate lists the violations parse_structure did not look
+    # for, and eval --allow-invalid has no use for them
+    frames, validate = [], semantics.validate_frame
+
+    def counting(frame):
+        frames.append(frame)
+        return validate(frame)
+
+    monkeypatch.setattr(semantics, "validate_frame", counting)
+    files = {"good": model_file, "bad": bad_model_file}
+    main([files.get(a, a) for a in argv])
+    assert len(frames) == calls
+
+
 # -- corpus run --------------------------------------------------------------
 
 def test_corpus_run_bundled(capsys):
@@ -339,6 +363,21 @@ def test_corpus_run_malformed_manifest(tmp_path, capsys, manifest):
     assert code == 2
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("entry", [
+    dict(THM1, expected="acepted", reason="wrong-system"),
+    dict(THM1, expected="acepted"),
+], ids=["with-reason", "without-reason"])
+def test_corpus_run_refuses_an_unknown_verdict(tmp_path, capsys, entry):
+    # a misspelt verdict is neither run as an expected rejection nor
+    # reported as a missing reason
+    shutil.copy(CORPUS / "msqr" / "thm1.prf", tmp_path / "thm1.prf")
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [entry]}))
+    code = main(["corpus", "run", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        2, "", "error: manifest entry 1: unknown expected verdict 'acepted'\n")
 
 
 @pytest.mark.parametrize("junk, statement, error", [
@@ -698,6 +737,60 @@ def test_readme_library_use(tmp_path, monkeypatch, capsys):
     hyp = frozenset({parse_formula("x : [] r0")})
     assert capsys.readouterr().out == "True ()\n%r\n" % (hyp,)
     assert isinstance(scope["result"], Found)
+
+
+def test_readme_states_the_kernel_line_count():
+    # the README tells an auditor how much the trusted kernel holds
+    (stated,) = re.findall(r"`kernel\.py`, ([\d,]+) lines",
+                           (REPO / "README.md").read_text())
+    kernel_py = REPO / "src" / "qrmodal" / "kernel.py"
+    assert int(stated.replace(",", "")) == len(
+        kernel_py.read_text().splitlines())
+
+
+# -- names the benchmark calls -----------------------------------------------
+#
+# perfbench/worker.py and perfbench/launch.py call these qrmodal names;
+# a trim that removed one would make every run of a workload fail.
+
+PERFBENCH_NAMES = (
+    "cli.main", "kernel.check", "kernel.parse_script",
+    "kernel.expand_derived", "syntax.ParseError", "syntax.System",
+    "syntax.parse_formula", "syntax.tokenize", "search.Found",
+    "search.SearchBudget", "search.enumerate_frames",
+    "search.find_countermodel", "semantics.print_structure",
+    "semantics.validate_frame",
+)
+
+
+def test_names_the_benchmark_calls_resolve(capsys):
+    api = {}
+    for name in PERFBENCH_NAMES:
+        module, attr = name.split(".")
+        api[name] = getattr(importlib.import_module("qrmodal." + module), attr)
+
+    system = api["syntax.System"]("MSQR")
+    text = (CORPUS / "msqr" / "thm6_via_mtrans.prf").read_text()
+    script = api["kernel.parse_script"](text)
+    assert api["kernel.check"](script, system).accepted
+    (mtrans,) = [s for s in script.steps if s.rule == "Mtrans"]
+    formulas = {s.id: s.formula for s in script.steps}
+    steps = api["kernel.expand_derived"](mtrans, formulas, 100)
+    assert [s.rule for s in steps] == ["Msrefl", "Msub1"]
+    assert api["syntax.tokenize"]("x : r0")[-1][0] == "end"
+    with pytest.raises(api["syntax.ParseError"]):
+        api["syntax.parse_formula"]("x : r0 ->", system)
+    frames = list(api["search.enumerate_frames"](system, 2))
+    assert len(frames) == 4
+    assert not any(api["semantics.validate_frame"](f) for f in frames)
+    result = api["search.find_countermodel"](
+        system, [], api["syntax.parse_formula"]("x : r0 -> [M] r0", system),
+        api["search.SearchBudget"](max_worlds=2))
+    assert isinstance(result, api["search.Found"])
+    assert api["semantics.print_structure"](result.structure).startswith(
+        "system MSQR\n")
+    assert api["cli.main"](["check", str(CORPUS / "msqr" / "thm1.prf")]) == 0
+    assert capsys.readouterr().out == "accepted\n"
 
 
 # -- installed entry point ---------------------------------------------------

@@ -6,16 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from qrmodal import kernel, syntax
 from qrmodal.derived import expand_derived
-from qrmodal.kernel import (
-    ALL_RULES,
-    DERIVED,
-    KernelError,
-    ProofScript,
-    ProofStep,
-    check,
-    parse_script,
-    print_script,
-    rules_of,
+from qrmodal.kernel import KernelError, check, parse_script, rules_of
+from qrmodal.script import (
+    ALL_RULES, DERIVED, ProofScript, ProofStep, print_script,
 )
 from qrmodal.search import Found, SearchBudget, find_countermodel
 from qrmodal.syntax import (
@@ -355,6 +348,11 @@ def test_vocabulary_of_derived_step_checked_once():
     no_hyp = ProofScript(script.system, script.name, script.statement,
                          tuple(s for s in script.steps if s.id != 3))
     assert step11(no_hyp) == ["illegal-discharge", "wrong-system"]
+    # step 11 of msqr/thm5 is an IffI of two [M] formulas: under MSpQR
+    # its helpers repeat the foreign relation and are not reported
+    report = check(load("msqr/thm5.prf"), System.MSPQR)
+    assert [d.reason for d in report.diagnostics if d.step == 11] == [
+        "wrong-system"]
 
 
 # a [P] box 60 levels down a chain of implications
@@ -374,19 +372,44 @@ def _foreign(text):
      "2. x : (%s) -> (%s) ; ImpI 1 discharge 1\n" % ((_DEEP_P,) * 5),
      [(1, "wrong-system", _foreign("x : " + _DEEP_P)),
       (2, "wrong-system", _foreign("x : (%s) -> (%s)" % (_DEEP_P, _DEEP_P)))]),
-    # the AndI conclusion, then the expansion's hypothesis x : A -> ~B
+    # the AndI conclusion, once: the expansion's hypothesis x : A -> ~B
+    # repeats its relation and is not reported again
     ("theorem t : x : [P] r0 & r1\n1. x : [P] r0 ; hyp\n2. x : r1 ; hyp\n"
      "3. x : [P] r0 & r1 ; AndI 1,2\n",
      [(1, "wrong-system", _foreign("x : [P] r0")),
       (3, "wrong-system", _foreign("x : [P] r0 & r1")),
-      (3, "wrong-system", _foreign("x : [P] r0 -> ~r1")),
       (3, "undischarged-at-theorem",
        "open assumptions remain: x : [P] r0, x : r1")]),
-], ids=["deep-step", "deep-statement", "andi-conclusion"])
+    # the AndE1 premise, once: the expansion's helpers x : [P] r1 -> bot
+    # and x : r0 -> [P] r1 -> bot repeat its relation
+    ("theorem t : x : r0\n1. x : r0 & [P] r1 ; hyp\n2. x : r0 ; AndE1 1\n",
+     [(1, "wrong-system", _foreign("x : r0 & [P] r1")),
+      (2, "undischarged-at-theorem",
+       "open assumptions remain: x : (r0 -> [P] r1 -> bot) -> bot")]),
+], ids=["deep-step", "deep-statement", "andi-conclusion", "ande1-premise"])
 def test_foreign_relation_is_wrong_system_wherever_it_sits(script, expected):
     report = check(parse_script("system MSQR\n%sqed\n" % script))
     assert [(d.step, d.reason, d.message)
             for d in report.diagnostics] == expected
+
+
+def test_foreign_helper_of_an_in_vocabulary_step_is_reported(monkeypatch):
+    # the kernel checks every helper whose derived step and premises are
+    # in the vocabulary: an expansion that adds a [P] hypothesis to an
+    # MSQR AndI gets the step a wrong-system diagnostic
+    expand = kernel.expand_derived
+    foreign = ProofStep(99, parse_formula("x : [P] r0"), "hyp")
+
+    def foreign_helper(step, *args):
+        return [foreign] + expand(step, *args)
+
+    monkeypatch.setattr(kernel, "expand_derived", foreign_helper)
+    report = check(ProofScript(System.MSQR, "t", None, (
+        ProofStep(1, parse_formula("x : r0"), "hyp"),
+        ProofStep(2, parse_formula("x : r1"), "hyp"),
+        ProofStep(3, parse_formula("x : r0 & r1"), "AndI", (1, 2)))))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (3, "wrong-system", _foreign("x : [P] r0"))]
 
 
 # -- derived rule expansion --------------------------------------------------

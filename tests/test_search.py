@@ -20,7 +20,8 @@ from qrmodal.semantics import (
     Frame, Model, Structure, WrongSystem, holds, validate_frame,
 )
 from qrmodal.syntax import (
-    Labelled, System, labels_in, parse_formula, props_in_formula, well_formed,
+    Box, Implies, Labelled, Prop, System, labels_in, parse_formula,
+    well_formed,
 )
 from test_semantics import truth_set
 
@@ -362,13 +363,27 @@ def test_found_structure_reuses_standard_evaluator():
 
 # -- the search against the per-structure nested loop ------------------------
 
+def props_walk(f):
+    """The propositions named in a formula or m-formula, by a recursive
+    walk that shares no code with the search."""
+    if isinstance(f, Labelled):
+        return props_walk(f.body)
+    if isinstance(f, Prop):
+        return frozenset((f.name,))
+    if isinstance(f, Implies):
+        return props_walk(f.left) | props_walk(f.right)
+    if isinstance(f, Box):
+        return props_walk(f.body)
+    return frozenset()
+
+
 def nested_loop(system, gamma, alpha, max_worlds, disabled=()):
     """The reference search: frames of the mask sweep (of the relaxed
     frame class when disabled names conditions), then valuations, then
     label interpretations, each structure checked with the truth_set
     oracle; the first failing structure wins."""
     fs = gamma + [alpha]
-    props = sorted(set().union(*(props_in_formula(f) for f in fs)))
+    props = sorted(set().union(*map(props_walk, fs)))
     labels = sorted(set().union(*(labels_in(f) for f in fs)))
     subsets = [frozenset(p for k, p in enumerate(props) if mask >> k & 1)
                for mask in range(1 << len(props))]

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrmodal import syntax
-from qrmodal.kernel import (
-    ALL_RULES, ProofScript, ProofStep, check, parse_script,
-)
+from qrmodal.kernel import check, parse_script
+from qrmodal.script import ALL_RULES, ProofScript, ProofStep
 from qrmodal.semantics import holds, parse_structure
 from qrmodal.syntax import (
     BOT,
@@ -40,8 +39,6 @@ from qrmodal.syntax import (
     parse_mformula,
     print_formula,
     print_mformula,
-    props_in,
-    props_in_formula,
     substitute,
     tokenize,
     well_formed,
@@ -344,12 +341,9 @@ def test_deepest_accepted_formula_is_usable(op):
 def test_label_and_prop_queries():
     f = parse_formula("x : r0 -> [M] r1")
     assert labels_in(f) == frozenset({"x"})
-    assert props_in_formula(f) == frozenset({"r0", "r1"})
     assert rels_walk(f) == frozenset({Rel.M})
     g = parse_formula("x U y")
     assert labels_in(g) == frozenset({"x", "y"})
-    assert props_in_formula(g) == frozenset()
-    assert props_in(parse_mformula("bot")) == frozenset()
 
 
 # -- property tests ---------------------------------------------------------
