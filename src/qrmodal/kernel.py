@@ -111,13 +111,11 @@ def rules_of(system: System) -> frozenset[str]:
 
 
 class Diagnostic(Record):
-    __slots__ = ("step", "reason", "message")
+    __slots__ = ()
 
-    def __init__(self, step: int, reason: str, message: str):
-        # the id of the (original) step the problem belongs to
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "message", message)
+    def __new__(cls, step: int, reason: str, message: str):
+        # step is the id of the (original) step the problem belongs to
+        return tuple.__new__(cls, (cls, step, reason, message))
 
     def __str__(self):
         return "step %d: %s: %s" % (self.step, self.reason, self.message)
@@ -229,16 +227,18 @@ def _run(script: ProofScript, system: Optional[System]) -> _State:
         raise ValueError("a script needs at least one step")
     seen = set()
     for st in script.steps:
-        if st.id <= 0:
-            raise ValueError("step ids must be positive, got %d" % st.id)
-        if st.id in seen:
-            raise ValueError("duplicate step id %d" % st.id)
-        seen.add(st.id)
+        sid = st.id
+        if sid <= 0:
+            raise ValueError("step ids must be positive, got %d" % sid)
+        if sid in seen:
+            raise ValueError("duplicate step id %d" % sid)
+        seen.add(sid)
 
     state = _State(script, system)
     for st in script.steps:
-        _vocabulary(state, st, st.id)
-        _step(state, st, st.id)
+        sid = st.id
+        _vocabulary(state, st, sid)
+        _step(state, st, sid)
     return state
 
 
@@ -256,50 +256,54 @@ def _record(state: _State, st: ProofStep) -> None:
     deps = 0
     for pid in st.premises:
         deps |= state.deps.get(pid, 0)
-    state.formulas[st.id] = st.formula
-    state.deps[st.id] = deps & ~state.mask_of(st.discharges)
+    sid = st.id
+    state.formulas[sid] = st.formula
+    state.deps[sid] = deps & ~state.mask_of(st.discharges)
 
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
-    # the caller has checked st's vocabulary
+    # the caller has checked st's vocabulary.  Each field of st is read
+    # once, into a local: a field read is a property call.
     diag = state.diag
-    derived = st.rule in DERIVED
-    if st.rule == HYP:
-        if st.premises or st.discharges or st.fresh:
+    rule, premises, discharges, fresh = \
+        st.rule, st.premises, st.discharges, st.fresh
+    if rule == HYP:
+        if premises or discharges or fresh:
             diag(origin, WRONG_ARITY, "hyp takes no premises or annotations")
+        sid, formula = st.id, st.formula
         i = len(state.hyp_ids)
         bit = 1 << i
-        state.index[st.id] = i
-        state.hyp_ids.append(st.id)
-        state.hyp_formulas.append(st.formula)
-        for label in labels_in(st.formula):
+        state.index[sid] = i
+        state.hyp_ids.append(sid)
+        state.hyp_formulas.append(formula)
+        for label in labels_in(formula):
             state.mentions[label] = state.mentions.get(label, 0) | bit
-        state.formulas[st.id] = st.formula
-        state.deps[st.id] = bit
+        state.formulas[sid] = formula
+        state.deps[sid] = bit
         return
 
-    if st.rule not in ALL_RULES:
-        diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % st.rule)
+    if rule not in ALL_RULES:
+        diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % rule)
         _record(state, st)
         return
-    if st.rule not in rules_of(state.system):
+    if rule not in rules_of(state.system):
         diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
-             % (st.rule, state.system.value))
+             % (rule, state.system.value))
         _record(state, st)
         return
 
     prems: list[tuple[int, Formula]] = []
     missing = False
-    for pid in st.premises:
+    for pid in premises:
         if pid not in state.formulas:
             diag(origin, UNKNOWN_PREMISE,
                  "premise %d is not an earlier step" % pid)
             missing = True
         else:
             prems.append((pid, state.formulas[pid]))
-    if len(st.premises) != _ARITY[st.rule]:
+    if len(premises) != _ARITY[rule]:
         diag(origin, WRONG_ARITY, "%s takes %d premises, got %d"
-             % (st.rule, _ARITY[st.rule], len(st.premises)))
+             % (rule, _ARITY[rule], len(premises)))
         missing = True
     if missing:
         _record(state, st)
@@ -307,11 +311,11 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
     dis: list[tuple[int, Formula]] = []
     bad_discharge = False
-    if st.discharges and st.rule not in _DISCHARGING:
-        diag(origin, ILLEGAL_DISCHARGE, "rule %s discharges nothing" % st.rule)
+    if discharges and rule not in _DISCHARGING:
+        diag(origin, ILLEGAL_DISCHARGE, "rule %s discharges nothing" % rule)
         bad_discharge = True
     else:
-        for did in st.discharges:
+        for did in discharges:
             if did not in state.formulas:
                 diag(origin, ILLEGAL_DISCHARGE,
                      "discharge %d is not an earlier step" % did)
@@ -322,16 +326,17 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
                 bad_discharge = True
             else:
                 dis.append((did, state.formulas[did]))
-    bad_fresh = st.fresh is not None and st.rule not in _FRESH_RULES
+    bad_fresh = fresh is not None and rule not in _FRESH_RULES
     if bad_fresh:
         diag(origin, SCHEMA_MISMATCH,
-             "rule %s takes no fresh label" % st.rule)
+             "rule %s takes no fresh label" % rule)
 
+    derived = rule in DERIVED
     if derived and not (bad_discharge or bad_fresh):
         _expand(state, st, origin)
         return
     if not (derived or bad_discharge):
-        _schema(state, st, origin, prems, dis)
+        _schema(state, rule, st.formula, fresh, origin, prems, dis)
     _record(state, st)
 
 
@@ -382,11 +387,9 @@ def _fresh_check(state: _State, origin: int, y: str, x: str,
                    % (y, print_formula(state.hyp_formulas[h])))
 
 
-def _schema(state: _State, st: ProofStep, origin: int,
-            prems: list[tuple[int, Formula]],
+def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
+            origin: int, prems: list[tuple[int, Formula]],
             dis: list[tuple[int, Formula]]) -> None:
-    rule = st.rule
-    f = st.formula
     # what the rule instance fixes: its conclusion, the hypothesis it
     # discharges, and its eigenvariable (the fresh label, and the label
     # it must differ from)
@@ -565,9 +568,9 @@ def _schema(state: _State, st: ProofStep, origin: int,
             return
     if eigen is not None:
         y, x = eigen
-        if st.fresh is not None and st.fresh != y:
+        if fresh is not None and fresh != y:
             mism("fresh annotation says %s, rule instance uses %s"
-                 % (st.fresh, y))
+                 % (fresh, y))
         else:
             _fresh_check(state, origin, y, x, prems[0][0],
                          state.mask_of(d for d, _ in dis), f)

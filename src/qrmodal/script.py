@@ -52,29 +52,22 @@ ALL_RULES = (frozenset((HYP,)) | PRIMITIVE_SHARED | PRIMITIVE_MSQR
 
 
 class ProofStep(Record):
-    __slots__ = ("id", "formula", "rule", "premises", "discharges", "fresh")
+    __slots__ = ()
 
-    def __init__(self, id: int, formula: Formula, rule: str,
-                 premises: tuple[int, ...] = (),
-                 discharges: tuple[int, ...] = (),
-                 fresh: Optional[str] = None):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "formula", formula)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "discharges", discharges)
-        object.__setattr__(self, "fresh", fresh)
+    def __new__(cls, id: int, formula: Formula, rule: str,
+                premises: tuple[int, ...] = (),
+                discharges: tuple[int, ...] = (),
+                fresh: Optional[str] = None):
+        return tuple.__new__(cls, (cls, id, formula, rule, premises,
+                                   discharges, fresh))
 
 
 class ProofScript(Record):
-    __slots__ = ("system", "name", "statement", "steps")
+    __slots__ = ()
 
-    def __init__(self, system: System, name: str,
-                 statement: Optional[Formula], steps: tuple[ProofStep, ...]):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "statement", statement)
-        object.__setattr__(self, "steps", steps)
+    def __new__(cls, system: System, name: str,
+                statement: Optional[Formula], steps: tuple[ProofStep, ...]):
+        return tuple.__new__(cls, (cls, system, name, statement, steps))
 
 
 def parse_script(text: str) -> ProofScript:
@@ -189,6 +182,9 @@ def _ids(m: re.Match, group: int, what: str, err) -> tuple[int, ...]:
     fields = m.group(group)
     if not fields:
         return ()
+    ids = fields.strip(syntax.BLANKS)
+    if _ID_LIST.fullmatch(ids) is not None:  # no blanks and no bad id
+        return tuple(map(int, ids.split(",")))
     if _BLANK_BETWEEN_DIGITS.search(fields):
         raise err("%s ids must be separated by commas" % what, group)
     blob = "".join(syntax.split_fields(fields))

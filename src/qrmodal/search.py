@@ -81,10 +81,10 @@ class SearchBudget:
 
 
 class Found(Record):
-    __slots__ = ("structure",)
+    __slots__ = ()
 
-    def __init__(self, structure: Structure):
-        object.__setattr__(self, "structure", structure)
+    def __new__(cls, structure: Structure):
+        return tuple.__new__(cls, (cls, structure))
 
 
 class NotFoundWithin(Record):
@@ -95,13 +95,12 @@ class NotFoundWithin(Record):
     frame per class.
     """
 
-    __slots__ = ("bound", "frames_checked", "labels_exceed_bound")
+    __slots__ = ()
 
-    def __init__(self, bound: int, frames_checked: int,
-                 labels_exceed_bound: bool = False):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "frames_checked", frames_checked)
-        object.__setattr__(self, "labels_exceed_bound", labels_exceed_bound)
+    def __new__(cls, bound: int, frames_checked: int,
+                labels_exceed_bound: bool = False):
+        return tuple.__new__(cls, (cls, bound, frames_checked,
+                                   labels_exceed_bound))
 
 
 CountermodelResult = Union[Found, NotFoundWithin]

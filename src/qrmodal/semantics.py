@@ -139,11 +139,11 @@ def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
 
 
 class FrameViolation(Record):
-    __slots__ = ("prop", "witnesses")
+    __slots__ = ()
 
-    def __init__(self, prop: str, witnesses: tuple[int, ...]):
-        object.__setattr__(self, "prop", prop)  # stable property name
-        object.__setattr__(self, "witnesses", witnesses)
+    def __new__(cls, prop: str, witnesses: tuple[int, ...]):
+        # prop is the stable property name
+        return tuple.__new__(cls, (cls, prop, witnesses))
 
 
 def describe_violation(frame: Frame, v: FrameViolation) -> str:

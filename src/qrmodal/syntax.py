@@ -59,19 +59,25 @@ from __future__ import annotations
 
 import enum
 import itertools
+import operator
 import re
 from typing import Iterator, NoReturn, Optional
 
 
+# Members are singletons and compare by identity, so they hash by it
+# too, in C: the kernel and the search hash them, inside Box and
+# Relational values and as keys of the tables below.
 class System(enum.Enum):
     MSQR = "MSQR"
     MSPQR = "MSPQR"
+    __hash__ = object.__hash__
 
 
 class Rel(enum.Enum):
     U = "U"
     M = "M"
     P = "P"
+    __hash__ = object.__hash__
 
 
 # The relation each system measures with; U belongs to both.  The
@@ -92,36 +98,31 @@ def legal_rels(system: System) -> frozenset[Rel]:
     return _LEGAL_RELS[system]
 
 
-# A Record sets its fields in __init__ through object.__setattr__,
-# because its own __setattr__ refuses every assignment.  The formula
-# nodes, built by the thousand while parsing, call it under this
-# module-level name, which is faster to look up.
-_set = object.__setattr__
-
-
-class Record:
+class Record(tuple):
     """Base class of immutable values.
 
-    A subclass lists its fields in __slots__ and sets them in its
-    __init__ through object.__setattr__.  Two records are == when
-    they are of the same class and their fields are ==; the hash is
-    that of the tuple of fields.  Assigning a field raises
-    AttributeError.  Copies and pickles are rebuilt through __init__,
-    which takes the fields in __slots__ order.
+    A value is the tuple of its class and then its fields, which its
+    class names once, as the arguments of its __new__; they are read as
+    properties, by index.  So a value is built by one tuple.__new__ call,
+    and == and hash are the tuple's, which run in C and skip, by
+    identity, the parts two values share.  Since the class comes first,
+    values of different classes are never equal, no value equals the
+    plain tuple of its fields, and every value is true.  Values are not
+    ordered: < between two of them raises TypeError.  Assigning a field
+    raises AttributeError.  repr, copy and pickle read the fields alone
+    and rebuild through __new__, which also takes them by keyword.  The
+    tuple layout is private: read a value through its fields.
     """
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "__new__" in cls.__dict__:
+            code = cls.__new__.__code__
+            cls.__match_args__ = code.co_varnames[1:code.co_argcount]
+            for i, name in enumerate(cls.__match_args__, 1):
+                setattr(cls, name, property(operator.itemgetter(i)))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of an immutable %s"
@@ -131,30 +132,30 @@ class Record:
         raise AttributeError("cannot delete field %r of an immutable %s"
                              % (name, type(self).__name__))
 
+    def __lt__(self, other):
+        return NotImplemented
+
+    __le__ = __gt__ = __ge__ = __lt__
+
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+            "%s=%r" % field for field in zip(self.__match_args__, self[1:])))
 
     def __reduce__(self):
-        return type(self), self._fields()
+        return type(self), self[1:len(self.__match_args__) + 1]
 
-
-# Formula nodes are compared and hashed throughout the kernel and the
-# search, so each spells out its == and hash over its fields, with the
-# values the Record methods would give, without their generic field
-# walk.  == compares tuples of fields, and a tuple comparison skips,
-# by identity, the subformulas two formulas share.
 
 class MFormula(Record):
     """Base class for m-formula nodes.
 
     Each node carries rels, the REL_BIT mask of the relations named in
-    its subtree, computed when it is built: 0 for Prop and Bottom.  It
-    is not a field: the subclasses' __slots__ list the fields, and ==,
-    hash, repr, copy and pickle read only those.
+    its subtree: 0 for Prop and Bottom, and for Implies and Box the last
+    element of the tuple, computed from the children when the node is
+    built.  It is not a field, so repr, copy and pickle leave it out.
     """
 
-    __slots__ = ("rels",)
+    __slots__ = ()
+    rels = property(operator.itemgetter(-1))
 
     def __str__(self) -> str:
         return print_mformula(self)
@@ -164,61 +165,30 @@ class Bottom(MFormula):
     __slots__ = ()
     rels = 0
 
-    def __eq__(self, other):
-        return other.__class__ is Bottom or NotImplemented
-
-    def __hash__(self):
-        return hash(())
+    def __new__(cls):
+        return tuple.__new__(cls, (cls,))
 
 
 class Prop(MFormula):
-    __slots__ = ("name",)
+    __slots__ = ()
     rels = 0
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not Prop:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, (cls, name))
 
 
 class Implies(MFormula):
-    __slots__ = ("left", "right")
+    __slots__ = ()
 
-    def __init__(self, left: MFormula, right: MFormula):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "rels", left.rels | right.rels)
-
-    def __eq__(self, other):
-        if other.__class__ is not Implies:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+    def __new__(cls, left: MFormula, right: MFormula):
+        return tuple.__new__(cls, (cls, left, right, left.rels | right.rels))
 
 
 class Box(MFormula):
-    __slots__ = ("rel", "body")
+    __slots__ = ()
 
-    def __init__(self, rel: Rel, body: MFormula):
-        _set(self, "rel", rel)
-        _set(self, "body", body)
-        _set(self, "rels", REL_BIT[rel] | body.rels)
-
-    def __eq__(self, other):
-        if other.__class__ is not Box:
-            return NotImplemented
-        return (self.rel, self.body) == (other.rel, other.body)
-
-    def __hash__(self):
-        return hash((self.rel, self.body))
+    def __new__(cls, rel: Rel, body: MFormula):
+        return tuple.__new__(cls, (cls, rel, body, REL_BIT[rel] | body.rels))
 
 
 BOT = Bottom()
@@ -254,37 +224,17 @@ class Formula(Record):
 
 
 class Labelled(Formula):
-    __slots__ = ("label", "body")
+    __slots__ = ()
 
-    def __init__(self, label: str, body: MFormula):
-        _set(self, "label", label)
-        _set(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is not Labelled:
-            return NotImplemented
-        return (self.label, self.body) == (other.label, other.body)
-
-    def __hash__(self):
-        return hash((self.label, self.body))
+    def __new__(cls, label: str, body: MFormula):
+        return tuple.__new__(cls, (cls, label, body))
 
 
 class Relational(Formula):
-    __slots__ = ("left", "rel", "right")
+    __slots__ = ()
 
-    def __init__(self, left: str, rel: Rel, right: str):
-        _set(self, "left", left)
-        _set(self, "rel", rel)
-        _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is not Relational:
-            return NotImplemented
-        return ((self.left, self.rel, self.right)
-                == (other.left, other.rel, other.right))
-
-    def __hash__(self):
-        return hash((self.left, self.rel, self.right))
+    def __new__(cls, left: str, rel: Rel, right: str):
+        return tuple.__new__(cls, (cls, left, rel, right))
 
 
 def labels_in(f: Formula) -> frozenset[str]:
@@ -479,10 +429,12 @@ _FOREIGN = {None: frozenset(), **{
     for system, legal in _LEGAL_RELS.items()}}
 
 # The deepest nesting a parsed m-formula may have, counted both in its
-# syntax tree once sugar is expanded and in its parentheses.  hash, ==,
-# printing and checking recurse up to three times per tree level, and
-# the parser twice per parenthesis, so at this depth none of them needs
-# more than about 310 of the 1000 frames Python allows by default.
+# syntax tree once sugar is expanded and in its parentheses.  == runs in
+# C but still takes two frames of Python's recursion limit per tree
+# level, and so does checking, which compares formulas; hash takes none.
+# Printing takes one frame per level and the parser two per
+# parenthesis, so at this depth none of them needs more than about 210
+# of the 1000 frames Python allows by default.
 MAX_DEPTH = 100
 # The most nodes the syntax tree of a parsed m-formula may have once
 # sugar is expanded.  "<->" copies both of its sides, so without this

@@ -750,8 +750,9 @@ def test_readme_states_the_kernel_line_count():
 
 # -- names the benchmark calls -----------------------------------------------
 #
-# perfbench/worker.py and perfbench/launch.py call these qrmodal names;
-# a trim that removed one would make every run of a workload fail.
+# perfbench/worker.py and perfbench/launch.py call these qrmodal names
+# and read these fields of what they return; a trim or a change of
+# layout that lost one would make every run of a workload fail.
 
 PERFBENCH_NAMES = (
     "cli.main", "kernel.check", "kernel.parse_script",
@@ -773,6 +774,11 @@ def test_names_the_benchmark_calls_resolve(capsys):
     text = (CORPUS / "msqr" / "thm6_via_mtrans.prf").read_text()
     script = api["kernel.parse_script"](text)
     assert api["kernel.check"](script, system).accepted
+    report = api["kernel.check"](api["kernel.parse_script"](
+        "system MSQR\ntheorem t : x : r0\n1. x : r1 ; hyp\nqed\n"))
+    assert not report.accepted
+    assert {d.reason for d in report.diagnostics} == {
+        "schema-mismatch", "undischarged-at-theorem"}
     (mtrans,) = [s for s in script.steps if s.rule == "Mtrans"]
     formulas = {s.id: s.formula for s in script.steps}
     steps = api["kernel.expand_derived"](mtrans, formulas, 100)
@@ -789,6 +795,11 @@ def test_names_the_benchmark_calls_resolve(capsys):
     assert isinstance(result, api["search.Found"])
     assert api["semantics.print_structure"](result.structure).startswith(
         "system MSQR\n")
+    result = api["search.find_countermodel"](
+        system, [], api["syntax.parse_formula"]("x : r0 -> r0", system),
+        api["search.SearchBudget"](max_worlds=2))
+    assert not isinstance(result, api["search.Found"])
+    assert result.frames_checked == 1 + len(frames)
     assert api["cli.main"](["check", str(CORPUS / "msqr" / "thm1.prf")]) == 0
     assert capsys.readouterr().out == "accepted\n"
 

@@ -46,6 +46,55 @@ def test_corpus_entry(entry):
         assert entry["reason"] in reasons(report)
 
 
+def assert_sound_at_every_step(script, system, report):
+    """The semantic oracle for a script whose steps all check: each
+    step's formula holds wherever the assumptions it depends on hold,
+    on every structure of at most 3 worlds.  A kernel that matched
+    formulas too loosely would admit a step that this refutes."""
+    for step in script.steps:
+        gamma = sorted(report.open_at(step.id), key=print_formula)
+        result = find_countermodel(system, gamma, step.formula,
+                                   SearchBudget(max_worlds=3))
+        assert not isinstance(result, Found), (step, print_script(script))
+
+
+def test_every_step_of_the_corpus_is_sound():
+    checked = 0
+    for entry in corpus_entries():
+        script = load(entry["path"])
+        report = check(script)
+        if report.accepted:
+            assert_sound_at_every_step(script, script.system, report)
+            checked += len(script.steps)
+    assert checked > 100
+
+
+def test_retargeted_premises_are_rejected_or_sound():
+    # each premise of each corpus step pointed at each other earlier
+    # step: the kernel rejects the script, or every step is sound.  A
+    # kernel whose ImpE ignored the minor premise accepts 17 of these
+    # 624 scripts; 10 of them have an unsound step, and none has an
+    # unsound last step.
+    for entry in corpus_entries():
+        script = load(entry["path"])
+        steps = script.steps
+        for i, st in enumerate(steps):
+            for j, pid in enumerate(st.premises):
+                for other in steps[:i]:
+                    if other.id == pid:
+                        continue
+                    premises = st.premises[:j] + (other.id,) \
+                        + st.premises[j + 1:]
+                    step = ProofStep(st.id, st.formula, st.rule, premises,
+                                     st.discharges, st.fresh)
+                    bare = ProofScript(script.system, script.name, None,
+                                       steps[:i] + (step,) + steps[i + 1:])
+                    report = check(bare)
+                    if report.accepted:
+                        assert_sound_at_every_step(bare, script.system,
+                                                   report)
+
+
 def test_statement_cross_check():
     for entry in corpus_entries():
         script = load(entry["path"])
@@ -1008,15 +1057,12 @@ def test_mutants_are_reported_or_sound(case):
     script, system = case
     report = check(script, system)
     assert reasons(report) <= REASON_CODES
-    # without its statement a script is accepted when every step is; the
-    # final formula must then hold wherever its open assumptions do.  An
-    # accepted mutant is the case with no open assumptions.
+    # without its statement a script is accepted when every step is;
+    # each step's formula must then hold wherever its open assumptions
+    # do.  An accepted mutant is the case whose final step has none.
     bare = ProofScript(script.system, script.name, None, script.steps)
     steps_ok = check(bare, system)
     assert steps_ok.accepted or not report.accepted
     if steps_ok.accepted:
-        gamma = sorted(steps_ok.open_assumptions, key=print_formula)
-        result = find_countermodel(system or script.system, gamma,
-                                   script.steps[-1].formula,
-                                   SearchBudget(max_worlds=3))
-        assert not isinstance(result, Found), print_script(script)
+        assert_sound_at_every_step(script, system or script.system,
+                                   steps_ok)

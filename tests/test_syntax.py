@@ -4,15 +4,18 @@ import pickle
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrmodal import syntax
-from qrmodal.kernel import check, parse_script
+from qrmodal.kernel import Diagnostic, check, parse_script
 from qrmodal.script import ALL_RULES, ProofScript, ProofStep
-from qrmodal.semantics import holds, parse_structure
+from qrmodal.search import Found, NotFoundWithin
+from qrmodal.semantics import (
+    Frame, FrameViolation, Model, Structure, holds, parse_structure,
+)
 from qrmodal.syntax import (
     BOT,
     MAX_DEPTH,
@@ -25,6 +28,7 @@ from qrmodal.syntax import (
     MFormula,
     ParseError,
     Prop,
+    Record,
     Rel,
     Relational,
     System,
@@ -421,22 +425,61 @@ def test_two_parses_are_equal_values(f):
 
 
 def _node(cls, *fields):
-    # a node whose fields need not be formulas, which the constructors
-    # refuse because they read the children's relation masks
-    node = cls.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(node, name, value)
-    return node
+    # an Implies or Box node whose fields need not be formulas, which the
+    # constructors refuse because they read the children's relation
+    # masks; built as the tuple of the class, the fields and the mask
+    return tuple.__new__(cls, (cls, *fields, 0))
+
+
+def _values():
+    """One value of every value class."""
+    f = parse_formula("x : [] r0 -> ~(r1 & bot)")
+    step = ProofStep(1, f, "hyp")
+    frame = Frame(System.MSQR, 1, [(0, 0)], [(0, 0)])
+    return [
+        BOT, Prop("r0"), f.body, f.body.left, f, parse_formula("x U y"),
+        step, ProofScript(System.MSQR, "t", f, (step,)),
+        Diagnostic(1, "wrong-arity", "hyp takes no premises or annotations"),
+        FrameViolation("not-serial", (0,)),
+        Found(Structure(Model(frame, {0: ["r0"]}), {"x": 0})),
+        NotFoundWithin(3, 28),
+    ]
+
+
+def _value_classes(base=Record):
+    for cls in base.__subclasses__():
+        if "__new__" in vars(cls):
+            yield cls
+        yield from _value_classes(cls)
+
+
+def _fields(value):
+    return tuple(getattr(value, f) for f in type(value).__match_args__)
+
+
+def test_every_value_class_has_a_sample():
+    assert sorted(type(v).__name__ for v in _values()) == \
+        sorted(cls.__name__ for cls in _value_classes())
 
 
 def test_nodes_of_different_classes_are_never_equal():
-    # the same field values under each class
+    # the same field values under each class, then one value of every
+    # value class
     nodes = [BOT, Prop("x"), _node(Implies, "x", BOT), _node(Box, "x", BOT),
-             Labelled("x", BOT), _node(Implies, Rel.U, BOT), Box(Rel.U, BOT),
-             Relational("x", Rel.U, "x")]
+             Labelled("x", BOT), FrameViolation("x", BOT),
+             _node(Implies, Rel.U, BOT), Box(Rel.U, BOT),
+             Relational("x", Rel.U, "x"), Diagnostic("x", Rel.U, "x")]
+    nodes += _values()
     for a in nodes:
+        # no value equals the plain tuple of its fields, and each is true
+        assert a != _fields(a) and _fields(a) != a
+        assert a
         for b in nodes:
             assert (a == b) is (a is b)
+            with pytest.raises(TypeError):
+                a < b
+            with pytest.raises(TypeError):
+                a >= b
     assert Prop("x") != ("x",) and Prop("x") != "x"
     assert Labelled("x", BOT) != ("x", BOT)
 
@@ -450,16 +493,28 @@ def test_values_build_by_keyword():
         ProofStep(1, f, "hyp", (), (), None)
     assert ProofScript(system=System.MSQR, name="t", statement=f,
                        steps=()) == ProofScript(System.MSQR, "t", f, ())
+    for value in _values():
+        names = type(value).__match_args__
+        assert type(value)(**dict(zip(names, _fields(value)))) == value
 
 
 def test_values_copy_and_pickle():
-    f = parse_formula("x : [] r0 -> ~(r1 & bot)")
-    script = ProofScript(System.MSQR, "t", f, (ProofStep(1, f, "hyp"),))
-    for value in (BOT, f, parse_formula("x U y"), script):
+    for value in _values():
         for twin in (copy.copy(value), copy.deepcopy(value),
                      pickle.loads(pickle.dumps(value))):
             assert twin == value and type(twin) is type(value)
-            assert hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+            if not isinstance(value, Found):  # a Structure is unhashable
+                assert hash(twin) == hash(value)
+
+
+def test_values_repr_their_fields():
+    assert repr(Labelled("x", Box(Rel.U, Prop("r0")))) == (
+        "Labelled(label='x', "
+        "body=Box(rel=<Rel.U: 'U'>, body=Prop(name='r0')))")
+    assert repr(ProofStep(1, Labelled("x", BOT), "hyp")) == (
+        "ProofStep(id=1, formula=Labelled(label='x', body=Bottom()), "
+        "rule='hyp', premises=(), discharges=(), fresh=None)")
 
 
 @pytest.mark.parametrize("value, field", [
@@ -885,12 +940,27 @@ def old_parse_step(line: str, lineno: int, seen: set[int]) -> ProofStep:
 
 # -- differential tests against the oracle -----------------------------------
 
+class Refusal(NamedTuple):
+    """Every field of a ParseError.  Formulas and scripts are tuples
+    too, so a result is told from a refusal by this class."""
+    message: str
+    line: int
+    col: int
+    expected: tuple
+    reason: str
+    text: str
+
+
+def refusal(e):
+    return Refusal(e.message, e.line, e.col, e.expected, e.reason, str(e))
+
+
 def outcome(parse, *args):
-    """What a parse gives: its result, or every field of its ParseError."""
+    """What a parse gives: its result, or the Refusal of its ParseError."""
     try:
         return parse(*args)
     except ParseError as e:
-        return (e.message, e.line, e.col, e.expected, e.reason, str(e))
+        return refusal(e)
 
 
 PIECES = ["x", "y", "p", "r0", "_a", "bot", "U", "M", "P", ":", "->", "<->",
@@ -989,8 +1059,8 @@ def agree_or_too_large(new, old):
         body = r.body if isinstance(r, Labelled) else r
         return isinstance(body, MFormula) and size(body) > syntax.MAX_SIZE
 
-    if isinstance(new, tuple) and new[4] == "too-large":
-        assert isinstance(old, tuple) or over(old), (new, old)
+    if isinstance(new, Refusal) and new.reason == "too-large":
+        assert isinstance(old, Refusal) or over(old), (new, old)
     else:
         assert new == old
         assert not over(new)
@@ -1095,8 +1165,7 @@ def blank_separated_digits(fields):
 
 def at_column(old, col):
     """The oracle's error, moved to column col."""
-    e = ParseError(old[0], old[1], col, old[3], old[4])
-    return (e.message, e.line, e.col, e.expected, e.reason, str(e))
+    return refusal(ParseError(old[0], old[1], col, old[3], old[4]))
 
 
 def column_on_the_line(old, line):
@@ -1211,7 +1280,7 @@ def test_parse_script_matches_the_oracle(text):
     # oracle placed at column 1; and
     # errors about a whole other line, which the oracle placed at column
     # 1 and the reader places at the line's first nonblank character
-    assert isinstance(new, tuple), (new, old)
+    assert isinstance(new, Refusal), (new, old)
     if new[4] == "too-large":
         return
     line = text.split("\n")[new[1] - 1]
@@ -1229,11 +1298,11 @@ def test_parse_script_matches_the_oracle(text):
         piece, col = bad_id(line, what)
         assert (new[0], new[2]) == ("bad %s id %r" % (what, piece), col), \
             (new, line)
-        assert (isinstance(old, tuple)
+        assert (isinstance(old, Refusal)
                 and old[0].startswith("bad %s id" % what)
                 or any(c.isdigit() and not c.isascii() for c in line)), \
             (new, old)
-    elif isinstance(old, tuple) and old[0] == new[0]:
+    elif isinstance(old, Refusal) and old[0] == new[0]:
         assert new == at_column(old, step_field_column(old[0], line)), \
             (new, old)
     else:
