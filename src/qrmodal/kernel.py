@@ -263,7 +263,7 @@ def _record(state: _State, st: ProofStep) -> None:
 
 def _step(state: _State, st: ProofStep, origin: int) -> None:
     # the caller has checked st's vocabulary.  Each field of st is read
-    # once, into a local: a field read is a property call.
+    # once, into a local, which is cheaper to read than the field.
     diag = state.diag
     rule, premises, discharges, fresh = \
         st.rule, st.premises, st.discharges, st.fresh

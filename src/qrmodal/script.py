@@ -23,7 +23,11 @@ character, and a missing part of the script at 1:1.
 The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
 attribute at call time, so a wrapper installed there (perfbench counts
-parses that way) sees every one.
+parses that way) sees every one.  Each ``parse_script`` call keeps one
+memo of the parenthesised groups its formulas hold, so a group that a
+later step restates is not parsed again and its node is shared; groups
+that could pass the depth cap are always parsed (see ``syntax``).  The
+memo lives for that call only.
 """
 
 from __future__ import annotations
@@ -82,6 +86,7 @@ def parse_script(text: str) -> ProofScript:
     statement: Optional[Formula] = None
     steps: list[ProofStep] = []
     seen: set[int] = set()
+    memo: dict = {}  # the parenthesised groups read so far
     done = False
 
     for line in syntax.read_lines(text):
@@ -96,12 +101,13 @@ def parse_script(text: str) -> ProofScript:
             if len(fields) != 2 or fields[0] != "theorem" or not sep:
                 raise line.error("expected 'theorem <name> : <formula>'")
             name = fields[1]
-            statement = line.formula("in theorem statement: ", len(head) + 1)
+            statement = line.formula("in theorem statement: ", len(head) + 1,
+                                     memo=memo)
             continue
         if line.text == "qed":
             done = True
             continue
-        steps.append(_parse_step(line, seen))
+        steps.append(_parse_step(line, seen, memo))
 
     if system is None or name is None:
         raise ParseError("missing system or theorem line", 1, 1)
@@ -130,7 +136,7 @@ _FIELD = re.compile(rf"{_F}+")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
 
 
-def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
+def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:
     m = _STEP.match(line.text)
 
     def err(msg: str, group: int = 1, at: Optional[int] = None) -> ParseError:
@@ -157,7 +163,8 @@ def _parse_step(line: syntax.Line, seen: set[int]) -> ProofStep:
     seen.add(sid)
     if rule is None:
         raise err("missing ';' before the justification")
-    formula = line.formula("in step %d: ", m.start(2), m.end(2), sid)
+    formula = line.formula("in step %d: ", m.start(2), m.end(2), sid,
+                           memo=memo)
     if not rule:
         raise err("empty justification", 3)
     if rule not in ALL_RULES:

@@ -39,7 +39,7 @@ reason ``too-deep``.  Its expanded tree may have at most ``MAX_SIZE``
 nodes; a larger one is rejected with reason ``too-large``.  Each nested
 ``<->`` doubles the tree, so a short text can reach this cap.
 
-Reading a text takes two passes.  ``tokenize`` runs one compiled
+Reading a text starts with ``tokenize``, which runs one compiled
 pattern over the text with ``findall``.  Each match is a token and the
 blanks and comments after it.  A token is a word (a run of letters,
 digits and ``_``), an operator, or any other single character that is
@@ -53,13 +53,30 @@ only when a ParseError is raised, by scanning the text again up to
 that token.  The parser reads the tokens by index.  One loop per
 parenthesis level reads the operands and closes each binary operator
 level as soon as the next token ends it.
+
+A proof script restates the formulas of earlier steps inside later
+ones, so ``script.parse_script`` hands every formula of one script the
+same memo, a dict from each parenthesised group read so far to its
+``(node, height, size)``.  The key is the group's tokens joined by a
+blank; no token holds a blank, so two keys are equal only for equal
+tokens.  The first ``(`` of a formula that has a memo costs one pass
+over its tokens, which finds each ``(``'s matching ``)`` and the
+group's depth in parentheses, its own included.  A group in the memo
+is not read again: the parser takes its node and goes on after its
+``)``, so equal groups of one script are one object.  The depth cap on
+parentheses is the one check whose outcome depends on where a group
+stands, so the memo is used only where the open parentheses and the
+group's depth add up to at most ``MAX_DEPTH``; deeper groups are read
+token by token and refused where they always were.  Only groups that
+parse enter the memo, and the memo serves one system: parse_script
+reads every formula with system None.
 """
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
-import operator
 import re
 from typing import Iterator, NoReturn, Optional
 
@@ -98,20 +115,28 @@ def legal_rels(system: System) -> frozenset[Rel]:
     return _LEGAL_RELS[system]
 
 
+# The field descriptors of one namedtuple: _ITEM[i] reads item i of any
+# tuple, in C, and refuses assignment.  Records read their fields and
+# the relation mask through these.
+_Items = collections.namedtuple("_Items", ["i%d" % i for i in range(8)])
+_ITEM = tuple(getattr(_Items, name) for name in _Items._fields)
+
+
 class Record(tuple):
     """Base class of immutable values.
 
     A value is the tuple of its class and then its fields, which its
-    class names once, as the arguments of its __new__; they are read as
-    properties, by index.  So a value is built by one tuple.__new__ call,
-    and == and hash are the tuple's, which run in C and skip, by
-    identity, the parts two values share.  Since the class comes first,
-    values of different classes are never equal, no value equals the
-    plain tuple of its fields, and every value is true.  Values are not
-    ordered: < between two of them raises TypeError.  Assigning a field
-    raises AttributeError.  repr, copy and pickle read the fields alone
-    and rebuild through __new__, which also takes them by keyword.  The
-    tuple layout is private: read a value through its fields.
+    class names once, as the arguments of its __new__; they are read by
+    index, through the C field descriptors of a namedtuple.  So a value
+    is built by one tuple.__new__ call, and == and hash are the tuple's,
+    which run in C and skip, by identity, the parts two values share.
+    Since the class comes first, values of different classes are never
+    equal, no value equals the plain tuple of its fields, and every
+    value is true.  Values are not ordered: < between two of them raises
+    TypeError.  Assigning a field raises AttributeError.  repr, copy and
+    pickle read the fields alone and rebuild through __new__, which also
+    takes them by keyword.  The tuple layout is private: read a value
+    through its fields.
     """
 
     __slots__ = ()
@@ -122,7 +147,7 @@ class Record(tuple):
             code = cls.__new__.__code__
             cls.__match_args__ = code.co_varnames[1:code.co_argcount]
             for i, name in enumerate(cls.__match_args__, 1):
-                setattr(cls, name, property(operator.itemgetter(i)))
+                setattr(cls, name, _ITEM[i])
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r of an immutable %s"
@@ -155,7 +180,7 @@ class MFormula(Record):
     """
 
     __slots__ = ()
-    rels = property(operator.itemgetter(-1))
+    rels: int
 
     def __str__(self) -> str:
         return print_mformula(self)
@@ -179,6 +204,7 @@ class Prop(MFormula):
 
 class Implies(MFormula):
     __slots__ = ()
+    rels = _ITEM[3]
 
     def __new__(cls, left: MFormula, right: MFormula):
         return tuple.__new__(cls, (cls, left, right, left.rels | right.rels))
@@ -186,6 +212,7 @@ class Implies(MFormula):
 
 class Box(MFormula):
     __slots__ = ()
+    rels = _ITEM[3]
 
     def __new__(cls, rel: Rel, body: MFormula):
         return tuple.__new__(cls, (cls, rel, body, REL_BIT[rel] | body.rels))
@@ -453,12 +480,27 @@ class _Parser:
     """
 
     def __init__(self, text: str, toks: list[tuple[str, str]],
-                 system: Optional[System]):
+                 system: Optional[System], memo: Optional[dict] = None):
         self.text = text
         self.toks = toks
         self.system = system
         self.foreign = _FOREIGN[system]
         self.parens = 0
+        self.memo = memo
+        self.groups: Optional[dict[int, tuple[int, int]]] = None
+
+    def key(self, i: int) -> Optional[str]:
+        # the memo key of the group whose "(" is token i: its tokens
+        # joined by a blank.  None without a memo, when the "(" has no
+        # ")", or when the group's parentheses could pass MAX_DEPTH here.
+        if self.memo is None:
+            return None
+        if self.groups is None:
+            self.groups = _groups(self.toks)
+        group = self.groups.get(i)
+        if group is None or self.parens + group[1] > MAX_DEPTH:
+            return None
+        return " ".join([word for _, word in self.toks[i + 1:group[0]]])
 
     def fail(self, i: int, expected: tuple[str, ...]) -> ParseError:
         kind, word = self.toks[i]
@@ -574,12 +616,20 @@ class _Parser:
         elif kind == "(":
             if self.parens == MAX_DEPTH:
                 raise self.too_deep(i)
-            self.parens += 1
-            a, h, n, i = self.mformula(i + 1)
-            if toks[i][0] != ")":
-                raise self.fail(i, (")",))
-            self.parens -= 1
-            i += 1
+            key = self.key(i)
+            hit = None if key is None else self.memo.get(key)
+            if hit is not None:
+                a, h, n = hit
+                i = self.groups[i][0] + 1
+            else:
+                self.parens += 1
+                a, h, n, i = self.mformula(i + 1)
+                if toks[i][0] != ")":
+                    raise self.fail(i, (")",))
+                self.parens -= 1
+                i += 1
+                if key is not None:
+                    self.memo[key] = a, h, n
         else:
             raise self.fail(i, ("identifier", "bot", "("))
         if ops == start:
@@ -597,6 +647,22 @@ class _Parser:
         return a, h, n, i
 
 
+def _groups(toks: list[tuple[str, str]]) -> dict[int, tuple[int, int]]:
+    # for each "(" that has a matching ")": the index of the ")" and the
+    # group's depth in parentheses, its own included
+    groups = {}
+    stack: list[list[int]] = []  # [index of "(", depth so far]
+    for j, (kind, _) in enumerate(toks):
+        if kind == "(":
+            stack.append([j, 1])
+        elif kind == ")" and stack:
+            i, depth = stack.pop()
+            groups[i] = j, depth
+            if stack and stack[-1][1] <= depth:
+                stack[-1][1] = depth + 1
+    return groups
+
+
 def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
     """Parse an m-formula with all sugar expanded away.
 
@@ -608,10 +674,15 @@ def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
     return a
 
 
-def parse_formula(text: str, system: Optional[System] = None) -> Formula:
-    """Parse a labelled or relational formula."""
+def parse_formula(text: str, system: Optional[System] = None,
+                  _memo: Optional[dict] = None) -> Formula:
+    """Parse a labelled or relational formula.
+
+    _memo is private: parse_script's memo of parenthesised groups, for
+    system None only.
+    """
     toks = tokenize(text)
-    p = _Parser(text, toks, system)
+    p = _Parser(text, toks, system, _memo)
     kind, label = toks[0]
     if kind != "ident":
         raise p.fail(0, ("identifier",))
@@ -652,10 +723,15 @@ class Line:
                           reason=reason)
 
     def formula(self, where: str = "", at: int = 0, end: Optional[int] = None,
-                *args: object, system: Optional[System] = None) -> Formula:
-        """The formula in text[at:end]; errors start with where % args."""
+                *args: object, system: Optional[System] = None,
+                memo: Optional[dict] = None) -> Formula:
+        """The formula in text[at:end]; errors start with where % args.
+
+        memo, a dict that parse_script keeps for one script, holds the
+        parenthesised groups read so far; see the module docstring.
+        """
         try:
-            return parse_formula(self.text[at:end], system)
+            return parse_formula(self.text[at:end], system, memo)
         except ParseError as e:
             raise ParseError(where % args + e.message, self.number,
                              self.start + at + e.col, e.expected,

@@ -5,6 +5,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -733,7 +734,10 @@ def test_readme_library_use(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (code,) = [body for lang, body in blocks if lang == "python"]
     scope = {}
-    exec(code, scope)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec(code, scope)
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     hyp = frozenset({parse_formula("x : [] r0")})
     assert capsys.readouterr().out == "True ()\n%r\n" % (hyp,)
     assert isinstance(scope["result"], Found)

@@ -1360,3 +1360,124 @@ def test_every_formula_goes_through_tokenize_once(monkeypatch):
         assert len(toks) == len(old_tokenize(text))
         assert toks[-1] == ("end", "")
         assert [t[1] for t in toks] == [t.text for t in old_tokenize(text)]
+
+
+# -- the group memo of parse_script ------------------------------------------
+
+def memo_free(text):
+    """What parse_script gives when each formula is read on its own,
+    without the script's memo of parenthesised groups."""
+    parse = syntax.parse_formula
+    syntax.parse_formula = lambda text, system=None, _memo=None: \
+        parse(text, system)
+    try:
+        return outcome(parse_script, text)
+    finally:
+        syntax.parse_formula = parse
+
+
+def assert_memo_changes_nothing(text):
+    new, old = outcome(parse_script, text), memo_free(text)
+    assert new == old, (text, new, old)
+    assert repr(new) == repr(old)
+
+
+@st.composite
+def _restating_scripts(draw):
+    # a script whose steps restate earlier formulas inside new ones, as
+    # natural-deduction conclusions do; some steps are mutated
+    bodies = [draw(_sugared())]
+    for _ in range(draw(st.integers(1, 5))):
+        shape = draw(st.sampled_from(["(%s) -> (%s)", "[M] ((%s) & (%s))",
+                                      "~(%s) | %s", "(%s) <-> (%s)"]))
+        body = shape % (draw(st.sampled_from(bodies)),
+                        draw(st.sampled_from(bodies)))
+        if draw(st.integers(0, 3)) == 0:
+            body = draw(_mutated(body, PIECES))
+        bodies.append(body)
+    return "system MSQR\ntheorem t : x : %s\n%sqed\n" % (bodies[-1], "".join(
+        "%d. x : %s ; hyp\n" % step for step in enumerate(bodies, 1)))
+
+
+@given(_restating_scripts())
+@example("system MSQR\ntheorem t : x : (ab) -> (a b)\n1. x : (ab) ; hyp\n"
+         "2. x : (a b) ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : (p -> q)\n1. x : (p -> q) ; hyp\n"
+         "2. x : (p -> q)) ; hyp\nqed\n")
+@settings(max_examples=300, deadline=None)
+def test_memo_reads_a_script_as_each_formula_alone(text):
+    assert_memo_changes_nothing(text)
+
+
+_STEP_FORMULA = re.compile(r"([0-9]+\. *\w+ : )([^;]*)(;.*)")
+
+
+def step_mutations(text):
+    """The text, and for each step line the text with that line dropped,
+    doubled, its formula wrapped in 99 parentheses, and the formula's
+    first blank-separated field dropped."""
+    lines = text.split("\n")
+    yield text
+    for i, line in enumerate(lines):
+        m = _STEP_FORMULA.fullmatch(line)
+        if m is None:
+            continue
+        head, body, tail = m.groups()
+        rest = body.split(" ", 1)[-1]
+        for new in ([], [line, line], [head + "(" * 99 + body.strip()
+                                       + ")" * 99 + " " + tail],
+                    [head + rest + tail]):
+            yield "\n".join(lines[:i] + new + lines[i + 1:])
+
+
+def test_memo_reads_corpus_mutants_as_each_formula_alone():
+    results = set()
+    for text in CORPUS_TEXTS:
+        for mutant in step_mutations(text):
+            assert_memo_changes_nothing(mutant)
+            new = outcome(parse_script, mutant)
+            results.add(new.reason if isinstance(new, Refusal) else "parsed")
+    assert results >= {"parsed", "syntax", "too-deep"}
+
+
+def test_memo_keeps_the_depth_cap_where_a_group_is_reused():
+    # a group 60 deep in parentheses is read at depth 1 and then restated
+    # inside 40 and 41 further ones: the first fits MAX_DEPTH exactly and
+    # reuses the group's node; the second is refused as too deep at the
+    # same position as without the memo
+    group = "(" * 60 + "p -> q" + ")" * 60
+    for outer, fits in ((40, True), (41, False)):
+        text = ("system MSQR\ntheorem t : x : %s\n1. x : %s ; hyp\n"
+                "2. x : %s ; hyp\nqed\n"
+                % (group, group, "(" * outer + group + ")" * outer))
+        assert_memo_changes_nothing(text)
+        if fits:
+            assert outer + 60 == MAX_DEPTH
+            script = parse_script(text)
+            assert script.steps[1].formula.body is script.statement.body
+        else:
+            err = outcome(parse_script, text)
+            assert (err.reason, err.line, err.col) == \
+                ("too-deep", 4, len("2. x : ") + MAX_DEPTH + 1)
+
+
+def test_memo_shares_equal_groups_within_one_script_only():
+    text = ("system MSQR\ntheorem t : x : [M] (p -> q) -> (p -> q)\n"
+            "1. x : (p -> q) & r ; hyp\n"
+            "2. x : ~(p -> q) ; hyp\n"
+            "3. x : [M] (p -> q) -> (p -> q) ; hyp\nqed\n")
+    first, second = parse_script(text), parse_script(text)
+    assert first == second
+    s1, s2, s3 = (step.formula.body for step in first.steps)
+    group = s3.right
+    assert s3.left.body is group
+    assert s2.left is group
+    assert s1.left.left is group
+    assert first.statement.body.right is group
+
+    def node_ids(script):
+        return {id(node) for f in (script.statement, *(
+            step.formula for step in script.steps))
+            for node in _nodes(f.body) if node is not BOT}
+
+    assert not node_ids(first) & node_ids(second)
