@@ -40,6 +40,15 @@ def _read(path: str | Path) -> str:
         raise _Usage("cannot read %s: %s" % (path, e))
 
 
+def _is_file(path: Path) -> bool:
+    # Path.is_file raises for a name the system refuses, such as one
+    # longer than it allows
+    try:
+        return path.is_file()
+    except OSError:
+        return False
+
+
 class _Usage(InputError):
     pass
 
@@ -181,7 +190,7 @@ def _run_entry(base: Path, entry: dict,
     name = entry["name"]
     system = _SYSTEMS[entry["system"]]
     path = base / entry["path"]
-    if not path.is_file():
+    if not _is_file(path):
         raise _Usage("corpus entry %s: missing file %s" % (name, path))
     try:
         script = kernel.parse_script(_read(path))
@@ -216,7 +225,7 @@ def _manifest_entries(path: Path) -> list[dict]:
     import json
     try:
         manifest = json.loads(_read(path))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # JSONDecodeError included
         raise _Usage("%s is not valid JSON: %s" % (path, e))
     entries = manifest.get("entries") if isinstance(manifest, dict) else None
     if not (isinstance(entries, list)
@@ -245,7 +254,7 @@ def _cmd_corpus_run(args) -> int:
     budget = SearchBudget(max_worlds=args.max_worlds)
     base = _corpus_dir(args)
     manifest_path = base / "manifest.json"
-    if not manifest_path.is_file():
+    if not _is_file(manifest_path):
         raise _Usage("no manifest at %s" % manifest_path)
     entries = _manifest_entries(manifest_path)
     # run every entry before printing, so an error leaves no partial report

@@ -12,13 +12,14 @@ A script file::
 
 Justifications are ``hyp`` or ``Rule p1,p2 [discharge h1,h2] [fresh y]``;
 the optional ``fresh`` names the fresh label of BoxI/Mser/Class and is
-checked against the inferred one.  Ids are ASCII decimal numbers, and
-the ids of a list are separated by commas, with or without blanks
-beside them.  The final step must restate the theorem.  Lines are read
-by ``syntax.read_lines``, as model and assumption files are.  A
-step-line error points at the field it is about, a formula error at
-its token, another line's error at the line's first nonblank
-character, and a missing part of the script at 1:1.
+checked against the inferred one.  Ids are ASCII decimal numbers of
+at most ``MAX_ID_DIGITS`` digits, and the ids of a list are separated
+by commas, with or without blanks beside them.  The final step must
+restate the theorem.  Lines are read by ``syntax.read_lines``, as
+model and assumption files are.  A step-line error points at the field
+it is about, a formula error at its token, another line's error at the
+line's first nonblank character, and a missing part of the script at
+1:1.
 
 The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
@@ -134,6 +135,10 @@ _STEP = re.compile(rf"""
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 _FIELD = re.compile(rf"{_F}+")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
+# The most digits an id may have, leading zeros included: the most that
+# int() converts under the default limit of Python 3.11 and later.  The
+# cap makes Python 3.10, which has no limit, refuse the same ids.
+MAX_ID_DIGITS = 4300
 
 
 def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:
@@ -155,6 +160,8 @@ def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:
         raise err("expected '<id>. <formula> ; <justification>'")
     head, _, rule, premises, discharge, discharges, fresh_kw, fresh, \
         junk = m.groups()
+    if len(head) > MAX_ID_DIGITS:
+        raise err("step id has more than %d digits" % MAX_ID_DIGITS)
     sid = int(head)
     if sid <= 0:
         raise err("step ids are positive")
@@ -190,16 +197,20 @@ def _ids(m: re.Match, group: int, what: str, err) -> tuple[int, ...]:
     if not fields:
         return ()
     ids = fields.strip(syntax.BLANKS)
-    if _ID_LIST.fullmatch(ids) is not None:  # no blanks and no bad id
-        return tuple(map(int, ids.split(",")))
-    if _BLANK_BETWEEN_DIGITS.search(fields):
-        raise err("%s ids must be separated by commas" % what, group)
-    blob = "".join(syntax.split_fields(fields))
-    if _ID_LIST.fullmatch(blob) is None:
-        bad, at = next((piece, at) for piece, at in _pieces(fields)
-                       if not (piece.isascii() and piece.isdigit()))
-        raise err("bad %s id %r" % (what, bad), at=m.start(group) + at)
-    return tuple(map(int, blob.split(",")))
+    if _ID_LIST.fullmatch(ids) is None:  # blanks or a bad id
+        if _BLANK_BETWEEN_DIGITS.search(fields):
+            raise err("%s ids must be separated by commas" % what, group)
+        ids = "".join(syntax.split_fields(fields))
+        if _ID_LIST.fullmatch(ids) is None:
+            bad, at = next((piece, at) for piece, at in _pieces(fields)
+                           if not (piece.isascii() and piece.isdigit()))
+            raise err("bad %s id %r" % (what, bad), at=m.start(group) + at)
+    if len(ids) > MAX_ID_DIGITS:
+        for piece, at in _pieces(fields):
+            if len(piece) > MAX_ID_DIGITS:
+                raise err("%s id has more than %d digits"
+                          % (what, MAX_ID_DIGITS), at=m.start(group) + at)
+    return tuple(map(int, ids.split(",")))
 
 
 def _pieces(text: str) -> Iterator[tuple[str, int]]:

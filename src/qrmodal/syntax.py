@@ -37,7 +37,9 @@ An m-formula may nest at most ``MAX_DEPTH`` levels, both in its tree
 after expansion and in its parentheses; deeper input is rejected with
 reason ``too-deep``.  Its expanded tree may have at most ``MAX_SIZE``
 nodes; a larger one is rejected with reason ``too-large``.  Each nested
-``<->`` doubles the tree, so a short text can reach this cap.
+``<->`` doubles the tree, so a short text can reach this cap.  Each
+node carries its height and size, and the parser checks each node it
+builds against both caps.
 
 Reading a text starts with ``tokenize``, which runs one compiled
 pattern over the text with ``findall``.  Each match is a token and the
@@ -57,19 +59,19 @@ level as soon as the next token ends it.
 A proof script restates the formulas of earlier steps inside later
 ones, so ``script.parse_script`` hands every formula of one script the
 same memo, a dict from each parenthesised group read so far to its
-``(node, height, size)``.  The key is the group's tokens joined by a
-blank; no token holds a blank, so two keys are equal only for equal
-tokens.  The first ``(`` of a formula that has a memo costs one pass
-over its tokens, which finds each ``(``'s matching ``)`` and the
-group's depth in parentheses, its own included.  A group in the memo
-is not read again: the parser takes its node and goes on after its
-``)``, so equal groups of one script are one object.  The depth cap on
-parentheses is the one check whose outcome depends on where a group
-stands, so the memo is used only where the open parentheses and the
-group's depth add up to at most ``MAX_DEPTH``; deeper groups are read
-token by token and refused where they always were.  Only groups that
-parse enter the memo, and the memo serves one system: parse_script
-reads every formula with system None.
+node.  The key is the group's tokens joined by a blank; no token holds
+a blank, so two keys are equal only for equal tokens.  The first ``(``
+of a formula that has a memo costs one pass over its tokens, which
+finds each ``(``'s matching ``)`` and the group's depth in
+parentheses, its own included.  A group in the memo is not read
+again: the parser takes its node and goes on after its ``)``, so equal
+groups of one script are one object.  The depth cap on parentheses is
+the one check whose outcome depends on where a group stands, so the
+memo is used only where the open parentheses and the group's depth add
+up to at most ``MAX_DEPTH``; deeper groups are read token by token and
+refused where they always were.  Only groups that parse enter the
+memo, and the memo serves one system: parse_script reads every formula
+with system None.
 """
 
 from __future__ import annotations
@@ -173,14 +175,18 @@ class Record(tuple):
 class MFormula(Record):
     """Base class for m-formula nodes.
 
-    Each node carries rels, the REL_BIT mask of the relations named in
-    its subtree: 0 for Prop and Bottom, and for Implies and Box the last
-    element of the tuple, computed from the children when the node is
-    built.  It is not a field, so repr, copy and pickle leave it out.
+    Each node carries, computed from its children when it is built,
+    rels, the REL_BIT mask of the relations its subtree names, and the
+    height and size (node count) of its subtree.  Prop and Bottom carry
+    them as class constants, Implies and Box as the last elements of
+    the tuple.  They are not fields, so repr, copy and pickle leave
+    them out.
     """
 
     __slots__ = ()
     rels: int
+    height: int
+    size: int
 
     def __str__(self) -> str:
         return print_mformula(self)
@@ -188,7 +194,8 @@ class MFormula(Record):
 
 class Bottom(MFormula):
     __slots__ = ()
-    rels = 0
+    rels = height = 0
+    size = 1
 
     def __new__(cls):
         return tuple.__new__(cls, (cls,))
@@ -196,7 +203,8 @@ class Bottom(MFormula):
 
 class Prop(MFormula):
     __slots__ = ()
-    rels = 0
+    rels = height = 0
+    size = 1
 
     def __new__(cls, name: str):
         return tuple.__new__(cls, (cls, name))
@@ -204,18 +212,22 @@ class Prop(MFormula):
 
 class Implies(MFormula):
     __slots__ = ()
-    rels = _ITEM[3]
+    rels, height, size = _ITEM[3:6]
 
     def __new__(cls, left: MFormula, right: MFormula):
-        return tuple.__new__(cls, (cls, left, right, left.rels | right.rels))
+        h, g = left.height, right.height
+        return tuple.__new__(cls, (cls, left, right, left.rels | right.rels,
+                                   (h if h > g else g) + 1,
+                                   left.size + right.size + 1))
 
 
 class Box(MFormula):
     __slots__ = ()
-    rels = _ITEM[3]
+    rels, height, size = _ITEM[3:6]
 
     def __new__(cls, rel: Rel, body: MFormula):
-        return tuple.__new__(cls, (cls, rel, body, REL_BIT[rel] | body.rels))
+        return tuple.__new__(cls, (cls, rel, body, REL_BIT[rel] | body.rels,
+                                   body.height + 1, body.size + 1))
 
 
 BOT = Bottom()
@@ -474,9 +486,9 @@ MAX_SIZE = 10_000
 class _Parser:
     """Recursive descent over the tokens of one text.
 
-    A rule starts at a token index and returns the formula, the height
-    and the node count of its expanded syntax tree, and the index after
-    it.  Errors name a token index; _error finds its position.
+    A rule starts at a token index and returns the formula, its sugar
+    expanded, and the index after it.  Errors name a token index;
+    _error finds its position.
     """
 
     def __init__(self, text: str, toks: list[tuple[str, str]],
@@ -513,12 +525,15 @@ class _Parser:
         return _error(self.text, i, "formula nested deeper than %d levels"
                       % MAX_DEPTH, reason="too-deep")
 
-    def capped(self, height: int, i: int) -> ParseError:
-        # a tree over MAX_DEPTH or MAX_SIZE; depth is reported first
-        if height > MAX_DEPTH:
-            return self.too_deep(i)
-        return _error(self.text, i, "formula expands to more than %d nodes"
-                      % MAX_SIZE, reason="too-large")
+    def capped(self, a: MFormula, i: int) -> MFormula:
+        # a, unless its tree passes MAX_DEPTH or MAX_SIZE; the refusal is
+        # at token i, and depth is reported first
+        if a.height > MAX_DEPTH:
+            raise self.too_deep(i)
+        if a.size > MAX_SIZE:
+            raise _error(self.text, i, "formula expands to more than %d "
+                         "nodes" % MAX_SIZE, reason="too-large")
+        return a
 
     def gate(self, i: int) -> None:
         # vocabulary restricted to the requested system
@@ -531,7 +546,7 @@ class _Parser:
         if self.toks[i][0] != "end":
             raise self.fail(i, ("end of input",))
 
-    def mformula(self, i: int) -> tuple[MFormula, int, int, int]:
+    def mformula(self, i: int) -> tuple[MFormula, int]:
         # mformula := imp ("<->" imp)?   imp := disj ("->" disj)*
         # disj := conj ("|" conj)*        conj := unary ("&" unary)*
         # One turn of the loop reads one operand, then closes every level
@@ -539,62 +554,48 @@ class _Parser:
         # level.  "->" is folded from the right once its chain ends.
         toks = self.toks
         left = None  # the left side of "<->", once read
-        arrows: list[tuple[MFormula, int, int]] = []  # chain before "->"
+        arrows: list[MFormula] = []  # the chain before "->"
         d = c = None  # the open disjunction and conjunction
         while True:
             kind, word = toks[i]
             if kind == "ident":
-                a, h, n = Prop(word), 0, 1
+                a = Prop(word)
                 i += 1
             else:
-                a, h, n, i = self.unary(i)
+                a, i = self.unary(i)
             if c is not None:
-                ca, ch, cn = c
-                a, h, n = conj(ca, a), ch + 2 if ch > h else h + 3, cn + n + 5
-                if h > MAX_DEPTH or n > MAX_SIZE:
-                    raise self.capped(h, i)
+                a = self.capped(conj(c, a), i)
             kind = toks[i][0]
             if kind == "&":
-                c = a, h, n
+                c = a
                 i += 1
                 continue
             c = None
             if d is not None:
-                da, dh, dn = d
-                a, h, n = disj(da, a), dh + 2 if dh >= h else h + 1, dn + n + 3
-                if h > MAX_DEPTH or n > MAX_SIZE:
-                    raise self.capped(h, i)
+                a = self.capped(disj(d, a), i)
             if kind == "|":
-                d = a, h, n
+                d = a
                 i += 1
                 continue
             d = None
             if kind == "->":
                 if len(arrows) == MAX_DEPTH:  # each arrow nests one level
                     raise self.too_deep(i)
-                arrows.append((a, h, n))
+                arrows.append(a)
                 i += 1
                 continue
             if arrows:
                 while arrows:
-                    b, hb, nb = arrows.pop()
-                    a, h, n = Implies(b, a), (hb if hb > h else h) + 1, \
-                        nb + n + 1
-                if h > MAX_DEPTH or n > MAX_SIZE:
-                    raise self.capped(h, i)
+                    a = Implies(arrows.pop(), a)
+                a = self.capped(a, i)
             if left is not None:
-                b, hb, nb = left
-                a, h, n = iff(b, a), (hb if hb > h else h) + 4, \
-                    2 * (nb + n) + 7
-                if h > MAX_DEPTH or n > MAX_SIZE:
-                    raise self.capped(h, i)
-                return a, h, n, i
+                return self.capped(iff(left, a), i), i
             if kind != "<->":
-                return a, h, n, i
-            left = a, h, n
+                return a, i
+            left = a
             i += 1
 
-    def unary(self, i: int) -> tuple[MFormula, int, int, int]:
+    def unary(self, i: int) -> tuple[MFormula, int]:
         # prefix operators, then an atom: "bot", an identifier or
         # "(" mformula ")"
         toks = self.toks
@@ -608,43 +609,40 @@ class _Parser:
             kind, word = toks[i]
         ops = i
         if kind == "ident":
-            a, h, n = Prop(word), 0, 1
+            a = Prop(word)
             i += 1
         elif kind == "bot":
-            a, h, n = BOT, 0, 1
+            a = BOT
             i += 1
         elif kind == "(":
             if self.parens == MAX_DEPTH:
                 raise self.too_deep(i)
             key = self.key(i)
-            hit = None if key is None else self.memo.get(key)
-            if hit is not None:
-                a, h, n = hit
+            a = None if key is None else self.memo.get(key)
+            if a is not None:
                 i = self.groups[i][0] + 1
             else:
                 self.parens += 1
-                a, h, n, i = self.mformula(i + 1)
+                a, i = self.mformula(i + 1)
                 if toks[i][0] != ")":
                     raise self.fail(i, (")",))
                 self.parens -= 1
                 i += 1
                 if key is not None:
-                    self.memo[key] = a, h, n
+                    self.memo[key] = a
         else:
             raise self.fail(i, ("identifier", "bot", "("))
         if ops == start:
-            return a, h, n, i
+            return a, i
         for k in range(ops - 1, start - 1, -1):
             op = toks[k][0]
             if op == "~":
-                a, h, n = neg(a), h + 1, n + 2
+                a = neg(a)
             elif op in _REL_OF_BOX:
-                a, h, n = Box(_REL_OF_BOX[op], a), h + 1, n + 1
+                a = Box(_REL_OF_BOX[op], a)
             else:
-                a, h, n = diamond(_REL_OF_DIA[op], a), h + 3, n + 5
-        if h > MAX_DEPTH or n > MAX_SIZE:
-            raise self.capped(h, i)
-        return a, h, n, i
+                a = diamond(_REL_OF_DIA[op], a)
+        return self.capped(a, i), i
 
 
 def _groups(toks: list[tuple[str, str]]) -> dict[int, tuple[int, int]]:
@@ -669,7 +667,7 @@ def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
     A system restricts the vocabulary; None accepts both families.
     """
     p = _Parser(text, tokenize(text), system)
-    a, _, _, i = p.mformula(0)
+    a, i = p.mformula(0)
     p.end(i)
     return a
 
@@ -688,7 +686,7 @@ def parse_formula(text: str, system: Optional[System] = None,
         raise p.fail(0, ("identifier",))
     kind = toks[1][0]
     if kind == ":":
-        body, _, _, i = p.mformula(2)
+        body, i = p.mformula(2)
         p.end(i)
         return Labelled(label, body)
     if kind in _REL:
@@ -727,8 +725,9 @@ class Line:
                 memo: Optional[dict] = None) -> Formula:
         """The formula in text[at:end]; errors start with where % args.
 
-        memo, a dict that parse_script keeps for one script, holds the
-        parenthesised groups read so far; see the module docstring.
+        memo, a dict that parse_script keeps for one script, maps each
+        parenthesised group read so far to its node; see the module
+        docstring.
         """
         try:
             return parse_formula(self.text[at:end], system, memo)

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import re
 import shlex
@@ -10,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qrmodal import semantics
 from qrmodal.cli import main
@@ -366,6 +369,23 @@ def test_corpus_run_malformed_manifest(tmp_path, capsys, manifest):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("manifest", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"entries": [], "x": %s}' % ("9" * 5_000),
+], ids=["deep", "long-number"])
+def test_corpus_run_unreadable_json_is_a_usage_error(tmp_path, capsys,
+                                                      manifest):
+    # json.loads raises RecursionError and ValueError for these, not
+    # JSONDecodeError
+    (tmp_path / "manifest.json").write_text(manifest)
+    code = main(["corpus", "run", "--dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: %s is not valid JSON: "
+                                   % (tmp_path / "manifest.json"))
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("entry", [
     dict(THM1, expected="acepted", reason="wrong-system"),
     dict(THM1, expected="acepted"),
@@ -510,6 +530,35 @@ def test_non_ascii_step_id_is_a_parse_error(tmp_path, line):
     assert proc.stderr.startswith("error: 4:1:" if line[0] == "\u00b2"
                                   else "error: 4:34:")
     assert "Traceback" not in proc.stderr
+
+
+LONG_ID = "1" * 4_301
+
+
+@pytest.mark.parametrize("line, error", [
+    (LONG_ID + ". x : p -> p ; ImpI 1 discharge 1",
+     "4:1: step id has more than 4300 digits"),
+    ("2. x : p -> p ; ImpI 1 discharge " + LONG_ID,
+     "4:34: discharge id has more than 4300 digits"),
+    ("2. x : p -> p ; ImpI 1 , " + LONG_ID + " discharge 1",
+     "4:26: premise id has more than 4300 digits"),
+], ids=["step", "discharge", "premise"])
+def test_overlong_id_is_a_parse_error(tmp_path, capsys, line, error):
+    path = tmp_path / "ids.prf"
+    path.write_text("system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
+                    "%s\nqed\n" % line)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % error
+
+
+def test_the_longest_ids_are_read(tmp_path, capsys):
+    # 4,300 digits, leading zeros included, convert on every Python
+    path = tmp_path / "ids.prf"
+    path.write_text("system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
+                    "%s. x : p -> p ; ImpI %s discharge 1\nqed\n"
+                    % ("7" * 4_300, "0" * 4_299 + "1"))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "accepted\n"
 
 
 def test_blank_separated_ids_are_a_parse_error(tmp_path, capsys):
@@ -671,6 +720,108 @@ def test_comments_end_at_the_newline_only(tmp_path, capsys, char, argv,
         outputs.append((main(argv + [str(path)]), capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0 and outputs[0][1].err == ""
+
+
+# -- fuzz --------------------------------------------------------------------
+#
+# Mutated inputs of every kind, run in process: whatever the input, the
+# command line answers with an exit code and, for exit 2, an error line;
+# no exception escapes.  Long digit runs and deep nesting are drawn on
+# purpose, because a uniform mutation almost never makes either.
+
+LONG_DIGITS = "9" * 5_000
+NESTINGS = [("(" * 90, ")" * 90), ("(" * 150, ")" * 150), ("~" * 150, ""),
+            ("<>" * 40 + " ", ""), ("p <-> (" * 14, ")" * 14)]
+JSON_NESTINGS = [("[" * 1_200, "]" * 1_200), ('{"a": ' * 1_200, "}" * 1_200),
+                 ("[" * 50, "]" * 50)]
+FUZZ_PIECES = [" ", "\n", "\t", "\r", "\xa0", ",", ".", ";", ":", "#", "(",
+               ")", "[", "]", "{", "}", '"', "~", "->", "<->", "&", "|",
+               "[M]", "<P>", "U", "M", "P", "bot", "p", "x", "0", "-1", "1.",
+               "hyp", "ImpI", "BoxI", "discharge", "fresh", "qed",
+               "system MSPQR", "worlds", "val", "interp", "\xff", "\u0661",
+               LONG_DIGITS]
+
+
+@st.composite
+def _fuzzed(draw, text, nestings=NESTINGS):
+    # text with, each maybe, one number made very long, the text or one
+    # word nested deep, pieces inserted and a slice deleted
+    runs = [m.span() for m in re.finditer(r"\b[0-9]+\b", text)]
+    if runs and draw(st.booleans()):
+        i, j = draw(st.sampled_from(runs))
+        text = text[:i] + LONG_DIGITS + text[j:]
+    if draw(st.booleans()):
+        i, j = draw(st.one_of(st.just((0, len(text))), st.sampled_from(
+            [m.span() for m in re.finditer(r"\w+", text)])))
+        before, after = draw(st.sampled_from(nestings))
+        text = text[:i] + before + text[i:j] + after + text[j:]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(FUZZ_PIECES)) + text[i:]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + text[draw(st.integers(i, min(len(text), i + 3))):]
+    return text
+
+
+FUZZ_SCRIPTS = [(CORPUS / path).read_text() for path in (
+    "msqr/thm1.prf", "msqr/thm4.prf", "msqr/conj_intro.prf",
+    "mspqr/thm3.prf")]
+FUZZ_FORMULAS = ["x : [M] r0 -> r0", "x : r0 <-> ~(r1 & [] r0)", "x U y"]
+FUZZ_BOUNDS = ["1", "2", "0", "99", LONG_DIGITS, "x"]
+
+
+@st.composite
+def _invocations(draw):
+    # (argv, the text of its one input file); in argv, {f} stands for
+    # that file and {d} for its directory
+    kind = draw(st.sampled_from(["check", "eval", "countermodel", "frame",
+                                 "corpus"]))
+    if kind == "check":
+        argv = ["check", "{f}"] + draw(st.sampled_from(
+            [[], ["--reasons"], ["--system", "mspqr"]]))
+        return argv, draw(_fuzzed(draw(st.sampled_from(FUZZ_SCRIPTS))))
+    if kind in ("eval", "frame"):
+        text = draw(_fuzzed(MODEL))
+        if kind == "frame":
+            return ["frame", "validate", "{f}"], text
+        formula = draw(_fuzzed(draw(st.sampled_from(FUZZ_FORMULAS))))
+        world = draw(st.sampled_from([[], ["--world", "v"]]))
+        return ["eval", "{f}", formula] + world, text
+    if kind == "countermodel":
+        formula = draw(_fuzzed(draw(st.sampled_from(FUZZ_FORMULAS))))
+        return (["countermodel", formula, "--assumptions", "{f}",
+                 "--max-worlds", draw(st.sampled_from(FUZZ_BOUNDS))],
+                draw(_fuzzed("x : r0 -> r1\nx M y\n")))
+    manifest = json.dumps({"entries": [THM1], "version": 1})
+    return (["corpus", "run", "--dir", "{d}", "--max-worlds", "1"],
+            draw(_fuzzed(manifest, JSON_NESTINGS)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    shutil.copy(CORPUS / "msqr" / "thm1.prf", path / "thm1.prf")
+    return path
+
+
+@given(_invocations())
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+def test_no_input_escapes_the_exit_codes(fuzz_dir, invocation):
+    argv, text = invocation
+    name = "manifest.json" if argv[0] == "corpus" else "input.txt"
+    (fuzz_dir / name).write_text(text)
+    argv = [a.replace("{f}", str(fuzz_dir / name))
+            .replace("{d}", str(fuzz_dir)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert any(line.startswith("error:") or ": error:" in line
+                   for line in err.getvalue().splitlines())
 
 
 # -- the README's examples ---------------------------------------------------

@@ -9,9 +9,9 @@ from typing import NamedTuple, Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrmodal import syntax
+from qrmodal import kernel, syntax
 from qrmodal.kernel import Diagnostic, check, parse_script
-from qrmodal.script import ALL_RULES, ProofScript, ProofStep
+from qrmodal.script import ALL_RULES, DERIVED, ProofScript, ProofStep
 from qrmodal.search import Found, NotFoundWithin
 from qrmodal.semantics import (
     Frame, FrameViolation, Model, Structure, holds, parse_structure,
@@ -1050,6 +1050,76 @@ def test_relation_masks_match_the_walk(text):
                     if node.rels & syntax.REL_BIT[rel]} == rels_walk(node)
     for system in System:
         assert well_formed(f, system) == (rels_walk(f) <= legal_rels(system))
+
+
+# -- node heights and sizes -------------------------------------------------
+
+def assert_fields_match_the_oracles(phi):
+    """Every node of phi carries the height and size that the recursive
+    oracles give, and so does each copy of phi."""
+    hmemo, smemo, seen, todo = {}, {}, set(), [phi]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            assert (node.height, node.size) == (height(node, hmemo),
+                                                size(node, smemo))
+            todo += (node.left, node.right) if isinstance(node, Implies) \
+                else (node.body,) if isinstance(node, Box) else ()
+    for twin in (copy.copy(phi), copy.deepcopy(phi),
+                 pickle.loads(pickle.dumps(phi))):
+        assert (twin.height, twin.size) == (height(twin), size(twin)) \
+            == (phi.height, phi.size)
+
+
+def _sugared_nodes():
+    # m-formulas built by the sugar functions, sharing subtrees
+    return st.recursive(_mformulas(2), lambda sub: st.one_of(
+        st.builds(neg, sub), st.builds(conj, sub, sub),
+        st.builds(disj, sub, sub), st.builds(iff, sub, sub),
+        st.builds(diamond, _rels, sub), sub.map(lambda a: Implies(a, a)),
+        st.builds(Box, _rels, sub)), max_leaves=16)
+
+
+@given(_sugared_nodes())
+def test_nodes_carry_their_height_and_size(phi):
+    assert_fields_match_the_oracles(phi)
+
+
+@given(_bracketed())
+@settings(max_examples=300)
+def test_parsed_nodes_carry_their_height_and_size(text):
+    # a script stating the formula twice, so its groups share nodes
+    try:
+        script = parse_script("system MSQR\ntheorem t : x : %s\n"
+                              "1. x : %s ; hyp\nqed\n" % (text, text))
+    except ParseError as e:  # nested "<->" can pass the node cap
+        assert e.reason == "too-large"
+        return
+    assert_fields_match_the_oracles(script.statement.body)
+
+
+def test_corpus_and_expansion_nodes_carry_their_height_and_size(
+        monkeypatch):
+    built, rules = [], set()
+    expand = kernel.expand_derived
+
+    def recording_expand(step, *args):
+        steps = expand(step, *args)
+        rules.add(step.rule)
+        built.extend(s.formula for s in steps)
+        return steps
+
+    monkeypatch.setattr(kernel, "expand_derived", recording_expand)
+    formulas = []
+    for text in CORPUS_TEXTS:
+        script = parse_script(text)
+        formulas += [script.statement] + [s.formula for s in script.steps]
+        check(script)
+    assert rules == DERIVED
+    for f in formulas + built:
+        if isinstance(f, Labelled):
+            assert_fields_match_the_oracles(f.body)
 
 
 def agree_or_too_large(new, old):
