@@ -36,7 +36,7 @@ def _read(path: str | Path) -> str:
             return f.read()
     except OSError as e:
         raise _Usage("cannot read %s: %s" % (path, e.strerror or e))
-    except UnicodeDecodeError as e:
+    except ValueError as e:  # UnicodeDecodeError, or a NUL in the path
         raise _Usage("cannot read %s: %s" % (path, e))
 
 

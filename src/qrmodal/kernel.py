@@ -121,18 +121,16 @@ class Diagnostic(Record):
         return "step %d: %s: %s" % (self.step, self.reason, self.message)
 
 
-class CheckReport:
-    __slots__ = ("open_assumptions", "diagnostics", "deps", "hyp_formulas")
+class CheckReport(Record):
+    __slots__ = ()
 
-    def __init__(self, open_assumptions: frozenset[Formula],
-                 diagnostics: tuple[Diagnostic, ...], deps: dict[int, int],
-                 hyp_formulas: list[Formula]):
-        self.open_assumptions = open_assumptions
-        self.diagnostics = diagnostics
-        # the run's open hypotheses per step id, as bitsets over
+    def __new__(cls, open_assumptions: frozenset[Formula],
+                diagnostics: tuple[Diagnostic, ...], deps: dict[int, int],
+                hyp_formulas: list[Formula]):
+        # deps: the run's open hypotheses per step id, as bitsets over
         # hyp_formulas
-        self.deps = deps
-        self.hyp_formulas = hyp_formulas
+        return tuple.__new__(cls, (cls, open_assumptions, diagnostics, deps,
+                                   hyp_formulas))
 
     @property
     def accepted(self) -> bool:

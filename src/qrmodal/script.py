@@ -13,7 +13,8 @@ A script file::
 Justifications are ``hyp`` or ``Rule p1,p2 [discharge h1,h2] [fresh y]``;
 the optional ``fresh`` names the fresh label of BoxI/Mser/Class and is
 checked against the inferred one.  Ids are ASCII decimal numbers of
-at most ``MAX_ID_DIGITS`` digits, and the ids of a list are separated
+at most as many digits as int() converts: the interpreter's limit, or
+``MAX_ID_DIGITS`` where it has none.  The ids of a list are separated
 by commas, with or without blanks beside them.  The final step must
 restate the theorem.  Lines are read by ``syntax.read_lines``, as
 model and assumption files are.  A step-line error points at the field
@@ -34,6 +35,7 @@ memo lives for that call only.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Iterator, Optional
 
 from . import syntax
@@ -135,10 +137,18 @@ _STEP = re.compile(rf"""
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 _FIELD = re.compile(rf"{_F}+")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
-# The most digits an id may have, leading zeros included: the most that
-# int() converts under the default limit of Python 3.11 and later.  The
-# cap makes Python 3.10, which has no limit, refuse the same ids.
+# The most digits an id may have, leading zeros included, is the most
+# that int() converts: the interpreter's limit, 4,300 by default since
+# Python 3.11 and never set below _MIN_ID_CAP.  Where there is no limit
+# (Python 3.10, or a limit of 0) it is MAX_ID_DIGITS, so such an
+# interpreter refuses the same ids as a default one.
 MAX_ID_DIGITS = 4300
+_MIN_ID_CAP = 640
+
+
+def _id_cap() -> int:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or MAX_ID_DIGITS
 
 
 def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:
@@ -160,8 +170,8 @@ def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:
         raise err("expected '<id>. <formula> ; <justification>'")
     head, _, rule, premises, discharge, discharges, fresh_kw, fresh, \
         junk = m.groups()
-    if len(head) > MAX_ID_DIGITS:
-        raise err("step id has more than %d digits" % MAX_ID_DIGITS)
+    if len(head) > _MIN_ID_CAP and len(head) > (cap := _id_cap()):
+        raise err("step id has more than %d digits" % cap)
     sid = int(head)
     if sid <= 0:
         raise err("step ids are positive")
@@ -205,11 +215,11 @@ def _ids(m: re.Match, group: int, what: str, err) -> tuple[int, ...]:
             bad, at = next((piece, at) for piece, at in _pieces(fields)
                            if not (piece.isascii() and piece.isdigit()))
             raise err("bad %s id %r" % (what, bad), at=m.start(group) + at)
-    if len(ids) > MAX_ID_DIGITS:
+    if len(ids) > _MIN_ID_CAP and len(ids) > (cap := _id_cap()):
         for piece, at in _pieces(fields):
-            if len(piece) > MAX_ID_DIGITS:
-                raise err("%s id has more than %d digits"
-                          % (what, MAX_ID_DIGITS), at=m.start(group) + at)
+            if len(piece) > cap:
+                raise err("%s id has more than %d digits" % (what, cap),
+                          at=m.start(group) + at)
     return tuple(map(int, ids.split(",")))
 
 

@@ -65,19 +65,20 @@ class BoundTooLarge(SearchError):
     code = "bound-too-large"
 
 
-class SearchBudget:
-    """max_worlds: largest frame size tried, 1 to MAX_ENUM_SIZE; any
-    other bound is refused here, before any search."""
+class SearchBudget(Record):
+    """max_worlds: the largest frame size a search tries, 1 to
+    MAX_ENUM_SIZE.  Any other bound is refused here, before any search,
+    and a budget is immutable, so no later assignment can pass the cap."""
 
-    __slots__ = ("max_worlds",)
+    __slots__ = ()
 
-    def __init__(self, max_worlds: int = 3):
+    def __new__(cls, max_worlds: int = 3):
         if max_worlds < 1:
             raise SearchError("the world bound must be at least 1")
         if max_worlds > MAX_ENUM_SIZE:
             raise BoundTooLarge("search is capped at %d worlds"
                                 % MAX_ENUM_SIZE)
-        self.max_worlds = max_worlds
+        return tuple.__new__(cls, (cls, max_worlds))
 
 
 class Found(Record):
@@ -187,7 +188,7 @@ def _class_key(frame: Frame) -> tuple[tuple[int, int], ...]:
     # Meas lies within U, so a renaming of worlds maps U-blocks onto
     # U-blocks: a class is the multiset of its blocks' one-block classes
     key = []
-    for block in set(frame.succ[Rel.U]):
+    for block in set(frame.rows(Rel.U)):
         k = len(block)
         at = {w: i for i, w in enumerate(block)}
         mask = sum(1 << (at[v] * k + at[w]) for v, w in frame.meas

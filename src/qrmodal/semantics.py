@@ -49,10 +49,10 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    MEASUREMENT, REL_BIT, Bottom, Box, Formula, Implies, InputError, Labelled,
-    Line, MFormula, ParseError, Prop, Record, Rel, System, is_identifier,
-    labels_in, legal_rels, print_formula, read_lines, split_fields,
-    well_formed,
+    _ITEM, MEASUREMENT, REL_BIT, Bottom, Box, Formula, Implies, InputError,
+    Labelled, Line, MFormula, ParseError, Prop, Record, Rel, System,
+    is_identifier, labels_in, legal_rels, print_formula, read_lines,
+    split_fields, well_formed,
 )
 
 
@@ -86,51 +86,50 @@ class InvalidFrame(SemanticsError):
 Pair = tuple[int, int]
 
 
-class Frame:
-    """Immutable frame; worlds are 0..size-1 with display names."""
+class Frame(Record):
+    """A frame on worlds 0..size-1 named by names (w0, w1, ... by
+    default), with the pairs u of U and meas of the system's measurement
+    relation.  Frames are immutable, so the search hands out those it
+    caches, and their equality includes world names.  Each relation's
+    successor rows are computed once, as hidden elements read by rows.
+    """
 
-    def __init__(self, system: System, size: int, u: Iterable[Pair],
-                 meas: Iterable[Pair], names: Optional[Sequence[str]] = None):
+    __slots__ = ()
+    _u_rows, _meas_rows = _ITEM[6:8]
+
+    def __new__(cls, system: System, size: int, u: Iterable[Pair],
+                meas: Iterable[Pair], names: Optional[Sequence[str]] = None):
         if size < 1:
             raise ValueError("a frame needs at least one world")
-        self.system = system
-        self.size = size
-        self.u = frozenset(u)
-        self.meas = frozenset(meas)
-        for (v, w) in self.u | self.meas:
+        u, meas = frozenset(u), frozenset(meas)
+        for (v, w) in u | meas:
             if not (0 <= v < size and 0 <= w < size):
                 raise ValueError("relation pair (%d, %d) out of range" % (v, w))
-        if names is None:
-            names = tuple("w%d" % i for i in range(size))
-        else:
-            names = tuple(names)
-            if len(names) != size or len(set(names)) != size:
-                raise ValueError("need %d distinct world names" % size)
-        self.names = names
-        self.succ = {
-            Rel.U: _rows(size, self.u),
-            MEASUREMENT[system]: _rows(size, self.meas),
-        }
+        names = tuple(("w%d" % i for i in range(size)) if names is None
+                      else names)
+        if len(names) != size or len(set(names)) != size:
+            raise ValueError("need %d distinct world names" % size)
+        return tuple.__new__(cls, (cls, system, size, u, meas, names,
+                                   _rows(size, u), _rows(size, meas)))
 
     def pairs(self, rel: Rel) -> frozenset[Pair]:
         if rel is Rel.U:
             return self.u
-        if rel not in self.succ:
-            raise WrongSystem("relation %s is not part of %s"
-                              % (rel.value, self.system.value))
-        return self.meas
+        if rel is MEASUREMENT[self.system]:
+            return self.meas
+        raise self._foreign(rel)
 
-    def __eq__(self, other):
-        return (isinstance(other, Frame) and self.system == other.system
-                and self.size == other.size and self.u == other.u
-                and self.meas == other.meas)
+    def rows(self, rel: Rel) -> tuple[tuple[int, ...], ...]:
+        """Per world, its successors along rel in increasing order."""
+        if rel is Rel.U:
+            return self._u_rows
+        if rel is MEASUREMENT[self.system]:
+            return self._meas_rows
+        raise self._foreign(rel)
 
-    def __hash__(self):
-        return hash((self.system, self.size, self.u, self.meas))
-
-    def __repr__(self):
-        return "Frame(%s, %d, u=%s, meas=%s)" % (
-            self.system.value, self.size, sorted(self.u), sorted(self.meas))
+    def _foreign(self, rel: Rel) -> WrongSystem:
+        return WrongSystem("relation %s is not part of %s"
+                           % (rel.value, self.system.value))
 
 
 def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
@@ -194,47 +193,38 @@ def validate_frame(frame: Frame) -> list[FrameViolation]:
     return out
 
 
-class Model:
-    """A frame plus a valuation (set of true propositions per world)."""
+class Model(Record):
+    """A frame plus a valuation: per world, the set of its true
+    propositions.  valuation maps worlds to propositions, a world left
+    out having none, or is the field's own tuple of one frozenset per
+    world."""
 
-    def __init__(self, frame: Frame, valuation: Mapping[int, Iterable[str]]):
-        self.frame = frame
+    __slots__ = ()
+
+    def __new__(cls, frame: Frame,
+                valuation: Mapping[int, Iterable[str]]
+                | tuple[frozenset[str], ...]):
         val = [frozenset()] * frame.size
-        for w, props in valuation.items():
+        for w, props in (enumerate(valuation) if isinstance(valuation, tuple)
+                         else valuation.items()):
             if not (0 <= w < frame.size):
                 raise UnknownWorld("world %r out of range" % (w,))
             val[w] = frozenset(props)
-        self.valuation = tuple(val)
-
-    def __eq__(self, other):
-        return (isinstance(other, Model) and self.frame == other.frame
-                and self.valuation == other.valuation)
-
-    def __hash__(self):
-        return hash((self.frame, self.valuation))
-
-    def __repr__(self):
-        return "Model(%r, %s)" % (self.frame,
-                                  [sorted(s) for s in self.valuation])
+        return tuple.__new__(cls, (cls, frame, tuple(val)))
 
 
-class Structure:
-    """A model plus an interpretation of labels as worlds."""
+class Structure(Record):
+    """A model plus an interpretation of labels as worlds; the
+    interpretation is a dict, so a structure is not hashable."""
 
-    def __init__(self, model: Model, interp: Mapping[str, int]):
-        self.model = model
+    __slots__ = ()
+
+    def __new__(cls, model: Model, interp: Mapping[str, int]):
         for lab, w in interp.items():
             if not (0 <= w < model.frame.size):
                 raise UnknownWorld("label %s bound to world %r out of range"
                                    % (lab, w))
-        self.interp = dict(interp)
-
-    def __eq__(self, other):
-        return (isinstance(other, Structure) and self.model == other.model
-                and self.interp == other.interp)
-
-    def __repr__(self):
-        return "Structure(%r, %r)" % (self.model, self.interp)
+        return tuple.__new__(cls, (cls, model, dict(interp)))
 
 
 def compile_formulas(
@@ -298,7 +288,7 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
             body = sat[node[2]]
             seen: dict[tuple[int, ...], int] = {}
             col = []
-            for row in frame.succ[node[1]]:
+            for row in frame.rows(node[1]):
                 got = seen.get(row)
                 if got is None:
                     got = full

@@ -118,8 +118,8 @@ def legal_rels(system: System) -> frozenset[Rel]:
 
 
 # The field descriptors of one namedtuple: _ITEM[i] reads item i of any
-# tuple, in C, and refuses assignment.  Records read their fields and
-# the relation mask through these.
+# tuple, in C, and refuses assignment.  Records read their fields, and
+# the hidden elements that formula nodes and frames carry, through these.
 _Items = collections.namedtuple("_Items", ["i%d" % i for i in range(8)])
 _ITEM = tuple(getattr(_Items, name) for name in _Items._fields)
 

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import os
 import re
 import shlex
 import shutil
@@ -14,11 +15,12 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qrmodal import semantics
+from qrmodal import search, semantics, syntax
 from qrmodal.cli import main
+from qrmodal.script import MAX_ID_DIGITS
 from qrmodal.search import Found
 from qrmodal.semantics import parse_structure
-from qrmodal.syntax import parse_formula
+from qrmodal.syntax import System, parse_formula
 
 CORPUS = Path(str(resources.files("qrmodal") / "corpus"))
 
@@ -481,6 +483,20 @@ def test_corpus_run_non_utf8_entry_file(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "a\0b"],
+    ["eval", "a\0b", "x : r0"],
+    ["frame", "validate", "a\0b"],
+    ["countermodel", "x : r0", "--assumptions", "a\0b"],
+], ids=["check", "eval-model", "frame-validate", "countermodel-assumptions"])
+def test_path_with_a_nul_is_a_read_error(capsys, command):
+    # only a library caller can pass one: argv cannot hold a NUL
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read a\0b: embedded null byte\n"
+    assert captured.out == ""
+
+
 DEEP = {
     "~": "~" * 10_000 + " p",
     "(": "(" * 10_000 + "p" + ")" * 10_000,
@@ -532,23 +548,49 @@ def test_non_ascii_step_id_is_a_parse_error(tmp_path, line):
     assert "Traceback" not in proc.stderr
 
 
-LONG_ID = "1" * 4_301
+def _overlong_ids(digits: int, cap: int) -> list[tuple[str, str]]:
+    """A fourth script line with a step, discharge or premise id of this
+    many digits, and the error that a cap of cap digits gives."""
+    long_id = "1" * digits
+    return [
+        (long_id + ". x : p -> p ; ImpI 1 discharge 1",
+         "4:1: step id has more than %d digits" % cap),
+        ("2. x : p -> p ; ImpI 1 discharge " + long_id,
+         "4:34: discharge id has more than %d digits" % cap),
+        ("2. x : p -> p ; ImpI 1 , " + long_id + " discharge 1",
+         "4:26: premise id has more than %d digits" % cap),
+    ]
 
 
-@pytest.mark.parametrize("line, error", [
-    (LONG_ID + ". x : p -> p ; ImpI 1 discharge 1",
-     "4:1: step id has more than 4300 digits"),
-    ("2. x : p -> p ; ImpI 1 discharge " + LONG_ID,
-     "4:34: discharge id has more than 4300 digits"),
-    ("2. x : p -> p ; ImpI 1 , " + LONG_ID + " discharge 1",
-     "4:26: premise id has more than 4300 digits"),
-], ids=["step", "discharge", "premise"])
-def test_overlong_id_is_a_parse_error(tmp_path, capsys, line, error):
+def _ids_script(tmp_path, line: str) -> Path:
     path = tmp_path / "ids.prf"
     path.write_text("system MSQR\ntheorem t : x : p -> p\n1. x : p ; hyp\n"
                     "%s\nqed\n" % line)
-    assert main(["check", str(path)]) == 2
+    return path
+
+
+@pytest.mark.parametrize("line, error", _overlong_ids(4_301, 4300),
+                         ids=["step", "discharge", "premise"])
+def test_overlong_id_is_a_parse_error(tmp_path, capsys, line, error):
+    assert main(["check", str(_ids_script(tmp_path, line))]) == 2
     assert capsys.readouterr().err == "error: %s\n" % error
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int() digit limit")
+@pytest.mark.parametrize("line, error", _overlong_ids(1_000, 640),
+                         ids=["step", "discharge", "premise"])
+def test_ids_past_a_lowered_int_limit_are_a_parse_error(tmp_path, line,
+                                                        error):
+    # the lowest limit an interpreter accepts, where int() would refuse
+    # the id with a ValueError
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrmodal.cli", "check",
+         str(_ids_script(tmp_path, line))],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: %s\n" % error
 
 
 def test_the_longest_ids_are_read(tmp_path, capsys):
@@ -894,13 +936,31 @@ def test_readme_library_use(tmp_path, monkeypatch, capsys):
     assert isinstance(scope["result"], Found)
 
 
-def test_readme_states_the_kernel_line_count():
-    # the README tells an auditor how much the trusted kernel holds
-    (stated,) = re.findall(r"`kernel\.py`, ([\d,]+) lines",
-                           (REPO / "README.md").read_text())
+def test_readme_states_the_numbers_of_the_code():
+    # how much the trusted kernel holds, which an auditor reads, and the
+    # caps and counts the README states, each where it states them
+    readme = (REPO / "README.md").read_text()
+
+    def stated(pattern):
+        # the numbers each match of pattern groups, a blank in pattern
+        # matching any run of blanks and line ends
+        return [tuple(int(n.replace(",", "")) for n in m.groups())
+                for m in re.finditer(pattern.replace(" ", r"\s+"), readme)]
+
     kernel_py = REPO / "src" / "qrmodal" / "kernel.py"
-    assert int(stated.replace(",", "")) == len(
-        kernel_py.read_text().splitlines())
+    assert stated(r"`kernel\.py`, ([\d,]+) lines") == [
+        (len(kernel_py.read_text().splitlines()),)]
+    assert stated(r"MAX_DEPTH` \(([\d,]+)") == [(syntax.MAX_DEPTH,)] * 2
+    assert stated(r"MAX_SIZE` (?:nodes )?\(([\d,]+)") == \
+        [(syntax.MAX_SIZE,)] * 2
+    assert stated(r"capped at ([\d,]+)") == [(search.MAX_ENUM_SIZE,)] * 2
+    assert stated(r"more than ([\d,]+) of them") == [(MAX_ID_DIGITS,)]
+    counts = ()
+    for system in (System.MSQR, System.MSPQR):
+        counts += (len(search._classes(system, 4)),
+                   len(list(search.enumerate_frames(system, 4))))
+    assert stated(r"At 4 worlds that is ([\d,]+) of ([\d,]+) MSQR frames "
+                  r"and ([\d,]+) of ([\d,]+) MSpQR frames") == [counts]
 
 
 # -- names the benchmark calls -----------------------------------------------

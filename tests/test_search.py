@@ -17,7 +17,8 @@ from qrmodal.search import (
     random_valid_frame,
 )
 from qrmodal.semantics import (
-    Frame, Model, Structure, WrongSystem, holds, validate_frame,
+    Frame, Model, Structure, WrongSystem, holds, print_structure,
+    validate_frame,
 )
 from qrmodal.syntax import (
     Box, Implies, Labelled, Prop, System, labels_in, parse_formula,
@@ -303,6 +304,43 @@ def test_labels_beyond_bound_are_reported():
     assert result.labels_exceed_bound is True
     bigger = find_countermodel(System.MSQR, gamma, alpha, SearchBudget(max_worlds=3))
     assert isinstance(bigger, Found)
+
+
+README_COUNTERMODEL = """\
+system MSQR
+worlds w0 w1
+U w0 w0
+U w0 w1
+U w1 w0
+U w1 w1
+M w0 w0
+M w1 w0
+val w1: r0
+interp x = w1
+"""
+
+
+def test_values_the_search_hands_out_refuse_assignment():
+    # enumerate_frames and random_valid_frame hand out the frames the
+    # search caches, so an assignment that went through would change
+    # every later search, and one to a budget would pass its cap
+    alpha = parse_formula("x : r0 -> [M] r0")
+    theorem = parse_formula("x : [] r0 -> r0")
+    budget = SearchBudget(max_worlds=2)
+    found = find_countermodel(System.MSQR, [], alpha, budget)
+    frames = list(enumerate_frames(System.MSQR, 2))
+    frames += [random_valid_frame(System.MSQR, 2, seed) for seed in range(4)]
+    targets = [(frame, "meas", frozenset()) for frame in frames]
+    targets += [(budget, "max_worlds", 5),
+                (found.structure.model, "valuation", ())]
+    for value, field, new in targets:
+        with pytest.raises(AttributeError):
+            setattr(value, field, new)
+    assert print_structure(find_countermodel(
+        System.MSQR, [], alpha, budget).structure) == README_COUNTERMODEL
+    assert find_countermodel(System.MSQR, [], theorem, budget) == \
+        NotFoundWithin(2, sum(len(list(enumerate_frames(System.MSQR, n)))
+                              for n in (1, 2)))
 
 
 def test_search_deterministic():

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrmodal import kernel, syntax
-from qrmodal.kernel import Diagnostic, check, parse_script
+from qrmodal.kernel import CheckReport, Diagnostic, check, parse_script
 from qrmodal.script import ALL_RULES, DERIVED, ProofScript, ProofStep
-from qrmodal.search import Found, NotFoundWithin
+from qrmodal.search import Found, NotFoundWithin, SearchBudget
 from qrmodal.semantics import (
     Frame, FrameViolation, Model, Structure, holds, parse_structure,
 )
@@ -435,14 +435,16 @@ def _values():
     """One value of every value class."""
     f = parse_formula("x : [] r0 -> ~(r1 & bot)")
     step = ProofStep(1, f, "hyp")
+    script = ProofScript(System.MSQR, "t", f, (step,))
     frame = Frame(System.MSQR, 1, [(0, 0)], [(0, 0)])
+    model = Model(frame, {0: ["r0"]})
+    structure = Structure(model, {"x": 0})
     return [
         BOT, Prop("r0"), f.body, f.body.left, f, parse_formula("x U y"),
-        step, ProofScript(System.MSQR, "t", f, (step,)),
+        step, script, check(script),
         Diagnostic(1, "wrong-arity", "hyp takes no premises or annotations"),
-        FrameViolation("not-serial", (0,)),
-        Found(Structure(Model(frame, {0: ["r0"]}), {"x": 0})),
-        NotFoundWithin(3, 28),
+        frame, FrameViolation("not-serial", (0,)), model, structure,
+        Found(structure), NotFoundWithin(3, 28), SearchBudget(3),
     ]
 
 
@@ -504,7 +506,8 @@ def test_values_copy_and_pickle():
                      pickle.loads(pickle.dumps(value))):
             assert twin == value and type(twin) is type(value)
             assert repr(twin) == repr(value)
-            if not isinstance(value, Found):  # a Structure is unhashable
+            # a structure's interpretation and a report's deps are dicts
+            if not isinstance(value, (Found, Structure, CheckReport)):
                 assert hash(twin) == hash(value)
 
 
