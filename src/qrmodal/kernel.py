@@ -67,7 +67,7 @@ example and perfbench call it as kernel.parse_script.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 from .derived import ExpansionError, expand_derived
 from .script import (
@@ -125,12 +125,11 @@ class CheckReport(Record):
     __slots__ = ()
 
     def __new__(cls, open_assumptions: frozenset[Formula],
-                diagnostics: tuple[Diagnostic, ...], deps: dict[int, int],
-                hyp_formulas: list[Formula]):
-        # deps: the run's open hypotheses per step id, as bitsets over
-        # hyp_formulas
-        return tuple.__new__(cls, (cls, open_assumptions, diagnostics, deps,
-                                   hyp_formulas))
+                diagnostics: tuple[Diagnostic, ...], step_ids: tuple[int, ...],
+                deps: tuple[int, ...], hyp_formulas: tuple[Formula, ...]):
+        # deps[k]: step_ids[k]'s open hypotheses, a bitset over hyp_formulas
+        return tuple.__new__(cls, (cls, open_assumptions, diagnostics,
+                                   step_ids, deps, hyp_formulas))
 
     @property
     def accepted(self) -> bool:
@@ -138,9 +137,10 @@ class CheckReport(Record):
 
     def open_at(self, step_id: int) -> frozenset[Formula]:
         """Hypothesis formulas a step of the checked script depends on."""
-        if step_id not in self.deps:
+        if step_id not in self.step_ids:
             raise KernelError(UNKNOWN_PREMISE, "no step with id %d" % step_id)
-        return _formulas_of(self.hyp_formulas, self.deps[step_id])
+        return _formulas_of(self.hyp_formulas,
+                            self.deps[self.step_ids.index(step_id)])
 
 
 class KernelError(Exception):
@@ -171,8 +171,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _formulas_of(hyp_formulas: list[Formula], mask: int) -> frozenset[Formula]:
-    return frozenset(hyp_formulas[i] for i in _bits(mask))
+def _formulas_of(hyps: Sequence[Formula], mask: int) -> frozenset[Formula]:
+    return frozenset(hyps[i] for i in _bits(mask))
 
 
 class _State:
@@ -216,8 +216,8 @@ class _State:
                 self.diag(final, UNDISCHARGED_AT_THEOREM,
                           "open assumptions remain: %s"
                           % ", ".join(sorted(map(print_formula, open_))))
-        return CheckReport(open_, tuple(self.diags), self.deps,
-                           self.hyp_formulas)
+        return CheckReport(open_, tuple(self.diags), tuple(self.deps),
+                           tuple(self.deps.values()), tuple(self.hyp_formulas))
 
 
 def _run(script: ProofScript, system: Optional[System]) -> _State:

@@ -135,7 +135,6 @@ _STEP = re.compile(rf"""
         {_B}* ({_F}*)                     # the first field left over
     )?""", re.VERBOSE)
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
-_FIELD = re.compile(rf"{_F}+")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
 # The most digits an id may have, leading zeros included, is the most
 # that int() converts: the interpreter's limit, 4,300 by default since
@@ -230,7 +229,7 @@ def _pieces(text: str) -> Iterator[tuple[str, int]]:
     start = 0
     for part in text.split(","):
         pieces = [(f.group(), start + f.start())
-                  for f in _FIELD.finditer(part)]
+                  for f in syntax._FIELD.finditer(part)]
         yield from pieces or [("", start + len(part))]
         start += len(part) + 1
 

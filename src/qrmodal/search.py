@@ -22,14 +22,14 @@ all worlds, so a class fails exactly when its first frame in
 enumeration order does, and that frame comes before every other member
 of its class.  The first failing frame is therefore the one the
 labelled order would reach first.  Nor does the search visit the
-structures one by one: per frame it computes the truth set of every
-subformula for a chunk of valuations at once (see
-semantics.truth_sets), ANDs the gamma columns and masks out alpha for
-each interpretation, and takes the lowest failing valuation, then the
-first interpretation failing under it.  Otherwise the search reports how
-many frames it checked, counting every labelled frame of each class it
-evaluated.  A no-countermodel answer is relative to the bound and is
-never a theoremhood claim.
+structures one by one, or read a formula: semantics.compile_queries
+compiles the query once; per frame and chunk of valuations, truth_sets
+gives each subformula's truth and satisfying the valuations where an
+interpretation makes gamma hold and alpha fail; the lowest such
+valuation wins, then the first interpretation failing under it.
+Otherwise the search reports how many frames it checked, counting every
+labelled frame of each class it evaluated.  A no-countermodel answer is
+relative to the bound and is never a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
 search exhaustive within sane time, and bounds below 1 with SearchError;
@@ -44,12 +44,9 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import semantics
-from .syntax import (
-    Formula, InputError, Labelled, Prop, Record, Rel, System, labels_in,
-    well_formed,
-)
+from .syntax import Formula, InputError, Record, Rel, System
 from .semantics import (
-    Frame, Model, Pair, Structure, WrongSystem, compile_formulas, truth_sets,
+    Frame, Model, Pair, Structure, compile_queries, satisfying, truth_sets,
 )
 
 MAX_ENUM_SIZE = 4
@@ -207,13 +204,17 @@ def _block_class(k: int, mask: int) -> int:
                for p in itertools.permutations(range(k)))
 
 
-def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
-    """All valid frames on worlds {0..size-1}, each exactly once."""
+def _enumerable(name: str, size: int) -> None:
     if size < 1:
-        raise ValueError("size must be at least 1")
+        raise ValueError("%s must be at least 1" % name)
     if size > MAX_ENUM_SIZE:
         raise BoundTooLarge("enumeration is capped at %d worlds"
                             % MAX_ENUM_SIZE)
+
+
+def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
+    """All valid frames on worlds {0..size-1}, each exactly once."""
+    _enumerable("size", size)
     return iter(_frames(system, size))
 
 
@@ -225,11 +226,7 @@ def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
     max_worlds worlds can be drawn.  Bounds above MAX_ENUM_SIZE raise
     BoundTooLarge, as enumerate_frames does.
     """
-    if max_worlds < 1:
-        raise ValueError("max_worlds must be at least 1")
-    if max_worlds > MAX_ENUM_SIZE:
-        raise BoundTooLarge("enumeration is capped at %d worlds"
-                            % MAX_ENUM_SIZE)
+    _enumerable("max_worlds", max_worlds)
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     return rng.choice(_frames(system, n))
@@ -260,25 +257,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
                       budget: SearchBudget) -> CountermodelResult:
     """Search every structure within the budget for one where all of
     gamma holds and alpha fails, in enumeration order."""
-    gamma = list(gamma)
-    formulas = gamma + [alpha]
-    for f in formulas:
-        if not well_formed(f, system):
-            raise WrongSystem("formula %s is not in the %s vocabulary"
-                              % (f, system.value))
-
-    labels = sorted(set().union(*(labels_in(f) for f in formulas)))
-    slot = {lab: k for k, lab in enumerate(labels)}
-    program, roots = compile_formulas(
-        [f.body for f in formulas if isinstance(f, Labelled)])
-    props = sorted(node[1] for node in program if node[0] is Prop)
-    root = iter(roots)
-    # per formula: ("lab", label slot, program root) or
-    # ("rel", left slot, relation, right slot)
-    queries = [("lab", slot[f.label], next(root))
-               if isinstance(f, Labelled)
-               else ("rel", slot[f.left], f.rel, slot[f.right])
-               for f in formulas]
+    labels, props, program, queries = compile_queries(
+        system, list(gamma) + [alpha])
     alpha_q = queries.pop()
 
     frames_checked = 0
@@ -309,17 +289,9 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
                                         if w2 == w and v >> j & 1)
                            for w in range(size)}
                     return Found(Structure(Model(frame, val),
-                                           dict(zip(labels, combo))))
+                                           zip(labels, combo)))
     return NotFoundWithin(budget.max_worlds, frames_checked,
                           labels_exceed_bound=len(labels) > budget.max_worlds)
-
-
-def _value(q: tuple, frame: Frame, sat: list[list[int]],
-           combo: tuple[int, ...], full: int) -> int:
-    # the valuations of the chunk under which query q holds at combo
-    if q[0] == "lab":
-        return sat[q[2]][combo[q[1]]]
-    return full if (combo[q[1]], combo[q[3]]) in frame.pairs(q[2]) else 0
 
 
 def _first_failure(frame: Frame, sat: list[list[int]], gamma_q: list[tuple],
@@ -330,11 +302,11 @@ def _first_failure(frame: Frame, sat: list[list[int]], gamma_q: list[tuple],
     failing = []
     anywhere = 0
     for combo in combos:
-        bad = full ^ _value(alpha_q, frame, sat, combo, full)
+        bad = full ^ satisfying(alpha_q, frame, sat, combo, full)
         for q in gamma_q:
             if not bad:
                 break
-            bad &= _value(q, frame, sat, combo, full)
+            bad &= satisfying(q, frame, sat, combo, full)
         if bad:
             failing.append((bad, combo))
             anywhere |= bad

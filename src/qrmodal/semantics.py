@@ -18,9 +18,11 @@ are evaluated bottom-up, by truth sets (the labelling algorithm of
 global model checking): compile_formulas lists the distinct subformulas
 in post order, and truth_sets computes each one's truth at every world
 once, for a batch of valuations at once, one bit per valuation.  A box
-ANDs its body's truth over each distinct successor row.  evaluate and
-holds run it with a single valuation; the countermodel search runs it
-over many.
+ANDs its body's truth over each distinct successor row.  holds and the
+countermodel search share compile_queries, which refuses a formula
+outside the system's vocabulary, and satisfying, which reads a query's
+truth off truth_sets: holds under the model's own valuation, the search
+under many.
 
 Model files look like:
 
@@ -49,8 +51,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    _ITEM, MEASUREMENT, REL_BIT, Bottom, Box, Formula, Implies, InputError,
-    Labelled, Line, MFormula, ParseError, Prop, Record, Rel, System,
+    _ITEM, MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled,
+    Line, MFormula, ParseError, Prop, Record, Rel, Relational, System,
     is_identifier, labels_in, legal_rels, print_formula, read_lines,
     split_fields, well_formed,
 )
@@ -214,17 +216,18 @@ class Model(Record):
 
 
 class Structure(Record):
-    """A model plus an interpretation of labels as worlds; the
-    interpretation is a dict, so a structure is not hashable."""
+    """A model plus an interpretation of labels as worlds, given as dict()
+    takes one and stored as (label, world) pairs sorted by label."""
 
     __slots__ = ()
 
-    def __new__(cls, model: Model, interp: Mapping[str, int]):
-        for lab, w in interp.items():
+    def __new__(cls, model: Model, interp: Mapping | Iterable[tuple]):
+        pairs = tuple(sorted(dict(interp).items()))
+        for lab, w in pairs:
             if not (0 <= w < model.frame.size):
                 raise UnknownWorld("label %s bound to world %r out of range"
                                    % (lab, w))
-        return tuple.__new__(cls, (cls, model, dict(interp)))
+        return tuple.__new__(cls, (cls, model, pairs))
 
 
 def compile_formulas(
@@ -275,10 +278,12 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
 
     Bit v of columns[p][w] says that p is true at world w under
     valuation v; full has one bit per valuation.  The result holds, per
-    node, one int per world with the same meaning for the node's
-    formula.  Propositions without a column are false everywhere.
+    node, one int per world with the same meaning for the node's formula.
+    Propositions without a column are false everywhere; a relation
+    outside the frame's system raises WrongSystem.
     """
     zero = [0] * frame.size
+    rows: dict[Rel, tuple] = {}
     sat: list[list[int]] = []
     for node in program:
         kind = node[0]
@@ -288,7 +293,8 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
             body = sat[node[2]]
             seen: dict[tuple[int, ...], int] = {}
             col = []
-            for row in frame.rows(node[1]):
+            rel = node[1]  # frame.rows is called once per relation
+            for row in rows.get(rel) or rows.setdefault(rel, frame.rows(rel)):
                 got = seen.get(row)
                 if got is None:
                     got = full
@@ -304,37 +310,63 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
     return sat
 
 
-def _truth(model: Model, phi: MFormula) -> list[int]:
-    # truth of phi at every world of the model, as 0 or 1 per world
-    program, (root,) = compile_formulas([phi])
+def compile_queries(system: System, formulas: Sequence[Formula]) -> tuple:
+    """The sorted labels and propositions of formulas, the program of
+    their labelled bodies, and per formula a query, (Labelled, slot,
+    root) or (Relational, slot, rel, slot), where slot k is labels[k].
+    A formula outside the system's vocabulary raises WrongSystem."""
+    for f in formulas:
+        if not well_formed(f, system):
+            raise WrongSystem("formula %s is not in the %s vocabulary"
+                              % (print_formula(f), system.value))
+    labels = sorted(set().union(*map(labels_in, formulas)))
+    slot = {lab: k for k, lab in enumerate(labels)}
+    program, roots = compile_formulas(
+        [f.body for f in formulas if isinstance(f, Labelled)])
+    root = iter(roots)
+    queries = [(Labelled, slot[f.label], next(root))
+               if isinstance(f, Labelled)
+               else (Relational, slot[f.left], f.rel, slot[f.right])
+               for f in formulas]
+    props = sorted(node[1] for node in program if node[0] is Prop)
+    return labels, props, program, queries
+
+
+def satisfying(q: tuple, frame: Frame, sat: Sequence[Sequence[int]],
+               combo: Sequence[int], full: int) -> int:
+    """The valuations (bits of full) where compiled query q holds on
+    frame, label slot k denoting world combo[k], given truth_sets' sat."""
+    if q[0] is Labelled:
+        return sat[q[2]][combo[q[1]]]
+    return full if combo[q[3]] in frame.rows(q[2])[combo[q[1]]] else 0
+
+
+def _model_sets(model: Model, program: Sequence[tuple]) -> list[list[int]]:
+    # truth_sets under the model's own valuation, as valuation bit 0
     columns = {node[1]: [int(node[1] in props) for props in model.valuation]
                for node in program if node[0] is Prop}
-    return truth_sets(program, model.frame, columns, 1)[root]
+    return truth_sets(program, model.frame, columns, 1)
 
 
 def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     """Truth of an m-formula at a world of a model."""
     if not (0 <= world < model.frame.size):
         raise UnknownWorld("world %r out of range" % (world,))
-    for rel, bit in REL_BIT.items():
-        if phi.rels & bit:
-            model.frame.pairs(rel)  # raises WrongSystem for a foreign one
-    return _truth(model, phi)[world] == 1
+    program, (root,) = compile_formulas([phi])
+    return _model_sets(model, program)[root][world] == 1
 
 
 def holds(structure: Structure, f: Formula) -> bool:
     """Truth of a labelled or relational formula under an interpretation."""
-    system = structure.model.frame.system
-    if not well_formed(f, system):
-        raise WrongSystem("formula %s is not in the %s vocabulary"
-                          % (print_formula(f), system.value))
-    model, interp = structure.model, structure.interp
-    for lab in sorted(labels_in(f)):
+    model = structure.model
+    labels, _, program, (query,) = compile_queries(model.frame.system, [f])
+    interp = dict(structure.interp)
+    for lab in labels:
         if lab not in interp:
             raise UnboundLabel("label %s is not interpreted" % lab)
-    if isinstance(f, Labelled):
-        return _truth(model, f.body)[interp[f.label]] == 1
-    return (interp[f.left], interp[f.right]) in model.frame.pairs(f.rel)
+    combo = [interp[lab] for lab in labels]
+    return satisfying(query, model.frame, _model_sets(model, program),
+                      combo, 1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +458,15 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
 def print_structure(structure: Structure) -> str:
     """Canonical model file text; parse_structure inverts it."""
     model = structure.model
-    frame = model.frame
-    meas_sym = MEASUREMENT[frame.system].value
-    lines = ["system " + frame.system.value,
-             "worlds " + " ".join(frame.names)]
-    for (v, w) in sorted(frame.u):
-        lines.append("U %s %s" % (frame.names[v], frame.names[w]))
-    for (v, w) in sorted(frame.meas):
-        lines.append("%s %s %s" % (meas_sym, frame.names[v], frame.names[w]))
-    for w in range(frame.size):
-        if model.valuation[w]:
-            lines.append("val %s: %s" % (frame.names[w],
-                                         " ".join(sorted(model.valuation[w]))))
-    for lab in sorted(structure.interp):
-        lines.append("interp %s = %s" % (lab, frame.names[structure.interp[lab]]))
+    frame, names = model.frame, model.frame.names
+    lines = ["system " + frame.system.value, "worlds " + " ".join(names)]
+    for sym, pairs in (("U", frame.u),
+                       (MEASUREMENT[frame.system].value, frame.meas)):
+        for v, w in sorted(pairs):
+            lines.append("%s %s %s" % (sym, names[v], names[w]))
+    for w, props in enumerate(model.valuation):
+        if props:
+            lines.append("val %s: %s" % (names[w], " ".join(sorted(props))))
+    for lab, w in structure.interp:
+        lines.append("interp %s = %s" % (lab, names[w]))
     return "\n".join(lines) + "\n"

@@ -153,6 +153,18 @@ def test_open_assumptions_boxe_over_urefl():
         check(script).open_at(9)
 
 
+def test_report_holds_no_mutable_container():
+    script = load("msqr/thm5.prf")
+    report = check(script)
+    assert report.step_ids == tuple(step.id for step in script.steps)
+    opened = {sid: report.open_at(sid) for sid in report.step_ids}
+    with pytest.raises(AttributeError):
+        report.hyp_formulas.clear()
+    assert {sid: report.open_at(sid) for sid in report.step_ids} == opened
+    assert any(opened.values())
+    assert hash(report) == hash(check(script))
+
+
 # -- dependency bitsets against a frozenset oracle ---------------------------
 
 def frozenset_deps(script):

@@ -141,9 +141,9 @@ def test_enumeration_all_validate():
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundTooLarge):
+    with pytest.raises(BoundTooLarge, match="capped at 4 worlds"):
         list(enumerate_frames(System.MSQR, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size must be at least 1$"):
         list(enumerate_frames(System.MSQR, 0))
 
 
@@ -216,8 +216,10 @@ def test_random_frames_cover_the_enumeration(system):
 
 def test_random_frame_bound():
     for system in System:
-        with pytest.raises(BoundTooLarge):
+        with pytest.raises(BoundTooLarge, match="capped at 4 worlds"):
             random_valid_frame(system, MAX_ENUM_SIZE + 1, 0)
+        with pytest.raises(ValueError, match="^max_worlds must be at least"):
+            random_valid_frame(system, 0, 0)
 
 
 def test_random_frame_deterministic_and_valid():
@@ -293,6 +295,23 @@ def test_search_rejects_wrong_system_formulas():
     alpha = parse_formula("x : [P] r0")
     with pytest.raises(WrongSystem):
         find_countermodel(System.MSQR, [], alpha, SearchBudget(max_worlds=2))
+
+
+def test_holds_and_search_refuse_a_foreign_formula_alike():
+    structures = {system: Structure(Model(next(enumerate_frames(system, 1)),
+                                          {}), {"x": 0, "y": 0})
+                  for system in System}
+    for system, text in [(System.MSQR, "x : [P] r0"), (System.MSQR, "x P y"),
+                         (System.MSPQR, "y : r0 -> [M] r0"),
+                         (System.MSPQR, "x M y")]:
+        f = parse_formula(text)
+        with pytest.raises(WrongSystem) as by_holds:
+            holds(structures[system], f)
+        with pytest.raises(WrongSystem) as by_search:
+            find_countermodel(system, [parse_formula("x : r0")], f,
+                              SearchBudget(max_worlds=1))
+        assert str(by_holds.value) == str(by_search.value) == \
+            "formula %s is not in the %s vocabulary" % (text, system.value)
 
 
 def test_labels_beyond_bound_are_reported():

@@ -158,8 +158,10 @@ def test_eval_checks_world_range_and_system():
     m = two_world_model()
     with pytest.raises(UnknownWorld):
         evaluate(m, 2, parse_mformula("r0"))
-    with pytest.raises(WrongSystem, match="relation P is not part of MSQR"):
-        evaluate(m, 0, parse_mformula("[P] r0"))
+    for phi in ("[P] r0", "[M] r0 -> [] [P] r0"):
+        with pytest.raises(WrongSystem,
+                           match="relation P is not part of MSQR"):
+            evaluate(m, 0, parse_mformula(phi))
 
 
 def test_eval_matches_truth_set_oracle():
@@ -261,6 +263,28 @@ def test_holds_unbound_label_in_false_formula():
     st_ = Structure(m, {"x": 0})
     with pytest.raises(UnboundLabel):
         holds(st_, parse_formula("z : bot"))
+
+
+def test_structure_from_a_mapping_or_pairs_in_any_order():
+    m = two_world_model()
+    forms = [Structure(m, {"y": 1, "x": 0}),
+             Structure(m, [("x", 0), ("y", 1)]),
+             Structure(m, iter([("y", 1), ("x", 0)]))]
+    for st_ in forms:
+        assert st_ == forms[0] and hash(st_) == hash(forms[0])
+        assert st_.interp == (("x", 0), ("y", 1))
+        assert print_structure(st_) == print_structure(forms[0])
+    assert len(set(forms)) == 1
+
+
+def test_interpretation_refuses_assignment():
+    st_ = parse_structure(MODEL_TEXT)
+    with pytest.raises(TypeError):
+        st_.interp["x"] = 7
+    assert st_.interp == (("x", 0),)
+    assert holds(st_, parse_formula("x : [M] r0")) is True
+    assert holds(st_, parse_formula("x M x")) is False
+    assert print_structure(st_) == MODEL_TEXT
 
 
 def test_structure_rejects_out_of_range():
