@@ -76,7 +76,7 @@ from .script import (
 )
 from .syntax import (
     BOT, Box, Formula, Implies, Labelled, Record, Rel, Relational, System,
-    labels_in, print_formula, substitute, well_formed,
+    bit_indices, labels_in, print_formula, substitute, well_formed,
 )
 
 WRONG_ARITY = "wrong-arity"
@@ -163,16 +163,8 @@ def check(script: ProofScript, system: Optional[System] = None) -> CheckReport:
     return _run(script, system).report()
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _formulas_of(hyps: Sequence[Formula], mask: int) -> frozenset[Formula]:
-    return frozenset(hyps[i] for i in _bits(mask))
+    return frozenset(hyps[i] for i in bit_indices(mask))
 
 
 class _State:
@@ -379,7 +371,7 @@ def _fresh_check(state: _State, origin: int, y: str, x: str,
     if clash:
         # the open hypothesis naming y with the smallest step id; bit
         # order is script order, which need not be id order
-        h = min(_bits(clash), key=state.hyp_ids.__getitem__)
+        h = min(bit_indices(clash), key=state.hyp_ids.__getitem__)
         state.diag(origin, FRESHNESS_VIOLATION,
                    "fresh label %s occurs in open assumption %s"
                    % (y, print_formula(state.hyp_formulas[h])))

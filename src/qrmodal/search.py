@@ -16,20 +16,21 @@ The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
 the query (itertools.product order, world 0 slowest), then label
 interpretations (product order; labels may share worlds).  It evaluates
-one frame per isomorphism class: the frame conditions do not change
-when worlds are renamed, and valuations and interpretations range over
-all worlds, so a class fails exactly when its first frame in
-enumeration order does, and that frame comes before every other member
-of its class.  The first failing frame is therefore the one the
-labelled order would reach first.  Nor does the search visit the
-structures one by one, or read a formula: semantics.compile_queries
-compiles the query once; per frame and chunk of valuations, truth_sets
-gives each subformula's truth and satisfying the valuations where an
-interpretation makes gamma hold and alpha fail; the lowest such
-valuation wins, then the first interpretation failing under it.
-Otherwise the search reports how many frames it checked, counting every
-labelled frame of each class it evaluated.  A no-countermodel answer is
-relative to the bound and is never a theoremhood claim.
+one frame per isomorphism class, the orbit of a frame under renaming
+its worlds: the frame conditions do not change when worlds are renamed,
+and valuations and interpretations range over all worlds, so a class
+fails exactly when its first frame in enumeration order does, and that
+frame comes before every other member of its class.  The first failing
+frame is therefore the one the labelled order would reach first.  Nor
+does the search visit the structures one by one, or read a formula:
+semantics.compile_queries compiles the query once; per frame and chunk
+of valuations, truth_sets gives each subformula's truth and satisfying
+the valuations where an interpretation makes gamma hold and alpha fail;
+the lowest such valuation wins, then the first interpretation failing
+under it.  Otherwise the search reports how many frames it checked:
+every valid labelled frame up to the bound, since it evaluated every
+class.  A no-countermodel answer is relative to the bound and is never
+a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
 search exhaustive within sane time, and bounds below 1 with SearchError;
@@ -44,7 +45,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence, Union
 
 from . import semantics
-from .syntax import Formula, InputError, Record, Rel, System
+from .syntax import Formula, InputError, Record, System
 from .semantics import (
     Frame, Model, Pair, Structure, compile_queries, satisfying, truth_sets,
 )
@@ -88,9 +89,9 @@ class Found(Record):
 class NotFoundWithin(Record):
     """No structure within bound worlds refutes the query.
 
-    frames_checked counts labelled frames: every frame of each
-    isomorphism class the search evaluated, although it evaluated one
-    frame per class.
+    frames_checked counts every valid labelled frame of at most bound
+    worlds, although the search evaluated one frame per isomorphism
+    class.
     """
 
     __slots__ = ()
@@ -170,38 +171,20 @@ def _frames(system: System, size: int) -> tuple[Frame, ...]:
 
 
 @lru_cache(maxsize=None)
-def _classes(system: System, size: int) -> tuple[tuple[Frame, int], ...]:
-    """One (frame, orbit) per isomorphism class of _frames(system, size):
-    the class's first frame in that order and the number of its frames,
-    the classes in the order of their first frames."""
-    classes: dict[tuple, list] = {}
+def _classes(system: System, size: int) -> tuple[Frame, ...]:
+    """The first frame of each isomorphism class of _frames(system,
+    size), in that order: a frame is kept unless a renaming of its
+    worlds gives a frame kept before it."""
+    out, seen = [], set()
+    renamings = list(itertools.permutations(range(size)))
     for frame in _frames(system, size):
-        entry = classes.setdefault(_class_key(frame), [frame, 0])
-        entry[1] += 1
-    return tuple((frame, orbit) for frame, orbit in classes.values())
-
-
-def _class_key(frame: Frame) -> tuple[tuple[int, int], ...]:
-    # Meas lies within U, so a renaming of worlds maps U-blocks onto
-    # U-blocks: a class is the multiset of its blocks' one-block classes
-    key = []
-    for block in set(frame.rows(Rel.U)):
-        k = len(block)
-        at = {w: i for i, w in enumerate(block)}
-        mask = sum(1 << (at[v] * k + at[w]) for v, w in frame.meas
-                   if v in at)
-        key.append((k, _block_class(k, mask)))
-    return tuple(sorted(key))
-
-
-@lru_cache(maxsize=None)
-def _block_class(k: int, mask: int) -> int:
-    # the least relabelling of a relation on k worlds, pair (i, j) being
-    # bit i * k + j
-    pairs = [(i, j) for i in range(k) for j in range(k)
-             if mask >> (i * k + j) & 1]
-    return min(sum(1 << (p[i] * k + p[j]) for i, j in pairs)
-               for p in itertools.permutations(range(k)))
+        if (frame.u, frame.meas) in seen:
+            continue
+        out.append(frame)
+        for p in renamings:
+            seen.add((frozenset((p[v], p[w]) for v, w in frame.u),
+                      frozenset((p[v], p[w]) for v, w in frame.meas)))
+    return tuple(out)
 
 
 def _enumerable(name: str, size: int) -> None:
@@ -274,8 +257,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
         low = _patterns(chunk_bits, full)
         first = _columns(places, size, 0, chunk_bits, low, full)
         combos = list(itertools.product(range(size), repeat=len(labels)))
-        for frame, orbit in _classes(system, size):
-            frames_checked += orbit
+        frames_checked += len(_frames(system, size))
+        for frame in _classes(system, size):
             for chunk in range(1 << (total_bits - chunk_bits)):
                 columns = first if chunk == 0 else _columns(
                     places, size, chunk, chunk_bits, low, full)

@@ -53,8 +53,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .syntax import (
     _ITEM, MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled,
     Line, MFormula, ParseError, Prop, Record, Rel, Relational, System,
-    is_identifier, labels_in, legal_rels, print_formula, read_lines,
-    split_fields, well_formed,
+    bit_indices, is_identifier, labels_in, legal_rels, print_formula,
+    read_lines, split_fields, well_formed,
 )
 
 
@@ -114,24 +114,14 @@ class Frame(Record):
         return tuple.__new__(cls, (cls, system, size, u, meas, names,
                                    _rows(size, u), _rows(size, meas)))
 
-    def pairs(self, rel: Rel) -> frozenset[Pair]:
-        if rel is Rel.U:
-            return self.u
-        if rel is MEASUREMENT[self.system]:
-            return self.meas
-        raise self._foreign(rel)
-
     def rows(self, rel: Rel) -> tuple[tuple[int, ...], ...]:
         """Per world, its successors along rel in increasing order."""
         if rel is Rel.U:
             return self._u_rows
         if rel is MEASUREMENT[self.system]:
             return self._meas_rows
-        raise self._foreign(rel)
-
-    def _foreign(self, rel: Rel) -> WrongSystem:
-        return WrongSystem("relation %s is not part of %s"
-                           % (rel.value, self.system.value))
+        raise WrongSystem("relation %s is not part of %s"
+                          % (rel.value, self.system.value))
 
 
 def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
@@ -154,44 +144,49 @@ def describe_violation(frame: Frame, v: FrameViolation) -> str:
 def validate_frame(frame: Frame) -> list[FrameViolation]:
     """All violated frame conditions, one entry per witness, named
     not-equivalence, meas-not-sub-U, not-serial, not-shift-reflexive,
-    classical-not-unique, not-transitive or no-classical-reachable."""
+    classical-not-unique, not-transitive or no-classical-reachable.
+
+    Each relation is read as one successor bitmask per world, so a
+    witness search is a mask difference: the successors of w that v
+    lacks, for instance, are the transitivity witnesses of v R w."""
     out: list[FrameViolation] = []
     rng = range(frame.size)
-    u, meas = frame.u, frame.meas
+    u, m = ([sum(1 << w for w in row) for row in frame.rows(rel)]
+            for rel in (Rel.U, MEASUREMENT[frame.system]))
+    classical = sum(1 << w for w in rng if m[w] >> w & 1)
 
     for w in rng:
-        if (w, w) not in u:
+        if not u[w] >> w & 1:
             out.append(FrameViolation("not-equivalence", (w,)))
-    for (v, w) in sorted(u):
-        if (w, v) not in u:
-            out.append(FrameViolation("not-equivalence", (v, w)))
-    for (v, w) in sorted(u):
-        for z in rng:
-            if (w, z) in u and (v, z) not in u:
+    for v in rng:
+        for w in bit_indices(u[v]):
+            if not u[w] >> v & 1:
+                out.append(FrameViolation("not-equivalence", (v, w)))
+    for v in rng:
+        for w in bit_indices(u[v]):
+            for z in bit_indices(u[w] & ~u[v]):
                 out.append(FrameViolation("not-equivalence", (v, w, z)))
-    for (v, w) in sorted(meas):
-        if (v, w) not in u:
+    for v in rng:
+        for w in bit_indices(m[v] & ~u[v]):
             out.append(FrameViolation("meas-not-sub-U", (v, w)))
     if frame.system is System.MSQR:
         for v in rng:
-            if not any((v, w) in meas for w in rng):
+            if not m[v]:
                 out.append(FrameViolation("not-serial", (v,)))
-        for (v, w) in sorted(meas):
-            if (w, w) not in meas:
+        for v in rng:
+            for w in bit_indices(m[v] & ~classical):
                 out.append(FrameViolation("not-shift-reflexive", (v, w)))
     else:
-        for (v, w) in sorted(meas):
-            for z in rng:
-                if (w, z) in meas and (v, z) not in meas:
+        for v in rng:
+            for w in bit_indices(m[v]):
+                for z in bit_indices(m[w] & ~m[v]):
                     out.append(FrameViolation("not-transitive", (v, w, z)))
         for v in rng:
-            if not any((v, w) in meas and (w, w) in meas for w in rng):
+            if not m[v] & classical:
                 out.append(FrameViolation("no-classical-reachable", (v,)))
-    for v in rng:
-        if (v, v) in meas:
-            for w in rng:
-                if w != v and (v, w) in meas:
-                    out.append(FrameViolation("classical-not-unique", (v, w)))
+    for v in bit_indices(classical):
+        for w in bit_indices(m[v] & ~(1 << v)):
+            out.append(FrameViolation("classical-not-unique", (v, w)))
     return out
 
 

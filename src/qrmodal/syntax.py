@@ -117,6 +117,14 @@ def legal_rels(system: System) -> frozenset[Rel]:
     return _LEGAL_RELS[system]
 
 
+def bit_indices(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # The field descriptors of one namedtuple: _ITEM[i] reads item i of any
 # tuple, in C, and refuses assignment.  Records read their fields, and
 # the hidden elements that formula nodes and frames carry, through these.

@@ -21,7 +21,7 @@ from qrmodal.semantics import (
     validate_frame,
 )
 from qrmodal.syntax import (
-    Box, Implies, Labelled, Prop, System, labels_in, parse_formula,
+    Box, Implies, Labelled, Prop, Rel, System, labels_in, parse_formula,
     well_formed,
 )
 from test_semantics import truth_set
@@ -158,8 +158,8 @@ def test_class_counts_and_orbits(system, classes, frames):
     for n, want, labelled in zip((1, 2, 3, 4), classes, frames):
         table = search._classes(system, n)
         assert len(table) == want
-        assert sum(orbit for _, orbit in table) == labelled
-        for frame, _ in table:
+        assert len(list(enumerate_frames(system, n))) == labelled
+        for frame in table:
             assert validate_frame(frame) == []
 
 
@@ -175,16 +175,21 @@ def canonical(frame):
 @pytest.mark.parametrize("system", list(System))
 def test_classes_match_brute_force_canonical_forms(system):
     # every labelled frame, canonicalised over all n! renamings: each
-    # class's representative is its first frame in enumeration order,
-    # and its orbit is the number of frames in the class
+    # class's representative is its first frame in enumeration order
     for n in (1, 2, 3, 4):
-        first, orbit = {}, {}
+        first = {}
         for frame in enumerate_frames(system, n):
-            key = canonical(frame)
-            first.setdefault(key, frame)
-            orbit[key] = orbit.get(key, 0) + 1
-        want = [(first[k], orbit[k]) for k in first]
-        assert list(search._classes(system, n)) == want
+            first.setdefault(canonical(frame), frame)
+        assert list(search._classes(system, n)) == list(first.values())
+
+
+@pytest.mark.parametrize("system", list(System))
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_frames_checked_counts_every_labelled_frame(system, bound):
+    result = find_countermodel(system, [], parse_formula("x : r0 -> r0"),
+                               SearchBudget(max_worlds=bound))
+    assert result == NotFoundWithin(bound, sum(
+        len(list(enumerate_frames(system, n))) for n in range(1, bound + 1)))
 
 
 # -- random generation -------------------------------------------------------
@@ -456,8 +461,8 @@ def nested_loop(system, gamma, alpha, max_worlds, disabled=()):
                 def true(f, interp):
                     if isinstance(f, Labelled):
                         return interp[f.label] in sets[f.body]
-                    return (interp[f.left], interp[f.right]) in \
-                        frame.pairs(f.rel)
+                    return (interp[f.left], interp[f.right]) in (
+                        frame.u if f.rel is Rel.U else frame.meas)
                 for combo in product(range(size), repeat=len(labels)):
                     interp = dict(zip(labels, combo))
                     if (all(true(g, interp) for g in gamma)
@@ -546,8 +551,7 @@ def test_search_at_bound_four_matches_every_labelled_frame(monkeypatch,
     budget = SearchBudget(max_worlds=4)
     want = [find_countermodel(system, gamma, alpha, budget)
             for gamma, alpha in queries]
-    monkeypatch.setattr(search, "_classes", lambda system, size: (
-        (frame, 1) for frame in search._frames(system, size)))
+    monkeypatch.setattr(search, "_classes", search._frames)
     got = [find_countermodel(system, gamma, alpha, budget)
            for gamma, alpha in queries]
     assert got == want

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,7 +59,7 @@ def truth_set(model, phi):
         b = truth_set(model, phi.right)
         return frozenset(w for w in worlds if w not in a or w in b)
     body = truth_set(model, phi.body)
-    rel = model.frame.pairs(phi.rel)
+    rel = model.frame.u if phi.rel is Rel.U else model.frame.meas
     return frozenset(w for w in worlds
                      if all(v in body for (u, v) in rel if u == w))
 
@@ -135,7 +137,87 @@ def test_frame_rejects_bad_input():
     with pytest.raises(ValueError):
         Frame(System.MSQR, 2, U_TOTAL2, set(), names=("v", "v"))
     with pytest.raises(WrongSystem):
-        Frame(System.MSQR, 1, {(0, 0)}, {(0, 0)}).pairs(Rel.P)
+        Frame(System.MSQR, 1, {(0, 0)}, {(0, 0)}).rows(Rel.P)
+
+
+def old_validate_frame(frame):
+    """The validator as first written, straight from the conditions
+    over the pair sets, cubic in the world count: the oracle for
+    validate_frame's bitmask version."""
+    out = []
+    rng = range(frame.size)
+    u, meas = frame.u, frame.meas
+
+    for w in rng:
+        if (w, w) not in u:
+            out.append(("not-equivalence", (w,)))
+    for (v, w) in sorted(u):
+        if (w, v) not in u:
+            out.append(("not-equivalence", (v, w)))
+    for (v, w) in sorted(u):
+        for z in rng:
+            if (w, z) in u and (v, z) not in u:
+                out.append(("not-equivalence", (v, w, z)))
+    for (v, w) in sorted(meas):
+        if (v, w) not in u:
+            out.append(("meas-not-sub-U", (v, w)))
+    if frame.system is System.MSQR:
+        for v in rng:
+            if not any((v, w) in meas for w in rng):
+                out.append(("not-serial", (v,)))
+        for (v, w) in sorted(meas):
+            if (w, w) not in meas:
+                out.append(("not-shift-reflexive", (v, w)))
+    else:
+        for (v, w) in sorted(meas):
+            for z in rng:
+                if (w, z) in meas and (v, z) not in meas:
+                    out.append(("not-transitive", (v, w, z)))
+        for v in rng:
+            if not any((v, w) in meas and (w, w) in meas for w in rng):
+                out.append(("no-classical-reachable", (v,)))
+    for v in rng:
+        if (v, v) in meas:
+            for w in rng:
+                if w != v and (v, w) in meas:
+                    out.append(("classical-not-unique", (v, w)))
+    return out
+
+
+def _near_frame(rng, system, n):
+    """A frame on n worlds near the valid ones, mostly invalid: U from
+    a random partition, Meas a random subset of U, then a few pairs of
+    each relation flipped."""
+    blocks = [rng.randrange(n) for _ in range(n)]
+    u = {(v, w) for v in range(n) for w in range(n) if blocks[v] == blocks[w]}
+    meas = {p for p in u if rng.random() < 0.4}
+    pairs = list(itertools.product(range(n), repeat=2))
+    for rel in (u, meas):
+        for _ in range(rng.randrange(3)):
+            rel ^= {rng.choice(pairs)}
+    return Frame(system, n, u, meas)
+
+
+def test_validate_frame_matches_the_pair_set_oracle():
+    rng = random.Random(19)
+    invalid = 0
+    for i in range(4000):
+        frame = _near_frame(rng, list(System)[i % 2], rng.randint(1, 6))
+        got = [(v.prop, v.witnesses) for v in validate_frame(frame)]
+        assert got == old_validate_frame(frame), frame
+        invalid += bool(got)
+    assert invalid > 3000
+
+
+def test_validate_frame_is_quick_on_a_large_block():
+    # one U-block of 400 worlds, world 0 classical and every world
+    # measuring it: 160,000 U-pairs, valid
+    n = 400
+    frame = Frame(System.MSQR, n, itertools.product(range(n), repeat=2),
+                  ((v, 0) for v in range(n)))
+    t0 = time.perf_counter()
+    assert validate_frame(frame) == []
+    assert time.perf_counter() - t0 < 5.0
 
 
 # -- evaluation --------------------------------------------------------------
