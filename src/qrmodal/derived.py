@@ -98,21 +98,12 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
                           "ImpE", (pids[0], nid + 4)),
                 ProofStep(step.id, step.formula, "RAA", (nid + 5,), (nid,)),
             ]
-        # refute x:B->bot: A->(B->bot) follows by two ImpI
-        h1 = Labelled(x, Implies(b, BOT))
-        h2 = Labelled(x, a)
-        h3 = Labelled(x, b)
+        # refute x:B->bot: A->(B->bot) follows by one vacuous ImpI
         return [
-            ProofStep(nid, h1, HYP),
-            ProofStep(nid + 1, h2, HYP),
-            ProofStep(nid + 2, h3, HYP),
-            ProofStep(nid + 3, Labelled(x, BOT), "ImpE", (nid, nid + 2)),
-            ProofStep(nid + 4, Labelled(x, Implies(b, BOT)),
-                      "ImpI", (nid + 3,), (nid + 2,)),
-            ProofStep(nid + 5, Labelled(x, shape.left),
-                      "ImpI", (nid + 4,), (nid + 1,)),
-            ProofStep(nid + 6, Labelled(x, BOT), "ImpE", (pids[0], nid + 5)),
-            ProofStep(step.id, step.formula, "RAA", (nid + 6,), (nid,)),
+            ProofStep(nid, Labelled(x, Implies(b, BOT)), HYP),
+            ProofStep(nid + 1, Labelled(x, shape.left), "ImpI", (nid,)),
+            ProofStep(nid + 2, Labelled(x, BOT), "ImpE", (pids[0], nid + 1)),
+            ProofStep(step.id, step.formula, "RAA", (nid + 2,), (nid,)),
         ]
 
     if rule == "Mtrans":

@@ -138,16 +138,15 @@ _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
 # The most digits an id may have, leading zeros included, is the most
 # that int() converts: the interpreter's limit, 4,300 by default since
-# Python 3.11 and never set below _MIN_ID_CAP.  Where there is no limit
-# (Python 3.10, or a limit of 0) it is MAX_ID_DIGITS, so such an
-# interpreter refuses the same ids as a default one.
+# Python 3.10.7 and never set below _MIN_ID_CAP.  A limit of 0 means
+# none, and then the cap is MAX_ID_DIGITS, so such an interpreter
+# refuses the same ids as a default one.
 MAX_ID_DIGITS = 4300
 _MIN_ID_CAP = 640
 
 
 def _id_cap() -> int:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    return limit or MAX_ID_DIGITS
+    return sys.get_int_max_str_digits() or MAX_ID_DIGITS
 
 
 def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:

@@ -14,7 +14,8 @@ from it.
 
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
-the query (itertools.product order, world 0 slowest), then label
+the query (itertools.product order, world 0 slowest; _columns defines
+which bit of a valuation is which proposition at which world), then label
 interpretations (product order; labels may share worlds).  It evaluates
 one frame per isomorphism class, the orbit of a frame under renaming
 its worlds: the frame conditions do not change when worlds are renamed,
@@ -118,12 +119,6 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def _u_pairs(assignment: Sequence[int]) -> frozenset[tuple[int, int]]:
-    n = len(assignment)
-    return frozenset((v, w) for v in range(n) for w in range(n)
-                     if assignment[v] == assignment[w])
-
-
 def _nonempty_subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
     return [sub for r in range(1, len(items) + 1)
             for sub in itertools.combinations(items, r)]
@@ -154,10 +149,10 @@ def _block_relations(system: System,
 def _frames(system: System, size: int) -> tuple[Frame, ...]:
     out = []
     for assignment in _partitions(size):
-        u = _u_pairs(assignment)
-        bit = {p: 1 << k for k, p in enumerate(sorted(u))}
         blocks = [[w for w in range(size) if assignment[w] == b]
                   for b in range(max(assignment) + 1)]
+        u = frozenset((v, w) for blk in blocks for v in blk for w in blk)
+        bit = {p: 1 << k for k, p in enumerate(sorted(u))}
         candidates = sorted(
             (frozenset().union(*parts) for parts in itertools.product(
                 *(_block_relations(system, blk) for blk in blocks))),
@@ -220,18 +215,21 @@ def _patterns(bits: int, full: int) -> list[int]:
     return [full // ((1 << (1 << j)) + 1) << (1 << j) for j in range(bits)]
 
 
-def _columns(places: list[tuple[str, int, int]], size: int, chunk: int,
-             chunk_bits: int, low: list[int],
-             full: int) -> dict[str, list[int]]:
-    # proposition columns of one chunk: valuation bit j below chunk_bits
-    # varies inside the chunk, the bits above it are fixed by the chunk
+def _columns(props: list[str], size: int, chunk: int, chunk_bits: int,
+             low: list[int], full: int) -> dict[str, list[int]]:
+    # The valuation layout: valuation v is the v-th of itertools.product
+    # over the subsets of props (mask k holds props[k]), one per world, so
+    # world w owns bit len(props) * (size - 1 - w) + k of v for props[k].
+    # Column bit i of a chunk is valuation (chunk << chunk_bits) + i.
     columns: dict[str, list[int]] = {}
-    for p, w, j in places:
-        col = columns.setdefault(p, [0] * size)
-        if j < chunk_bits:
-            col[w] |= low[j]
-        elif chunk >> (j - chunk_bits) & 1:
-            col[w] = full
+    for k, p in enumerate(props):
+        col = columns[p] = [0] * size
+        for w in range(size):
+            j = len(props) * (size - 1 - w) + k
+            if j < chunk_bits:
+                col[w] = low[j]
+            elif chunk >> (j - chunk_bits) & 1:
+                col[w] = full
     return columns
 
 
@@ -246,55 +244,33 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
 
     frames_checked = 0
     for size in range(1, budget.max_worlds + 1):
-        # valuation v is the v-th of itertools.product over the subsets
-        # of props (subset mask k holds props[k]), repeated per world:
-        # world 0 owns the top len(props) bits of v
-        places = [(p, w, len(props) * (size - 1 - w) + k)
-                  for k, p in enumerate(props) for w in range(size)]
         total_bits = len(props) * size
         chunk_bits = min(total_bits, CHUNK_BITS)
         full = (1 << (1 << chunk_bits)) - 1
         low = _patterns(chunk_bits, full)
-        first = _columns(places, size, 0, chunk_bits, low, full)
+        first = _columns(props, size, 0, chunk_bits, low, full)
         combos = list(itertools.product(range(size), repeat=len(labels)))
         frames_checked += len(_frames(system, size))
         for frame in _classes(system, size):
             for chunk in range(1 << (total_bits - chunk_bits)):
                 columns = first if chunk == 0 else _columns(
-                    places, size, chunk, chunk_bits, low, full)
+                    props, size, chunk, chunk_bits, low, full)
                 sat = truth_sets(program, frame, columns, full)
-                hit = _first_failure(frame, sat, queries, alpha_q, combos,
-                                     full)
+                # the lowest failing valuation bit, and the first combo there
+                lowest, hit = full + 1, None
+                for combo in combos:
+                    bad = full ^ satisfying(alpha_q, frame, sat, combo, full)
+                    for q in queries:
+                        if not bad:
+                            break
+                        bad &= satisfying(q, frame, sat, combo, full)
+                    bad &= -bad
+                    if 0 < bad < lowest:
+                        lowest, hit = bad, combo
                 if hit is not None:
-                    bit, combo = hit
-                    v = (chunk << chunk_bits) + bit
-                    val = {w: frozenset(p for p, w2, j in places
-                                        if w2 == w and v >> j & 1)
+                    val = {w: [p for p in props if columns[p][w] & lowest]
                            for w in range(size)}
                     return Found(Structure(Model(frame, val),
-                                           zip(labels, combo)))
+                                           zip(labels, hit)))
     return NotFoundWithin(budget.max_worlds, frames_checked,
                           labels_exceed_bound=len(labels) > budget.max_worlds)
-
-
-def _first_failure(frame: Frame, sat: list[list[int]], gamma_q: list[tuple],
-                   alpha_q: tuple, combos: list[tuple[int, ...]], full: int):
-    """The lowest valuation bit under which some interpretation makes
-    every gamma query true and alpha false, with the first such
-    interpretation; None when there is none."""
-    failing = []
-    anywhere = 0
-    for combo in combos:
-        bad = full ^ satisfying(alpha_q, frame, sat, combo, full)
-        for q in gamma_q:
-            if not bad:
-                break
-            bad &= satisfying(q, frame, sat, combo, full)
-        if bad:
-            failing.append((bad, combo))
-            anywhere |= bad
-    if not anywhere:
-        return None
-    lowest = anywhere & -anywhere
-    combo = next(c for bad, c in failing if bad & lowest)
-    return lowest.bit_length() - 1, combo

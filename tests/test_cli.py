@@ -576,19 +576,22 @@ def test_overlong_id_is_a_parse_error(tmp_path, capsys, line, error):
     assert capsys.readouterr().err == "error: %s\n" % error
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this Python has no int() digit limit")
-@pytest.mark.parametrize("line, error", _overlong_ids(1_000, 640),
-                         ids=["step", "discharge", "premise"])
-def test_ids_past_a_lowered_int_limit_are_a_parse_error(tmp_path, line,
-                                                        error):
-    # the lowest limit an interpreter accepts, where int() would refuse
-    # the id with a ValueError
+@pytest.mark.parametrize(
+    "limit, line, error",
+    [("640", *case) for case in _overlong_ids(1_000, 640)]
+    + [("0", *case) for case in _overlong_ids(4_301, MAX_ID_DIGITS)],
+    ids=["step", "discharge", "premise",
+         "step-no-limit", "discharge-no-limit", "premise-no-limit"])
+def test_ids_past_a_lowered_int_limit_are_a_parse_error(tmp_path, limit,
+                                                        line, error):
+    # 640 is the lowest limit an interpreter accepts, where int() would
+    # refuse the id with a ValueError; 0 lifts the limit, and the ids
+    # are capped at MAX_ID_DIGITS as on a default interpreter
     proc = subprocess.run(
         [sys.executable, "-m", "qrmodal.cli", "check",
          str(_ids_script(tmp_path, line))],
         capture_output=True, text=True,
-        env={**os.environ, "PYTHONINTMAXSTRDIGITS": "640"})
+        env={**os.environ, "PYTHONINTMAXSTRDIGITS": limit})
     assert proc.returncode == 2
     assert proc.stderr == "error: %s\n" % error
 

@@ -486,6 +486,43 @@ def test_expand_mtrans_two_steps():
     ]
 
 
+def test_expand_ande2_four_steps():
+    # refute x:r1->bot: a vacuous ImpI turns it into x:r0->(r1->bot),
+    # which the premise refutes, and RAA discharges it
+    step = ProofStep(5, parse_formula("x : r1"), "AndE2", premises=(1,))
+    out = expand_derived(step, {1: parse_formula("x : r0 & r1")}, 6)
+    assert out == [
+        ProofStep(6, parse_formula("x : r1 -> bot"), "hyp"),
+        ProofStep(7, parse_formula("x : r0 -> r1 -> bot"), "ImpI", (6,)),
+        ProofStep(8, parse_formula("x : bot"), "ImpE", (1, 7)),
+        ProofStep(5, parse_formula("x : r1"), "RAA", (8,), (6,)),
+    ]
+
+
+def test_conjunction_and_iff_rules_under_mspqr():
+    # no corpus script uses these six rules under MSpQR
+    script = parse_script(
+        "system MSPQR\n"
+        "theorem t : x : ((r0 <-> [P] r1) & r0)"
+        " -> ([P] r1 & ([P] r1 <-> r0))\n"
+        "1. x : (r0 <-> [P] r1) & r0 ; hyp\n"
+        "2. x : r0 <-> [P] r1 ; AndE1 1\n"
+        "3. x : r0 ; AndE2 1\n"
+        "4. x : r0 -> [P] r1 ; IffE1 2\n"
+        "5. x : [P] r1 -> r0 ; IffE2 2\n"
+        "6. x : [P] r1 ; ImpE 4,3\n"
+        "7. x : [P] r1 <-> r0 ; IffI 5,4\n"
+        "8. x : [P] r1 & ([P] r1 <-> r0) ; AndI 6,7\n"
+        "9. x : ((r0 <-> [P] r1) & r0) -> ([P] r1 & ([P] r1 <-> r0)) ;"
+        " ImpI 8 discharge 1\n"
+        "qed\n")
+    report = check(script)
+    assert report.accepted, report.diagnostics
+    assert {s.rule for s in script.steps} >= {
+        "AndI", "AndE1", "AndE2", "IffI", "IffE1", "IffE2"}
+    assert_sound_at_every_step(script, System.MSPQR, report)
+
+
 def test_expand_negi_is_impi_over_bote():
     step = ProofStep(3, parse_formula("x : ~ r0"), "NegI",
                      premises=(2,), discharges=(1,))
