@@ -3,14 +3,15 @@
 Enumeration is exhaustive and canonical: for every equivalence relation
 U on {0..size-1} (one per set partition, in restricted-growth order) it
 yields the valid measurement relations over U in bitmask order over the
-sorted U-pairs.  The candidates are built from the frame conditions,
-block by block: a nonempty classical set C whose worlds measure only
-themselves, every other world measuring a nonempty subset of C, and
-under MSpQR any edges among the non-classical worlds.  Each candidate
-is kept when validate_frame accepts it.  Membership is decided by the
-validator alone, so the enumeration cannot drift from the frame
-conditions, and neither can random_valid_frame, which draws its frames
-from it.
+sorted U-pairs, which is the order of meas[::-1], the frame's successor
+masks from the last world to the first.  The candidates are built from
+the frame conditions: per U-block a nonempty classical set C whose
+worlds measure only themselves, every other world measuring a nonempty
+subset of C, and under MSpQR any edges among the non-classical worlds.
+Each candidate is kept when validate_frame accepts it.  Membership is
+decided by the validator alone, so the enumeration cannot drift from the
+frame conditions, and neither can random_valid_frame, which draws its
+frames from it.
 
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
@@ -43,12 +44,12 @@ from __future__ import annotations
 import itertools
 import random
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 from . import semantics
 from .syntax import Formula, InputError, Record, System
 from .semantics import (
-    Frame, Model, Pair, Structure, compile_queries, satisfying, truth_sets,
+    Frame, Model, Structure, compile_queries, satisfying, truth_sets,
 )
 
 MAX_ENUM_SIZE = 4
@@ -119,45 +120,36 @@ def _partitions(n: int) -> Iterator[tuple[int, ...]]:
     yield from rec([], 0)
 
 
-def _nonempty_subsets(items: Sequence[int]) -> list[tuple[int, ...]]:
-    return [sub for r in range(1, len(items) + 1)
-            for sub in itertools.combinations(items, r)]
-
-
-def _block_relations(system: System,
-                     block: Sequence[int]) -> list[frozenset[Pair]]:
-    # every measurement relation on one U-block that the frame conditions
-    # can accept: a nonempty classical set C whose worlds see only
-    # themselves, every other world seeing a nonempty subset of C and,
-    # under MSpQR, any edges among the other worlds
-    out = []
-    for classical in _nonempty_subsets(block):
-        rest = [w for w in block if w not in classical]
-        loops = [(c, c) for c in classical]
-        between = [(v, w) for v in rest for w in rest if v != w]
-        extras = ([()] if system is System.MSQR
-                  else [sub for r in range(len(between) + 1)
-                        for sub in itertools.combinations(between, r)])
-        for targets in itertools.product(_nonempty_subsets(classical),
-                                         repeat=len(rest)):
-            base = loops + [(v, c) for v, cs in zip(rest, targets) for c in cs]
-            out.extend(frozenset(base + list(extra)) for extra in extras)
-    return out
+def _meas_relations(system: System,
+                    u: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    # every measurement relation over U that the frame conditions can
+    # accept, as successor masks: per U-block a nonempty classical set
+    # whose worlds see only themselves, every other world seeing a
+    # nonempty set of classical worlds of its block and, under MSpQR,
+    # any other worlds of its block besides
+    masks = range(1 << len(u))
+    for picks in itertools.product(*([c for c in masks if c and not c & ~b]
+                                     for b in set(u))):
+        classical = sum(picks)
+        rows = []
+        for v, block in enumerate(u):
+            if classical >> v & 1:
+                rows.append([1 << v])
+                continue
+            allowed = block & (classical if system is System.MSQR
+                               else ~(1 << v))
+            rows.append([s for s in masks
+                         if s & classical and not s & ~allowed])
+        yield from itertools.product(*rows)
 
 
 @lru_cache(maxsize=None)
 def _frames(system: System, size: int) -> tuple[Frame, ...]:
     out = []
     for assignment in _partitions(size):
-        blocks = [[w for w in range(size) if assignment[w] == b]
-                  for b in range(max(assignment) + 1)]
-        u = frozenset((v, w) for blk in blocks for v in blk for w in blk)
-        bit = {p: 1 << k for k, p in enumerate(sorted(u))}
-        candidates = sorted(
-            (frozenset().union(*parts) for parts in itertools.product(
-                *(_block_relations(system, blk) for blk in blocks))),
-            key=lambda meas: sum(bit[p] for p in meas))
-        for meas in candidates:
+        u = tuple(sum(1 << w for w in range(size) if assignment[w] == b)
+                  for b in assignment)
+        for meas in sorted(_meas_relations(system, u), key=lambda m: m[::-1]):
             frame = Frame(system, size, u, meas)
             # through the module at call time, where perfbench counts calls
             if not semantics.validate_frame(frame):
@@ -171,14 +163,18 @@ def _classes(system: System, size: int) -> tuple[Frame, ...]:
     size), in that order: a frame is kept unless a renaming of its
     worlds gives a frame kept before it."""
     out, seen = [], set()
-    renamings = list(itertools.permutations(range(size)))
+    # per renaming, the world renamed x at order[x], and the image of
+    # every successor mask
+    renamings = [(order, [sum(1 << x for x, w in enumerate(order)
+                              if m >> w & 1) for m in range(1 << size)])
+                 for order in itertools.permutations(range(size))]
     for frame in _frames(system, size):
         if (frame.u, frame.meas) in seen:
             continue
         out.append(frame)
-        for p in renamings:
-            seen.add((frozenset((p[v], p[w]) for v, w in frame.u),
-                      frozenset((p[v], p[w]) for v, w in frame.meas)))
+        for order, image in renamings:
+            seen.add((tuple(image[frame.u[v]] for v in order),
+                      tuple(image[frame.meas[v]] for v in order)))
     return tuple(out)
 
 

@@ -1,9 +1,11 @@
 """Finite frames and models, frame validation, and truth evaluation.
 
 A frame has worlds 0..size-1, an equivalence relation U and a
-measurement relation Meas (read as M under MSQR, as P under MSpQR).
-validate_frame checks the frame conditions of the requested system and
-returns one violation per witness instead of a bare verdict:
+measurement relation Meas (read as M under MSQR, as P under MSpQR),
+each stored as one successor bitmask per world (bit w of u[v] is set
+when v U w).  validate_frame checks the frame conditions of the
+requested system and returns one violation per witness instead of a
+bare verdict:
 
   MSQR:  U equivalence, Meas subset of U, Meas serial, Meas
          shift-reflexive (v M w implies w M w), and classical worlds
@@ -51,7 +53,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
-    _ITEM, MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled,
+    MEASUREMENT, Bottom, Box, Formula, Implies, InputError, Labelled,
     Line, MFormula, ParseError, Prop, Record, Rel, Relational, System,
     bit_indices, is_identifier, labels_in, legal_rels, print_formula,
     read_lines, split_fields, well_formed,
@@ -85,48 +87,39 @@ class InvalidFrame(SemanticsError):
         self.violations = violations
 
 
-Pair = tuple[int, int]
-
-
 class Frame(Record):
     """A frame on worlds 0..size-1 named by names (w0, w1, ... by
-    default), with the pairs u of U and meas of the system's measurement
-    relation.  Frames are immutable, so the search hands out those it
-    caches, and their equality includes world names.  Each relation's
-    successor rows are computed once, as hidden elements read by rows.
+    default), with U and the system's measurement relation as successor
+    bitmasks: bit w of u[v] is set when v U w, and of meas[v] when v M w
+    (v P w under MSpQR).  Frames are immutable, so the search hands out
+    those it caches, and their equality includes world names.
     """
 
     __slots__ = ()
-    _u_rows, _meas_rows = _ITEM[6:8]
 
-    def __new__(cls, system: System, size: int, u: Iterable[Pair],
-                meas: Iterable[Pair], names: Optional[Sequence[str]] = None):
+    def __new__(cls, system: System, size: int, u: Iterable[int],
+                meas: Iterable[int], names: Optional[Sequence[str]] = None):
         if size < 1:
             raise ValueError("a frame needs at least one world")
-        u, meas = frozenset(u), frozenset(meas)
-        for (v, w) in u | meas:
-            if not (0 <= v < size and 0 <= w < size):
-                raise ValueError("relation pair (%d, %d) out of range" % (v, w))
+        u, meas = tuple(u), tuple(meas)
+        if len(u) != size or len(meas) != size or not all(
+                0 <= mask < 1 << size for mask in u + meas):
+            raise ValueError("need %d successor masks below 2**%d"
+                             % (size, size))
         names = tuple(("w%d" % i for i in range(size)) if names is None
                       else names)
         if len(names) != size or len(set(names)) != size:
             raise ValueError("need %d distinct world names" % size)
-        return tuple.__new__(cls, (cls, system, size, u, meas, names,
-                                   _rows(size, u), _rows(size, meas)))
+        return tuple.__new__(cls, (cls, system, size, u, meas, names))
 
-    def rows(self, rel: Rel) -> tuple[tuple[int, ...], ...]:
-        """Per world, its successors along rel in increasing order."""
+    def masks(self, rel: Rel) -> tuple[int, ...]:
+        """Per world, its successor bitmask along rel."""
         if rel is Rel.U:
-            return self._u_rows
+            return self.u
         if rel is MEASUREMENT[self.system]:
-            return self._meas_rows
+            return self.meas
         raise WrongSystem("relation %s is not part of %s"
                           % (rel.value, self.system.value))
-
-
-def _rows(size: int, pairs: frozenset[Pair]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(w for w in range(size) if (v, w) in pairs)
-                 for v in range(size))
 
 
 class FrameViolation(Record):
@@ -146,13 +139,12 @@ def validate_frame(frame: Frame) -> list[FrameViolation]:
     not-equivalence, meas-not-sub-U, not-serial, not-shift-reflexive,
     classical-not-unique, not-transitive or no-classical-reachable.
 
-    Each relation is read as one successor bitmask per world, so a
-    witness search is a mask difference: the successors of w that v
+    A frame stores each relation as one successor bitmask per world, so
+    a witness search is a mask difference: the successors of w that v
     lacks, for instance, are the transitivity witnesses of v R w."""
     out: list[FrameViolation] = []
     rng = range(frame.size)
-    u, m = ([sum(1 << w for w in row) for row in frame.rows(rel)]
-            for rel in (Rel.U, MEASUREMENT[frame.system]))
+    u, m = frame.u, frame.meas
     classical = sum(1 << w for w in rng if m[w] >> w & 1)
 
     for w in rng:
@@ -278,7 +270,6 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
     outside the frame's system raises WrongSystem.
     """
     zero = [0] * frame.size
-    rows: dict[Rel, tuple] = {}
     sat: list[list[int]] = []
     for node in program:
         kind = node[0]
@@ -286,16 +277,15 @@ def truth_sets(program: Sequence[tuple], frame: Frame,
             col = [(full ^ a) | b for a, b in zip(sat[node[1]], sat[node[2]])]
         elif kind is Box:
             body = sat[node[2]]
-            seen: dict[tuple[int, ...], int] = {}
+            seen: dict[int, int] = {}
             col = []
-            rel = node[1]  # frame.rows is called once per relation
-            for row in rows.get(rel) or rows.setdefault(rel, frame.rows(rel)):
-                got = seen.get(row)
+            for mask in frame.masks(node[1]):
+                got = seen.get(mask)
                 if got is None:
                     got = full
-                    for w in row:
+                    for w in bit_indices(mask):
                         got &= body[w]
-                    seen[row] = got
+                    seen[mask] = got
                 col.append(got)
         elif kind is Prop:
             col = columns.get(node[1], zero)
@@ -333,7 +323,7 @@ def satisfying(q: tuple, frame: Frame, sat: Sequence[Sequence[int]],
     frame, label slot k denoting world combo[k], given truth_sets' sat."""
     if q[0] is Labelled:
         return sat[q[2]][combo[q[1]]]
-    return full if combo[q[3]] in frame.rows(q[2])[combo[q[1]]] else 0
+    return full if frame.masks(q[2])[combo[q[1]]] >> combo[q[3]] & 1 else 0
 
 
 def _model_sets(model: Model, program: Sequence[tuple]) -> list[list[int]]:
@@ -376,8 +366,8 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
     system: Optional[System] = None
     names: Optional[list[str]] = None
     index: dict[str, int] = {}
-    u: set[Pair] = set()
-    meas: set[Pair] = set()
+    u: list[int] = []
+    meas: list[int] = []
     val: dict[int, set[str]] = {}
     interp: dict[str, int] = {}
 
@@ -407,14 +397,15 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
                 k = next(k for k, n in enumerate(names) if names.index(n) < k)
                 raise line.error("duplicate world name", k + 1)
             index = {n: i for i, n in enumerate(names)}
+            u, meas = [0] * len(names), [0] * len(names)
         elif head in ("U", "M", "P"):
             if head != "U" and Rel(head) not in legal_rels(system):
                 raise line.error("relation %s is not part of %s"
                                  % (head, system.value), reason="wrong-system")
             if len(fields) != 3:
                 raise line.error("expected '%s <world> <world>'" % head)
-            pair = (world(line, fields[1], 1), world(line, fields[2], 2))
-            (u if head == "U" else meas).add(pair)
+            v, w = world(line, fields[1], 1), world(line, fields[2], 2)
+            (u if head == "U" else meas)[v] |= 1 << w
         elif head == "val":
             if len(fields) < 2 or not fields[1].endswith(":"):
                 raise line.error("expected 'val <world>: <props>'")
@@ -455,10 +446,11 @@ def print_structure(structure: Structure) -> str:
     model = structure.model
     frame, names = model.frame, model.frame.names
     lines = ["system " + frame.system.value, "worlds " + " ".join(names)]
-    for sym, pairs in (("U", frame.u),
+    for sym, masks in (("U", frame.u),
                        (MEASUREMENT[frame.system].value, frame.meas)):
-        for v, w in sorted(pairs):
-            lines.append("%s %s %s" % (sym, names[v], names[w]))
+        for v, mask in enumerate(masks):
+            for w in bit_indices(mask):
+                lines.append("%s %s %s" % (sym, names[v], names[w]))
     for w, props in enumerate(model.valuation):
         if props:
             lines.append("val %s: %s" % (names[w], " ".join(sorted(props))))

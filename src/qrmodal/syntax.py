@@ -127,7 +127,7 @@ def bit_indices(mask: int) -> Iterator[int]:
 
 # The field descriptors of one namedtuple: _ITEM[i] reads item i of any
 # tuple, in C, and refuses assignment.  Records read their fields, and
-# the hidden elements that formula nodes and frames carry, through these.
+# the hidden elements that formula nodes carry, through these.
 _Items = collections.namedtuple("_Items", ["i%d" % i for i in range(8)])
 _ITEM = tuple(getattr(_Items, name) for name in _Items._fields)
 

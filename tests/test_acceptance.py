@@ -207,7 +207,7 @@ def test_criterion_4_refutation(verdict):
                                    SearchBudget(max_worlds=1))
         ok = ok and isinstance(at_one, NotFoundWithin)
         # independent one-world oracle: the only valid frame is forced
-        solo = Frame(System.MSQR, 1, {(0, 0)}, {(0, 0)})
+        solo = Frame(System.MSQR, 1, (0b1,), (0b1,))
         for val in ({0: set()}, {0: {"r0"}}):
             structure = Structure(Model(solo, val), {"x": 0})
             ok = ok and holds(structure, alpha)

@@ -922,11 +922,12 @@ def test_readme_examples(tmp_path, monkeypatch, capsys):
 
 def test_readme_library_use(tmp_path, monkeypatch, capsys):
     # the "Library use" block runs as written, with the README's own
-    # box_u_reflects script as proof.prf
+    # box_u_reflects script as proof.prf and model block as model.txt
     blocks = readme_blocks()
     proof = next(body for lang, body in blocks
                  if body.startswith("system MSQR\ntheorem box_u_reflects "))
     (tmp_path / "proof.prf").write_text(proof)
+    (tmp_path / "model.txt").write_text(readme_examples()[0])
     monkeypatch.chdir(tmp_path)
     (code,) = [body for lang, body in blocks if lang == "python"]
     scope = {}

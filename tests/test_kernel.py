@@ -385,6 +385,41 @@ def test_expansion_failure_is_a_schema_mismatch(line, message):
             if d.step == 4] == [(4, "schema-mismatch", message)]
 
 
+def test_failed_expansion_still_records_its_step():
+    # step 2's expansion fails, yet step 2 is recorded with the open
+    # hypothesis of its premise, so step 3 may cite it: the theorem is
+    # refused for that assumption, not for an unknown premise
+    report = check(parse_script(
+        "system MSQR\ntheorem t : x U y\n1. x : bot ; hyp\n"
+        "2. x M y ; NegI 1\n3. x U y ; UIfromM 2\nqed\n"))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (2, "schema-mismatch",
+         "NegI conclusion must be a labelled formula, got x M y"),
+        (3, "undischarged-at-theorem", "open assumptions remain: x : bot")]
+
+
+def test_stale_helper_hypothesis_cannot_be_discharged(monkeypatch):
+    # derived.py is not trusted: here step 2 expands through a helper
+    # hypothesis x : bot that stays open, and step 3 reuses that helper
+    # id for a non-hypothesis and discharges it.  Helper ids are
+    # forgotten after each expansion, so the discharge is refused and
+    # x : bot stays open; remembered, it would silently close x : bot
+    def wrong_expansion(step, formulas, base):
+        if step.id == 2:
+            return [ProofStep(base, parse_formula("x : bot"), "hyp"),
+                    ProofStep(2, step.formula, "BotE", (base,))]
+        return [ProofStep(base, parse_formula("x : bot"), "BotE", (2,)),
+                ProofStep(3, step.formula, "ImpI", (base,), (base,))]
+
+    monkeypatch.setattr(kernel, "expand_derived", wrong_expansion)
+    report = check(parse_script(
+        "system MSQR\ntheorem t : x : bot -> bot\n1. x : r0 ; hyp\n"
+        "2. x : bot ; AndE1 1\n3. x : bot -> bot ; AndE1 2\nqed\n"))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (3, "illegal-discharge", "discharge 4 is not a hypothesis"),
+        (3, "undischarged-at-theorem", "open assumptions remain: x : bot")]
+
+
 def test_unknown_rule_is_a_schema_mismatch():
     # parse_script refuses unknown rule names, but a script built in code
     # can carry one; check rejects it before any expansion
@@ -757,6 +792,87 @@ def test_discharge_on_non_discharging_rule():
         "2. y U x ; Usymm 1 discharge 1\n"
         "qed\n"))
     assert "illegal-discharge" in reasons(report)
+
+
+# Refusals that keep the kernel sound: without any one of them, the
+# kernel accepts the script's theorem, which has a countermodel on at
+# most 2 worlds.  Each script is refused at one step, for one reason.
+SOUNDNESS_REFUSALS = [
+    ("MSQR", "x : r0 -> bot",
+     ["x : r0 ; hyp", "x : bot ; ImpI 1",
+      "x : r0 -> bot ; ImpI 2 discharge 1"],
+     2, "schema-mismatch", "ImpI concludes a labelled implication"),
+    ("MSQR", "x : [M] r0 -> r0",
+     ["x : [M] r0 ; hyp", "x M x ; RAA 1", "x : r0 ; BoxE 1,2",
+      "x : [M] r0 -> r0 ; ImpI 3 discharge 1"],
+     2, "schema-mismatch", "RAA concludes a labelled formula"),
+    ("MSQR", "x : r0 -> bot",
+     ["x : r0 ; hyp", "x : bot ; BoxI 1",
+      "x : r0 -> bot ; ImpI 2 discharge 1"],
+     2, "schema-mismatch", "BoxI concludes a labelled box formula"),
+    ("MSQR", "x : r0",
+     ["x : r0 ; hyp", "x : r0 ; Mser 1 discharge 1"],
+     2, "illegal-discharge", "Mser discharges only M hypotheses"),
+    ("MSQR", "x : r0 -> [M] r0",
+     ["x : r0 ; hyp", "x M y ; hyp", "x M x ; hyp", "y : r0 ; Msub1 1,3,2",
+      "x : [M] r0 ; BoxI 4 discharge 2",
+      "x : [M] r0 ; Mser 5 discharge 2,3",
+      "x : r0 -> [M] r0 ; ImpI 6 discharge 1"],
+     6, "illegal-discharge", "Mser discharges occurrences of one hypothesis"),
+    ("MSPQR", "x : r0 -> [P] r0",
+     ["x : r0 ; hyp", "x P y ; hyp", "x P x ; hyp", "y : r0 ; Psub1 1,3,2",
+      "x : [P] r0 ; BoxI 4 discharge 2", "x : [P] r0 ; Class 5 discharge 3",
+      "x : r0 -> [P] r0 ; ImpI 6 discharge 1"],
+     6, "illegal-discharge",
+     "Class needs a discharged hypothesis x P y with two distinct labels"),
+    ("MSPQR", "x : r0 -> [P] r0",
+     ["x : r0 ; hyp", "x P y ; hyp", "x P x ; hyp", "y : r0 ; Psub1 1,3,2",
+      "x : [P] r0 ; BoxI 4 discharge 2", "x P z ; hyp",
+      "x : [P] r0 ; Class 5 discharge 6,3",
+      "x : r0 -> [P] r0 ; ImpI 7 discharge 1"],
+     7, "illegal-discharge",
+     "Class here discharges x P z and z P z, not x P x"),
+]
+
+
+@pytest.mark.parametrize(
+    "system, theorem, steps, step, reason, message", SOUNDNESS_REFUSALS,
+    ids=["impi-shape", "raa-shape", "boxi-shape", "mser-kind", "mser-one",
+         "class-proper", "class-pair"])
+def test_refusal_that_keeps_the_kernel_sound(system, theorem, steps, step,
+                                             reason, message):
+    report = check(parse_script("system %s\ntheorem t : %s\n%s\nqed\n" % (
+        system, theorem,
+        "\n".join("%d. %s" % (i, s) for i, s in enumerate(steps, 1)))))
+    assert not report.accepted
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (step, reason, message)]
+    refuted = find_countermodel(System(system), [], parse_formula(theorem),
+                                SearchBudget(max_worlds=2))
+    assert isinstance(refuted, Found)
+
+
+@pytest.mark.parametrize("line", ["hyp 1", "hyp discharge 1", "hyp fresh y"])
+def test_hyp_takes_no_premises_or_annotations(line):
+    report = check(parse_script(
+        "system MSQR\ntheorem t : x : r0 -> r0\n1. x : r0 ; hyp\n"
+        "2. x : r0 ; %s\n3. x : r0 -> r0 ; ImpI 2 discharge 2\nqed\n"
+        % line))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (2, "wrong-arity", "hyp takes no premises or annotations")]
+
+
+@pytest.mark.parametrize("system, rule", [("MSQR", "Mser"),
+                                          ("MSPQR", "Class")])
+def test_mser_and_class_must_discharge(system, rule):
+    rel = "M" if rule == "Mser" else "P"
+    report = check(parse_script(
+        "system %s\ntheorem t : x : r0 -> r0\n1. x : r0 ; hyp\n"
+        "2. x : r0 ; %s 1\n3. x : r0 -> r0 ; ImpI 2 discharge 1\nqed\n"
+        % (system, rule)))
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (2, "illegal-discharge",
+         "%s must discharge a hypothesis of the shape x %s y" % (rule, rel))]
 
 
 def test_raa_discharges_negation():

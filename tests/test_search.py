@@ -24,7 +24,7 @@ from qrmodal.syntax import (
     Box, Implies, Labelled, Prop, Rel, System, labels_in, parse_formula,
     well_formed,
 )
-from test_semantics import truth_set
+from test_semantics import masks, pairs, truth_set
 
 
 def _pair_subsets(pool):
@@ -89,7 +89,7 @@ def sweep_frames(system, n, disabled=()):
         else:
             pool = sorted(u)
         for meas in _pair_subsets(pool):
-            frame = Frame(system, n, u, meas)
+            frame = Frame(system, n, masks(n, u), masks(n, meas))
             if {v.prop for v in validate_frame(frame)} <= set(disabled):
                 out.append(frame)
     return out
@@ -101,15 +101,15 @@ def test_size_one_is_the_identity_frame():
     for system in System:
         frames = list(enumerate_frames(system, 1))
         assert len(frames) == 1
-        assert frames[0].u == {(0, 0)}
-        assert frames[0].meas == {(0, 0)}
+        assert frames[0].u == (0b1,)
+        assert frames[0].meas == (0b1,)
 
 
 def test_size_two_discrete_partition_forces_diagonal_meas():
     discrete = [f for f in enumerate_frames(System.MSQR, 2)
-                if f.u == {(0, 0), (1, 1)}]
+                if f.u == (0b01, 0b10)]
     assert len(discrete) == 1
-    assert discrete[0].meas == {(0, 0), (1, 1)}
+    assert discrete[0].meas == (0b01, 0b10)
 
 
 @pytest.mark.parametrize("system,counts", [
@@ -119,7 +119,8 @@ def test_size_two_discrete_partition_forces_diagonal_meas():
 def test_enumeration_matches_brute_force(system, counts):
     for n, expected in zip((1, 2, 3), counts):
         brute = brute_force_frames(system, n)
-        got = {(f.u, f.meas) for f in enumerate_frames(system, n)}
+        got = {(pairs(f.u), pairs(f.meas))
+               for f in enumerate_frames(system, n)}
         assert got == brute
         assert len(got) == expected
         seen = list(enumerate_frames(system, n))
@@ -131,6 +132,30 @@ def test_enumeration_order_is_the_mask_sweep(system):
     # frame order decides which countermodel the search returns first
     for n in (1, 2, 3):
         assert list(enumerate_frames(system, n)) == sweep_frames(system, n)
+
+
+def sweep_key(frame):
+    """A frame's place in the mask sweep, read from its pairs: U's
+    partition as a restricted growth string, then the Meas bitmask over
+    the sorted U-pairs."""
+    n, u, meas = frame.size, pairs(frame.u), pairs(frame.meas)
+    leader = [min(w for w in range(n) if (v, w) in u) for v in range(n)]
+    growth = tuple(sorted(set(leader)).index(k) for k in leader)
+    return growth, sum(1 << k for k, p in enumerate(sorted(u)) if p in meas)
+
+
+@pytest.mark.parametrize("system, frames, classes", [
+    (System.MSQR, (185, 1962), 48),
+    (System.MSPQR, (341, 6252), 100),
+])
+def test_enumeration_order_at_four_and_five_worlds(system, frames, classes):
+    # sweep_frames is too slow past 3 worlds, so at 4 and 5 the order is
+    # checked frame by frame against its key; _frames itself has no cap
+    for n, count in zip((4, 5), frames):
+        keys = [sweep_key(f) for f in search._frames(system, n)]
+        assert len(keys) == count
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert len(search._classes(system, 5)) == classes
 
 
 def test_enumeration_all_validate():
@@ -167,8 +192,8 @@ def canonical(frame):
     """The least (U, Meas) image of frame over every renaming of its
     worlds: one key per isomorphism class."""
     n = frame.size
-    return min((tuple(sorted((p[v], p[w]) for v, w in frame.u)),
-                tuple(sorted((p[v], p[w]) for v, w in frame.meas)))
+    return min((tuple(sorted((p[v], p[w]) for v, w in pairs(frame.u))),
+                tuple(sorted((p[v], p[w]) for v, w in pairs(frame.meas))))
                for p in permutations(range(n)))
 
 
@@ -197,13 +222,13 @@ def test_frames_checked_counts_every_labelled_frame(system, bound):
 def test_random_frame_single_world():
     frame = random_valid_frame(System.MSQR, 1, 7)
     assert frame.size == 1
-    assert frame.u == {(0, 0)} and frame.meas == {(0, 0)}
+    assert frame.u == (0b1,) and frame.meas == (0b1,)
 
 
 def test_random_frame_golden_seed_42():
-    u_total3 = frozenset((a, b) for a in range(3) for b in range(3))
-    meas = {System.MSQR: {(0, 1), (1, 1), (2, 1)},
-            System.MSPQR: {(0, 0), (1, 1), (2, 1)}}
+    u_total3 = (0b111,) * 3
+    meas = {System.MSQR: (0b010, 0b010, 0b010),
+            System.MSPQR: (0b001, 0b010, 0b010)}
     for system in System:
         frame = random_valid_frame(system, 3, 42)
         assert frame.size == 3
@@ -354,7 +379,7 @@ def test_values_the_search_hands_out_refuse_assignment():
     found = find_countermodel(System.MSQR, [], alpha, budget)
     frames = list(enumerate_frames(System.MSQR, 2))
     frames += [random_valid_frame(System.MSQR, 2, seed) for seed in range(4)]
-    targets = [(frame, "meas", frozenset()) for frame in frames]
+    targets = [(frame, "meas", ()) for frame in frames]
     targets += [(budget, "max_worlds", 5),
                 (found.structure.model, "valuation", ())]
     for value, field, new in targets:
@@ -461,7 +486,7 @@ def nested_loop(system, gamma, alpha, max_worlds, disabled=()):
                 def true(f, interp):
                     if isinstance(f, Labelled):
                         return interp[f.label] in sets[f.body]
-                    return (interp[f.left], interp[f.right]) in (
+                    return (interp[f.left], interp[f.right]) in pairs(
                         frame.u if f.rel is Rel.U else frame.meas)
                 for combo in product(range(size), repeat=len(labels)):
                     interp = dict(zip(labels, combo))

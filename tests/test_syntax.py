@@ -436,7 +436,7 @@ def _values():
     f = parse_formula("x : [] r0 -> ~(r1 & bot)")
     step = ProofStep(1, f, "hyp")
     script = ProofScript(System.MSQR, "t", f, (step,))
-    frame = Frame(System.MSQR, 1, [(0, 0)], [(0, 0)])
+    frame = Frame(System.MSQR, 1, (0b1,), (0b1,))
     model = Model(frame, {0: ["r0"]})
     structure = Structure(model, {"x": 0})
     return [
