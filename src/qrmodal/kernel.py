@@ -47,20 +47,24 @@ MSpQR only:
   Psub1   a, x P x, x P y => a[y/x]
   Psub2   a, x P x, x P y => a[x/y]
 
-Derived rules (NegI, NegE, IffI, IffE1, IffE2, AndI, AndE1, AndE2, and
-Mtrans under MSQR) are expanded to primitive steps before checking, so
-the checker never trusts them.  A derived step passes the admission
-checks of a primitive one (system, premises, arity, discharges, fresh)
-before it is expanded.  Helper steps are private to their expansion:
-later steps cannot cite or discharge them, nor open_at name them.
-Premises are matched in the order the schema lists them.
+Derived rules (DERIVED; Mtrans is MSQR's only) are expanded to
+primitive steps before checking, so the checker never trusts them.  A
+derived step passes the admission checks of a primitive one (system,
+premises, arity, discharges, fresh) before it is expanded.  Helper
+steps are private to their expansion: later steps cannot cite or
+discharge them, nor open_at name them.  Premises are matched in the
+order the schema lists them.
 
 Diagnostics carry stable reason codes: wrong-arity, schema-mismatch,
 illegal-discharge, freshness-violation, undischarged-at-theorem,
 wrong-system, unknown-premise.
 
-Scripts are read and printed by qrmodal.script, and derived rules are
-expanded by qrmodal.derived; neither is trusted.  This module
+Every rule fact the checker uses is stated in the tables below the
+reason codes: each system's rules with their premise counts
+(_PREMISES), the derived rules, and the rules that discharge or take a
+fresh label.  Scripts are read and printed by qrmodal.script, which
+knows only the rule names its reader accepts; derived rules are
+expanded by qrmodal.derived.  Neither is trusted.  This module
 re-exports parse_script only, because the CLI, the README's library
 example and perfbench call it as kernel.parse_script.
 """
@@ -70,10 +74,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .derived import ExpansionError, expand_derived
-from .script import (
-    ALL_RULES, DERIVED, DERIVED_MSQR, DERIVED_SHARED, HYP, PRIMITIVE_MSPQR,
-    PRIMITIVE_MSQR, PRIMITIVE_SHARED, ProofScript, ProofStep, parse_script,
-)
+from .script import HYP, ProofScript, ProofStep, parse_script
 from .syntax import (
     BOT, Box, Formula, Implies, Labelled, Record, Rel, Relational, System,
     bit_indices, labels_in, print_formula, substitute, well_formed,
@@ -87,27 +88,27 @@ UNDISCHARGED_AT_THEOREM = "undischarged-at-theorem"
 WRONG_SYSTEM = "wrong-system"
 UNKNOWN_PREMISE = "unknown-premise"
 
-_ARITY = {
+# each system's rules and their premise counts: the shared, then its own
+_SHARED = {
     HYP: 0, "ImpI": 1, "ImpE": 2, "RAA": 1, "BotE": 1, "BoxI": 1,
     "BoxE": 2, "Urefl": 0, "Usymm": 1, "Utrans": 2,
-    "UIfromM": 1, "Mser": 1, "Msrefl": 1, "Msub1": 3, "Msub2": 3,
-    "PUI": 1, "Ptrans": 2, "Class": 1, "Psub1": 3, "Psub2": 3,
     "NegI": 1, "NegE": 2, "IffI": 2, "IffE1": 1, "IffE2": 1,
-    "AndI": 2, "AndE1": 1, "AndE2": 1, "Mtrans": 2,
+    "AndI": 2, "AndE1": 1, "AndE2": 1,
 }
-
+_PREMISES = {
+    System.MSQR: {**_SHARED, "UIfromM": 1, "Mser": 1, "Msrefl": 1,
+                  "Msub1": 3, "Msub2": 3, "Mtrans": 2},
+    System.MSPQR: {**_SHARED, "PUI": 1, "Ptrans": 2, "Class": 1,
+                   "Psub1": 3, "Psub2": 3},
+}
+DERIVED = frozenset(("NegI", "NegE", "IffI", "IffE1", "IffE2", "AndI",
+                     "AndE1", "AndE2", "Mtrans"))
 _DISCHARGING = frozenset(("ImpI", "RAA", "BoxI", "Mser", "Class", "NegI"))
 _FRESH_RULES = frozenset(("BoxI", "Mser", "Class"))
 
-_SHARED_RULES = frozenset((HYP,)) | PRIMITIVE_SHARED | DERIVED_SHARED
-_RULES_OF = {
-    System.MSQR: _SHARED_RULES | PRIMITIVE_MSQR | DERIVED_MSQR,
-    System.MSPQR: _SHARED_RULES | PRIMITIVE_MSPQR,
-}
-
 
 def rules_of(system: System) -> frozenset[str]:
-    return _RULES_OF[system]
+    return frozenset(_PREMISES[system])
 
 
 class Diagnostic(Record):
@@ -171,6 +172,7 @@ class _State:
     def __init__(self, script: ProofScript, system: Optional[System]):
         self.script = script
         self.system = system or script.system
+        self.premises = _PREMISES[self.system]  # rule -> premise count
         self.diags: list[Diagnostic] = []
         self.formulas: dict[int, Formula] = {}
         # per step, its open hypotheses as a bitset over hypothesis indices
@@ -272,13 +274,13 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
         state.deps[sid] = bit
         return
 
-    if rule not in ALL_RULES:
-        diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % rule)
-        _record(state, st)
-        return
-    if rule not in rules_of(state.system):
-        diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
-             % (rule, state.system.value))
+    arity = state.premises.get(rule)
+    if arity is None:
+        if any(rule in table for table in _PREMISES.values()):
+            diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
+                 % (rule, state.system.value))
+        else:
+            diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % rule)
         _record(state, st)
         return
 
@@ -291,9 +293,9 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
             missing = True
         else:
             prems.append((pid, state.formulas[pid]))
-    if len(premises) != _ARITY[rule]:
+    if len(premises) != arity:
         diag(origin, WRONG_ARITY, "%s takes %d premises, got %d"
-             % (rule, _ARITY[rule], len(premises)))
+             % (rule, arity, len(premises)))
         missing = True
     if missing:
         _record(state, st)

@@ -1,4 +1,4 @@
-"""Proof script text: the rule names, reading and printing.
+"""Proof script text: the rule names it reads, reading and printing.
 
 A script file::
 
@@ -42,20 +42,14 @@ from . import syntax
 from .syntax import Formula, ParseError, Record, System, print_formula
 
 HYP = "hyp"
-
-PRIMITIVE_SHARED = frozenset((
-    "ImpI", "ImpE", "RAA", "BotE", "BoxI", "BoxE",
-    "Urefl", "Usymm", "Utrans",
+# the rule names the reader accepts; which system has which rule, and
+# what each takes, is the kernel's to decide
+ALL_RULES = frozenset((
+    HYP, "ImpI", "ImpE", "RAA", "BotE", "BoxI", "BoxE", "Urefl", "Usymm",
+    "Utrans", "UIfromM", "Mser", "Msrefl", "Msub1", "Msub2", "PUI",
+    "Ptrans", "Class", "Psub1", "Psub2", "NegI", "NegE", "IffI", "IffE1",
+    "IffE2", "AndI", "AndE1", "AndE2", "Mtrans",
 ))
-PRIMITIVE_MSQR = frozenset(("UIfromM", "Mser", "Msrefl", "Msub1", "Msub2"))
-PRIMITIVE_MSPQR = frozenset(("PUI", "Ptrans", "Class", "Psub1", "Psub2"))
-DERIVED_SHARED = frozenset((
-    "NegI", "NegE", "IffI", "IffE1", "IffE2", "AndI", "AndE1", "AndE2",
-))
-DERIVED_MSQR = frozenset(("Mtrans",))
-DERIVED = DERIVED_SHARED | DERIVED_MSQR
-ALL_RULES = (frozenset((HYP,)) | PRIMITIVE_SHARED | PRIMITIVE_MSQR
-             | PRIMITIVE_MSPQR | DERIVED)
 
 
 class ProofStep(Record):

@@ -36,7 +36,7 @@ a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
 search exhaustive within sane time, and bounds below 1 with SearchError;
-a SearchBudget decides both when it is made.
+_bounded decides both, for a SearchBudget when it is made.
 """
 
 from __future__ import annotations
@@ -57,12 +57,21 @@ MAX_ENUM_SIZE = 4
 CHUNK_BITS = 12
 
 
-class SearchError(InputError):
+class SearchError(InputError, ValueError):
     code = "search"
 
 
 class BoundTooLarge(SearchError):
     code = "bound-too-large"
+
+
+def _bounded(n: int, name: str, what: str) -> None:
+    # 1 <= n <= MAX_ENUM_SIZE, for budgets and enumerators alike
+    if n < 1:
+        raise SearchError("%s must be at least 1" % name)
+    if n > MAX_ENUM_SIZE:
+        raise BoundTooLarge("%s is capped at %d worlds"
+                            % (what, MAX_ENUM_SIZE))
 
 
 class SearchBudget(Record):
@@ -73,11 +82,7 @@ class SearchBudget(Record):
     __slots__ = ()
 
     def __new__(cls, max_worlds: int = 3):
-        if max_worlds < 1:
-            raise SearchError("the world bound must be at least 1")
-        if max_worlds > MAX_ENUM_SIZE:
-            raise BoundTooLarge("search is capped at %d worlds"
-                                % MAX_ENUM_SIZE)
+        _bounded(max_worlds, "the world bound", "search")
         return tuple.__new__(cls, (cls, max_worlds))
 
 
@@ -178,17 +183,9 @@ def _classes(system: System, size: int) -> tuple[Frame, ...]:
     return tuple(out)
 
 
-def _enumerable(name: str, size: int) -> None:
-    if size < 1:
-        raise ValueError("%s must be at least 1" % name)
-    if size > MAX_ENUM_SIZE:
-        raise BoundTooLarge("enumeration is capped at %d worlds"
-                            % MAX_ENUM_SIZE)
-
-
 def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
     """All valid frames on worlds {0..size-1}, each exactly once."""
-    _enumerable("size", size)
+    _bounded(size, "size", "enumeration")
     return iter(_frames(system, size))
 
 
@@ -200,7 +197,7 @@ def random_valid_frame(system: System, max_worlds: int, seed: int) -> Frame:
     max_worlds worlds can be drawn.  Bounds above MAX_ENUM_SIZE raise
     BoundTooLarge, as enumerate_frames does.
     """
-    _enumerable("max_worlds", max_worlds)
+    _bounded(max_worlds, "max_worlds", "enumeration")
     rng = random.Random(seed)
     n = rng.randint(1, max_worlds)
     return rng.choice(_frames(system, n))

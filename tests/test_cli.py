@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qrmodal import search, semantics, syntax
+from qrmodal import kernel, search, semantics, syntax
 from qrmodal.cli import main
 from qrmodal.script import MAX_ID_DIGITS
 from qrmodal.search import Found
@@ -431,6 +431,50 @@ def test_corpus_run_statement_mismatch(tmp_path, capsys):
     code = main(["corpus", "run", "--dir", str(dest)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _one_entry_corpus(tmp_path, script, **entry):
+    # a corpus of one entry, t, whose script is the text script
+    (tmp_path / "t.prf").write_text(script)
+    (tmp_path / "manifest.json").write_text(json.dumps({"entries": [dict(
+        name="t", system="msqr", path="t.prf", **entry)]}))
+    return str(tmp_path)
+
+
+LONE_HYPOTHESIS = "system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\nqed\n"
+
+
+@pytest.mark.parametrize("script, statement, reason, fail", [
+    ((CORPUS / "msqr" / "thm1.prf").read_text(), "x : [] r0 -> r0",
+     "freshness-violation",
+     "accepted, expected rejection (freshness-violation)"),
+    (LONE_HYPOTHESIS, "x : r0", "wrong-arity",
+     "rejected with ['undischarged-at-theorem'], expected wrong-arity"),
+], ids=["accepted", "other-reason"])
+def test_corpus_run_fails_an_unexpected_verdict(tmp_path, capsys, script,
+                                                statement, reason, fail):
+    corpus = _one_entry_corpus(tmp_path, script, statement=statement,
+                               expected="rejected", reason=reason)
+    code = main(["corpus", "run", "--dir", corpus])
+    assert (code, capsys.readouterr().out) == (
+        1, "FAIL t: %s\n0/1 entries behaved as expected\n" % fail)
+
+
+def test_corpus_run_fails_an_accepted_entry_with_a_countermodel(
+        tmp_path, capsys, monkeypatch):
+    # the soundness cross-check, against a kernel that accepts anything;
+    # the countermodel is the README's
+    monkeypatch.setattr(kernel, "check", lambda script, system: (
+        kernel.CheckReport(frozenset(), (), (), (), ())))
+    corpus = _one_entry_corpus(
+        tmp_path, LONE_HYPOTHESIS.replace("x : r0", "x : r0 -> [M] r0"),
+        statement="x : r0 -> [M] r0", expected="accepted")
+    code = main(["corpus", "run", "--dir", corpus, "--max-worlds", "2"])
+    assert (code, capsys.readouterr().out) == (1, (
+        "FAIL t: accepted but refuted by\n"
+        "system MSQR\nworlds w0 w1\nU w0 w0\nU w0 w1\nU w1 w0\nU w1 w1\n"
+        "M w0 w0\nM w1 w0\nval w1: r0\ninterp x = w1\n\n"
+        "0/1 entries behaved as expected\n"))
 
 
 @pytest.mark.parametrize("bound, error", [

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from qrmodal import kernel, syntax
 from qrmodal.derived import expand_derived
-from qrmodal.kernel import KernelError, check, parse_script, rules_of
-from qrmodal.script import (
-    ALL_RULES, DERIVED, ProofScript, ProofStep, print_script,
-)
+from qrmodal.kernel import DERIVED, KernelError, check, parse_script, rules_of
+from qrmodal.script import ALL_RULES, ProofScript, ProofStep, print_script
 from qrmodal.search import Found, SearchBudget, find_countermodel
 from qrmodal.syntax import (
     BOT, Box, Implies, Labelled, ParseError, Rel, Relational, System,
@@ -722,6 +720,21 @@ def test_rule_gating_between_systems():
     assert "Mtrans" not in rules_of(System.MSPQR)
 
 
+def test_the_reader_accepts_the_names_of_the_kernel_rules():
+    # the kernel states which rules each system has; the script reader
+    # accepts their names and no others
+    shared = {"hyp", "ImpI", "ImpE", "RAA", "BotE", "BoxI", "BoxE", "Urefl",
+              "Usymm", "Utrans", "NegI", "NegE", "IffI", "IffE1", "IffE2",
+              "AndI", "AndE1", "AndE2"}
+    assert rules_of(System.MSQR) == shared | {
+        "UIfromM", "Mser", "Msrefl", "Msub1", "Msub2", "Mtrans"}
+    assert rules_of(System.MSPQR) == shared | {
+        "PUI", "Ptrans", "Class", "Psub1", "Psub2"}
+    assert (len(rules_of(System.MSQR)), len(rules_of(System.MSPQR))) == \
+        (24, 23)
+    assert ALL_RULES == rules_of(System.MSQR) | rules_of(System.MSPQR)
+
+
 def test_system_override_flag_behaviour():
     script = load("msqr/thm5.prf")
     assert check(script, system=System.MSQR).accepted
@@ -850,6 +863,60 @@ def test_refusal_that_keeps_the_kernel_sound(system, theorem, steps, step,
     refuted = find_countermodel(System(system), [], parse_formula(theorem),
                                 SearchBudget(max_worlds=2))
     assert isinstance(refuted, Found)
+
+
+# Steps refused by a check that records its diagnostic and stops there:
+# each script pins its whole diagnostic list, so a check that ran on
+# past its refusal would add a second diagnostic to the step.
+ONE_REFUSAL_PER_STEP = [
+    ("MSQR", "x : r0 -> [] r0",
+     ["x : r0 ; hyp", "x : [] r0 ; BoxI 1",
+      "x : r0 -> [] r0 ; ImpI 2 discharge 1"],
+     [(2, "freshness-violation", "fresh label x must differ from x")]),
+    ("MSQR", "y : r0",
+     ["y : r0 ; hyp", "x M y ; hyp", "y : r0 ; Mser 1 discharge 2"],
+     [(3, "freshness-violation",
+       "fresh label y occurs in the conclusion y : r0"),
+      (3, "undischarged-at-theorem", "open assumptions remain: y : r0")]),
+    ("MSQR", "x U z",
+     ["x U y ; hyp", "z U w ; hyp", "x U z ; Utrans 1,2"],
+     [(3, "schema-mismatch", "premises must chain: second must start at y"),
+      (3, "undischarged-at-theorem",
+       "open assumptions remain: x U y, z U w")]),
+    ("MSQR", "x : r1",
+     ["x : r0 ; hyp", "x : r1 ; Mser 1"],
+     [(2, "schema-mismatch", "conclusion must repeat the premise x : r0"),
+      (2, "undischarged-at-theorem", "open assumptions remain: x : r0")]),
+    ("MSQR", "x : r0",
+     ["x : r0 ; hyp", "x M x ; hyp", "x M y ; hyp",
+      "x : r0 ; Mser 1 discharge 2,3"],
+     [(4, "illegal-discharge",
+       "Mser discharges occurrences of one hypothesis"),
+      (4, "undischarged-at-theorem", "open assumptions remain: x : r0")]),
+    ("MSPQR", "x : r0",
+     ["x : r0 ; hyp", "x P y ; hyp", "z P z ; hyp", "w P w ; hyp",
+      "x : r0 ; Class 1 discharge 2,3,4"],
+     [(5, "illegal-discharge",
+       "Class here discharges x P y and y P y, not z P z"),
+      (5, "undischarged-at-theorem", "open assumptions remain: x : r0")]),
+    ("MSQR", "x : [] r0",
+     ["y : r0 ; hyp", "y : r1 ; hyp", "x : [] r0 ; BoxI 1 discharge 2"],
+     [(3, "illegal-discharge", "BoxI here discharges x U y, not y : r1"),
+      (3, "undischarged-at-theorem", "open assumptions remain: y : r0")]),
+]
+
+
+@pytest.mark.parametrize(
+    "system, theorem, steps, diagnostics", ONE_REFUSAL_PER_STEP,
+    ids=["fresh-differs", "fresh-in-conclusion", "utrans-chain",
+         "mser-repeats", "mser-one", "class-pair", "wrong-discharge"])
+def test_a_refused_step_gets_one_diagnostic(system, theorem, steps,
+                                            diagnostics):
+    report = check(parse_script("system %s\ntheorem t : %s\n%s\nqed\n" % (
+        system, theorem,
+        "\n".join("%d. %s" % (i, s) for i, s in enumerate(steps, 1)))))
+    assert [(d.step, d.reason, d.message)
+            for d in report.diagnostics] == diagnostics
 
 
 @pytest.mark.parametrize("line", ["hyp 1", "hyp discharge 1", "hyp fresh y"])
@@ -1015,6 +1082,18 @@ def test_duplicate_ids_rejected():
         )))
 
 
+@pytest.mark.parametrize("steps, message", [
+    ((), "a script needs at least one step"),
+    ((ProofStep(0, parse_formula("x U x"), "Urefl"),),
+     "step ids must be positive, got 0"),
+], ids=["no-steps", "id-zero"])
+def test_check_refuses_a_script_the_reader_cannot_make(steps, message):
+    # parse_script never builds these; a library caller can
+    with pytest.raises(ValueError) as exc:
+        check(ProofScript(System.MSQR, "t", None, steps))
+    assert str(exc.value) == message
+
+
 def test_forward_premise_is_unknown():
     report = check(parse_script(
         "system MSQR\n"
@@ -1094,6 +1173,14 @@ def test_step_ids_are_ascii_digits(line, message):
         col = line.index(word) + len(word) + 2
     assert (exc.value.message, exc.value.line, exc.value.col) == \
         (message, 4, col)
+
+
+def test_step_id_zero_is_refused_at_the_id():
+    with pytest.raises(ParseError) as exc:
+        parse_script("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+                     "  0. x : r0 ; hyp\nqed\n")
+    assert (exc.value.message, exc.value.line, exc.value.col) == \
+        ("step ids are positive", 4, 3)
 
 
 def test_blanks_beside_commas_are_accepted():

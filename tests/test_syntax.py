@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qrmodal import kernel, syntax
-from qrmodal.kernel import Diagnostic, check, parse_script
-from qrmodal.script import ALL_RULES, DERIVED, ProofScript, ProofStep
+from qrmodal.kernel import DERIVED, Diagnostic, check, parse_script
+from qrmodal.script import ALL_RULES, ProofScript, ProofStep
 from qrmodal.search import Found, NotFoundWithin, SearchBudget
 from qrmodal.semantics import (
     Frame, FrameViolation, Model, Structure, holds, parse_structure,
