@@ -112,17 +112,12 @@ class NotFoundWithin(Record):
 CountermodelResult = Union[Found, NotFoundWithin]
 
 
-def _partitions(n: int) -> Iterator[tuple[int, ...]]:
+def _partitions(n: int) -> list[tuple[int, ...]]:
     # block assignments as restricted growth strings, lexicographic
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for b in range(used + 1):
-            prefix.append(b)
-            yield from rec(prefix, max(used, b + 1))
-            prefix.pop()
-    yield from rec([], 0)
+    out = [()]
+    for _ in range(n):
+        out = [p + (b,) for p in out for b in range(max(p, default=-1) + 2)]
+    return out
 
 
 def _meas_relations(system: System,

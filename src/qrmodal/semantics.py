@@ -42,7 +42,7 @@ Model files look like:
 One relation pair per line, `val` lines list the propositions true at a
 world (worlds with no line get none), `interp` binds labels to worlds.
 Propositions and labels are identifiers, as syntax.is_identifier
-decides; world names are any fields.
+decides; world names are any fields without "#".
 Lines are read by syntax.read_lines, as scripts are.  An error points
 at the field it is about, such as an unknown world, or else at the
 line's first field.
@@ -442,9 +442,21 @@ def parse_structure(text: str, allow_invalid: bool = False) -> Structure:
 
 
 def print_structure(structure: Structure) -> str:
-    """Canonical model file text; parse_structure inverts it."""
+    """Canonical model file text; parse_structure inverts it.  Raises
+    ValueError for a world name that is empty or holds a blank or "#",
+    or a proposition or label that is not an identifier, which the text
+    could not hold."""
     model = structure.model
     frame, names = model.frame, model.frame.names
+    for name in names:
+        if split_fields(name) != [name] or "#" in name:
+            raise ValueError("world name %r cannot be written to a model "
+                             "file" % name)
+    for kind, words in (("proposition", set().union(*model.valuation)),
+                        ("label", [lab for lab, _ in structure.interp])):
+        for word in sorted(words):
+            if not is_identifier(word):
+                raise ValueError("%s %r is not an identifier" % (kind, word))
     lines = ["system " + frame.system.value, "worlds " + " ".join(names)]
     for sym, masks in (("U", frame.u),
                        (MEASUREMENT[frame.system].value, frame.meas)):

@@ -46,15 +46,16 @@ pattern over the text with ``findall``.  Each match is a token and the
 blanks and comments after it.  A token is a word (a run of letters,
 digits and ``_``), an operator, or any other single character that is
 not blank.  The blanks are space, tab, CR and LF (``BLANKS``), here and
-in every line-oriented reader.  One dict lookup classifies operators
-and reserved words.  Any other word is an identifier when it starts
-with a letter or ``_`` (``is_identifier`` applies the same test to a
-whole field); everything else is refused.  Tokens are plain
-``(kind, text)`` pairs.  The line and column of a token are computed
-only when a ParseError is raised, by scanning the text again up to
-that token.  The parser reads the tokens by index.  One loop per
-parenthesis level reads the operands and closes each binary operator
-level as soon as the next token ends it.
+in every line-oriented reader.  A token is its text, and the list
+ends with ``""``, the end token.  The operators, the reserved words and
+``""`` make up ``_RESERVED``; every other token must start with a
+letter or ``_`` and is an identifier (``is_identifier`` applies the
+same test to a whole field), and a text with any other token is
+refused.  The line and column of a token are computed only when a
+ParseError is raised, by scanning the text again up to that token.
+The parser reads the tokens by index and compares their texts.  One
+loop per parenthesis level reads the operands and closes each binary
+operator level as soon as the next token ends it.
 
 A proof script restates the formulas of earlier steps inside later
 ones, so ``script.parse_script`` hands every formula of one script the
@@ -80,7 +81,7 @@ import collections
 import enum
 import itertools
 import re
-from typing import Iterator, NoReturn, Optional
+from typing import Iterator, Optional
 
 
 # Members are singletons and compare by identity, so they hash by it
@@ -392,11 +393,11 @@ _LEADING = re.compile(_SKIP)
 _WORD = r"\w+"
 _TOKEN = re.compile(r"(%s|<->|<[MP]?>|\[[MP]?\]|->|%s)" % (_WORD, NOT_BLANK)
                     + _SKIP)
-# the kind of each operator and reserved word; other words are identifiers
-_KIND = {w: w for w in ("bot", "U", "M", "P", "<->", "<>", "<M>", "<P>",
-                        "[]", "[M]", "[P]", "->", "(", ")", "~", "&", "|",
-                        ":")}
-_END = ("end", "")
+# the operators, the reserved words and "", the end token; every other
+# token is an identifier
+_RESERVED = frozenset(("bot", "U", "M", "P", "<->", "<>", "<M>", "<P>",
+                       "[]", "[M]", "[P]", "->", "(", ")", "~", "&", "|",
+                       ":", ""))
 # what a stray character could have begun
 _PARTIAL = {"<": ("<->", "<>", "<M>", "<P>"), "[": ("[]", "[M]", "[P]"),
             "-": ("->",)}
@@ -407,40 +408,32 @@ def split_fields(text: str) -> list[str]:
     return _FIELD.findall(text)
 
 
-def _starts_identifier(c: str) -> bool:
-    # a word token that starts so and is not reserved is an identifier
-    return c.isalpha() or c == "_"
+def _starts_identifier(word: str) -> bool:
+    # a nonempty token that starts so and is not reserved is an identifier
+    return word[0].isalpha() or word[0] == "_"
 
 
 def is_identifier(word: str) -> bool:
     """Whether word is read as one identifier token: a word of letters,
     digits and "_" that starts with a letter or "_" and is not a
     reserved word."""
-    return (re.fullmatch(_WORD, word) is not None and word not in _KIND
-            and _starts_identifier(word[0]))
+    return (re.fullmatch(_WORD, word) is not None
+            and word not in _RESERVED and _starts_identifier(word))
 
 
-def tokenize(text: str) -> list[tuple[str, str]]:
-    """The (kind, text) tokens of text, then ("end", "").
-
-    A kind is an operator, "bot", "U", "M", "P" or "ident".
-    """
-    words = _TOKEN.findall(text, _LEADING.match(text).end())
-    toks = [(_KIND.get(w) or ("ident" if _starts_identifier(w[0])
-                              else _unexpected(text, words)), w)
-            for w in words]
-    toks.append(_END)
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, then "", the end token."""
+    toks = _TOKEN.findall(text, _LEADING.match(text).end())
+    if not all(map(_starts_identifier, set(toks) - _RESERVED)):
+        # refuse the first token that is neither reserved nor an identifier
+        i = next(i for i, w in enumerate(toks)
+                 if w not in _RESERVED and not _starts_identifier(w))
+        c = toks[i][0]
+        message = ("unexpected %r" if c in _PARTIAL
+                   else "unexpected character %r")
+        raise _error(text, i, message % c, _PARTIAL.get(c, ()))
+    toks.append("")
     return toks
-
-
-def _unexpected(text: str, words: list[str]) -> NoReturn:
-    # the first word that is neither a known token nor an identifier
-    i = next(i for i, w in enumerate(words)
-             if w not in _KIND and not _starts_identifier(w[0]))
-    c = words[i][0]
-    if c in _PARTIAL:
-        raise _error(text, i, "unexpected %r" % c, _PARTIAL[c])
-    raise _error(text, i, "unexpected character %r" % c)
 
 
 def _error(text: str, index: int, message: str,
@@ -499,7 +492,7 @@ class _Parser:
     _error finds its position.
     """
 
-    def __init__(self, text: str, toks: list[tuple[str, str]],
+    def __init__(self, text: str, toks: list[str],
                  system: Optional[System], memo: Optional[dict] = None):
         self.text = text
         self.toks = toks
@@ -520,11 +513,11 @@ class _Parser:
         group = self.groups.get(i)
         if group is None or self.parens + group[1] > MAX_DEPTH:
             return None
-        return " ".join([word for _, word in self.toks[i + 1:group[0]]])
+        return " ".join(self.toks[i + 1:group[0]])
 
     def fail(self, i: int, expected: tuple[str, ...]) -> ParseError:
-        kind, word = self.toks[i]
-        found = "end of input" if kind == "end" else repr(word)
+        word = self.toks[i]
+        found = repr(word) if word else "end of input"
         want = " or ".join(expected)
         return _error(self.text, i, "expected %s, found %s" % (want, found),
                       expected)
@@ -545,13 +538,13 @@ class _Parser:
 
     def gate(self, i: int) -> None:
         # vocabulary restricted to the requested system
-        word = self.toks[i][1]
+        word = self.toks[i]
         if word in self.foreign:
             raise _error(self.text, i, "%r is not in the %s vocabulary"
                          % (word, self.system.value), reason="wrong-system")
 
     def end(self, i: int) -> None:
-        if self.toks[i][0] != "end":
+        if self.toks[i]:
             raise self.fail(i, ("end of input",))
 
     def mformula(self, i: int) -> tuple[MFormula, int]:
@@ -565,28 +558,28 @@ class _Parser:
         arrows: list[MFormula] = []  # the chain before "->"
         d = c = None  # the open disjunction and conjunction
         while True:
-            kind, word = toks[i]
-            if kind == "ident":
+            word = toks[i]
+            if word not in _RESERVED:
                 a = Prop(word)
                 i += 1
             else:
                 a, i = self.unary(i)
             if c is not None:
                 a = self.capped(conj(c, a), i)
-            kind = toks[i][0]
-            if kind == "&":
+            word = toks[i]
+            if word == "&":
                 c = a
                 i += 1
                 continue
             c = None
             if d is not None:
                 a = self.capped(disj(d, a), i)
-            if kind == "|":
+            if word == "|":
                 d = a
                 i += 1
                 continue
             d = None
-            if kind == "->":
+            if word == "->":
                 if len(arrows) == MAX_DEPTH:  # each arrow nests one level
                     raise self.too_deep(i)
                 arrows.append(a)
@@ -598,7 +591,7 @@ class _Parser:
                 a = self.capped(a, i)
             if left is not None:
                 return self.capped(iff(left, a), i), i
-            if kind != "<->":
+            if word != "<->":
                 return a, i
             left = a
             i += 1
@@ -608,21 +601,21 @@ class _Parser:
         # "(" mformula ")"
         toks = self.toks
         start = i
-        kind, word = toks[i]
-        while kind in _PREFIX:
+        word = toks[i]
+        while word in _PREFIX:
             if i - start == MAX_DEPTH:  # each prefix nests a level or more
                 raise self.too_deep(i)
             self.gate(i)
             i += 1
-            kind, word = toks[i]
+            word = toks[i]
         ops = i
-        if kind == "ident":
+        if word not in _RESERVED:
             a = Prop(word)
             i += 1
-        elif kind == "bot":
+        elif word == "bot":
             a = BOT
             i += 1
-        elif kind == "(":
+        elif word == "(":
             if self.parens == MAX_DEPTH:
                 raise self.too_deep(i)
             key = self.key(i)
@@ -632,7 +625,7 @@ class _Parser:
             else:
                 self.parens += 1
                 a, i = self.mformula(i + 1)
-                if toks[i][0] != ")":
+                if toks[i] != ")":
                     raise self.fail(i, (")",))
                 self.parens -= 1
                 i += 1
@@ -643,7 +636,7 @@ class _Parser:
         if ops == start:
             return a, i
         for k in range(ops - 1, start - 1, -1):
-            op = toks[k][0]
+            op = toks[k]
             if op == "~":
                 a = neg(a)
             elif op in _REL_OF_BOX:
@@ -653,15 +646,15 @@ class _Parser:
         return self.capped(a, i), i
 
 
-def _groups(toks: list[tuple[str, str]]) -> dict[int, tuple[int, int]]:
+def _groups(toks: list[str]) -> dict[int, tuple[int, int]]:
     # for each "(" that has a matching ")": the index of the ")" and the
     # group's depth in parentheses, its own included
     groups = {}
     stack: list[list[int]] = []  # [index of "(", depth so far]
-    for j, (kind, _) in enumerate(toks):
-        if kind == "(":
+    for j, word in enumerate(toks):
+        if word == "(":
             stack.append([j, 1])
-        elif kind == ")" and stack:
+        elif word == ")" and stack:
             i, depth = stack.pop()
             groups[i] = j, depth
             if stack and stack[-1][1] <= depth:
@@ -689,37 +682,35 @@ def parse_formula(text: str, system: Optional[System] = None,
     """
     toks = tokenize(text)
     p = _Parser(text, toks, system, _memo)
-    kind, label = toks[0]
-    if kind != "ident":
+    label = toks[0]
+    if label in _RESERVED:
         raise p.fail(0, ("identifier",))
-    kind = toks[1][0]
-    if kind == ":":
+    word = toks[1]
+    if word == ":":
         body, i = p.mformula(2)
         p.end(i)
         return Labelled(label, body)
-    if kind in _REL:
+    if word in _REL:
         p.gate(1)
-        if toks[2][0] != "ident":
+        if toks[2] in _RESERVED:
             raise p.fail(2, ("ident",))
         p.end(3)
-        return Relational(label, _REL[kind], toks[2][1])
+        return Relational(label, _REL[word], toks[2])
     raise p.fail(1, (":", "U", "M", "P"))
 
 
 # ---------------------------------------------------------------------------
 # line-oriented input
 
-class Line:
+class Line(Record):
     """A nonblank line of a script, model or assumption file: its
     number, its text from the first nonblank character up to any "#"
     comment, stripped, and the offset of that character on the line."""
 
-    __slots__ = ("number", "text", "start")
+    __slots__ = ()
 
-    def __init__(self, number: int, text: str, start: int):
-        self.number = number
-        self.text = text
-        self.start = start
+    def __new__(cls, number: int, text: str, start: int):
+        return tuple.__new__(cls, (cls, number, text, start))
 
     def error(self, message: str, field: int = 0,
               reason: str = "syntax") -> ParseError:

@@ -19,7 +19,8 @@ runs the tier-1 command (with -x, since one failure kills it) in a
 temporary copy of the repository, JOBS at a time.  The output lists
 every surviving mutant, that is one the suite passes, by its id, line
 and changed text: each is a fault no test catches, or an equivalent
-change to argue away.  IDs run only those mutants.
+change to argue away.  The exit status is 1 when a mutant survives and
+0 otherwise.  IDs run only those mutants.
 
 Standard library only; pytest does not collect this file.
 """
@@ -153,7 +154,7 @@ def main(argv: list[str]) -> int:
         line, kind, mutated = every[i]
         print("%3d  :%d  %-7s %s" % (i, line, kind,
                                      _changed_line(source, mutated, line)))
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

@@ -1046,7 +1046,7 @@ def test_names_the_benchmark_calls_resolve(capsys):
     formulas = {s.id: s.formula for s in script.steps}
     steps = api["kernel.expand_derived"](mtrans, formulas, 100)
     assert [s.rule for s in steps] == ["Msrefl", "Msub1"]
-    assert api["syntax.tokenize"]("x : r0")[-1][0] == "end"
+    assert api["syntax.tokenize"]("x : r0")[-1] == ""
     with pytest.raises(api["syntax.ParseError"]):
         api["syntax.parse_formula"]("x : r0 ->", system)
     frames = list(api["search.enumerate_frames"](system, 2))

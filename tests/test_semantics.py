@@ -408,6 +408,11 @@ interp x = v
 """
 
 
+def _named_structure(names=("v", "w"), props=("r0",), label="x"):
+    frame = Frame(System.MSQR, 2, U_TOTAL2, (0b10, 0b10), names=names)
+    return Structure(Model(frame, {1: set(props)}), {label: 0})
+
+
 def test_parse_structure_round_trip():
     st_ = parse_structure(MODEL_TEXT)
     assert st_.model.frame.names == ("v", "w")
@@ -415,6 +420,31 @@ def test_parse_structure_round_trip():
     assert print_structure(st_) == MODEL_TEXT
     again = parse_structure(print_structure(st_))
     assert print_structure(again) == MODEL_TEXT
+    # world names need only be fields without "#"
+    odd = _named_structure(names=("v:", "="))
+    assert parse_structure(print_structure(odd)) == odd
+
+
+@pytest.mark.parametrize("kind, value, structure", [
+    ("proposition", "a b", _named_structure(props=("a b",))),
+    ("proposition", "p#q", _named_structure(props=("p#q",))),
+    ("proposition", "bot", _named_structure(props=("r0", "bot"))),
+    ("world name", "a b", _named_structure(names=("v", "a b"))),
+    ("world name", "a#", _named_structure(names=("a#", "w"))),
+    ("world name", "", _named_structure(names=("v", ""))),
+    ("world name", "a\tb", _named_structure(names=("a\tb", "w"))),
+    ("label", "x y", _named_structure(label="x y")),
+    ("label", "U", _named_structure(label="U")),
+], ids=["prop-blank", "prop-hash", "prop-reserved", "world-blank",
+        "world-hash", "world-empty", "world-tab", "label-blank",
+        "label-reserved"])
+def test_print_structure_refuses_what_parse_structure_reads_otherwise(
+        kind, value, structure):
+    # written out, each of these would be read back as another structure
+    # or refused, so the writer names the value instead
+    with pytest.raises(ValueError) as exc:
+        print_structure(structure)
+    assert kind in str(exc.value) and repr(value) in str(exc.value)
 
 
 def test_parse_structure_refuses_invalid_frame():
