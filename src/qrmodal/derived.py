@@ -2,14 +2,12 @@
 
 NegE, NegI, AndI, IffI, AndE1, AndE2, IffE1, IffE2 and Mtrans are
 macros over the primitive rules.  The expansion is untrusted: the
-kernel admits a derived step first (rule, system, premises, arity,
-discharges) and then checks every step of its expansion like a
-hand-written one, so a wrong expansion can only make the kernel reject.
+kernel admits a derived step (rule, system, premises, arity, discharges),
+hands over that step and its premises' conclusions only, and checks its
+expansion step by step, so a wrong expansion can only make it reject.
 """
 
 from __future__ import annotations
-
-from typing import Mapping
 
 from .script import HYP, ProofStep
 from .syntax import (
@@ -28,15 +26,16 @@ def _labelled(f: Formula, what: str) -> Labelled:
     return f
 
 
-def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
+def expand_derived(step: ProofStep, prems: tuple[Formula, ...],
                    first_id: int) -> list[ProofStep]:
     """Primitive steps replacing an admitted derived step.
 
-    formulas holds the conclusion of every premise of step.  The final
-    step keeps the derived step's id, conclusion and discharges; helper
-    steps take ids first_id, first_id+1, ...  The final conclusion
-    depends exactly on the derived step's premises and undischarged
-    hypotheses.
+    prems holds the conclusion of each premise of step, in the order
+    step.premises cites them; nothing else of the script is visible.
+    The final step keeps the derived step's id, conclusion and
+    discharges; helper steps take ids first_id, first_id+1, ...  The
+    final conclusion depends exactly on the derived step's premises
+    and undischarged hypotheses.
     """
     rule = step.rule
     pids = step.premises
@@ -58,8 +57,8 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
 
     if rule in ("AndI", "IffI"):
         # from x:A and x:B, close a hypothesis x:A->(B->bot)
-        p1 = _labelled(formulas[pids[0]], "%s premise" % rule)
-        p2 = _labelled(formulas[pids[1]], "%s premise" % rule)
+        p1 = _labelled(prems[0], "%s premise" % rule)
+        p2 = _labelled(prems[1], "%s premise" % rule)
         x = p1.label
         guard = Labelled(x, Implies(p1.body, Implies(p2.body, BOT)))
         return [
@@ -71,7 +70,7 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
         ]
 
     if rule in ("AndE1", "AndE2", "IffE1", "IffE2"):
-        p = _labelled(formulas[pids[0]], "%s premise" % rule)
+        p = _labelled(prems[0], "%s premise" % rule)
         shape = p.body
         ok = (isinstance(shape, Implies) and shape.right == BOT
               and isinstance(shape.left, Implies)
@@ -109,13 +108,12 @@ def expand_derived(step: ProofStep, formulas: Mapping[int, Formula],
     if rule == "Mtrans":
         # a M b, b M c => a M c: Msrefl gives b M b from a M b, and
         # Msub1 rewrites b to c in a M b
-        p1, p2 = formulas[pids[0]], formulas[pids[1]]
-        for p in (p1, p2):
+        for p in prems:
             if not (isinstance(p, Relational) and p.rel is Rel.M):
                 raise ExpansionError(
                     "Mtrans premise must be an M formula, got %s"
                     % print_formula(p))
-        b = p1.right
+        b = prems[0].right
         return [
             ProofStep(nid, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
             ProofStep(step.id, step.formula, "Msub1", (pids[0], nid, pids[1])),

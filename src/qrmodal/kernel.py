@@ -64,7 +64,8 @@ reason codes: each system's rules with their premise counts
 (_PREMISES), the derived rules, and the rules that discharge or take a
 fresh label.  Scripts are read and printed by qrmodal.script, which
 knows only the rule names its reader accepts; derived rules are
-expanded by qrmodal.derived.  Neither is trusted.  This module
+expanded by qrmodal.derived, which is handed only the derived step and
+a tuple of its premises' formulas.  Neither is trusted.  This module
 re-exports parse_script only, because the CLI, the README's library
 example and perfbench call it as kernel.parse_script.
 """
@@ -284,7 +285,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
         _record(state, st)
         return
 
-    prems: list[tuple[int, Formula]] = []
+    prems: list[Formula] = []
     missing = False
     for pid in premises:
         if pid not in state.formulas:
@@ -292,7 +293,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
                  "premise %d is not an earlier step" % pid)
             missing = True
         else:
-            prems.append((pid, state.formulas[pid]))
+            prems.append(state.formulas[pid])
     if len(premises) != arity:
         diag(origin, WRONG_ARITY, "%s takes %d premises, got %d"
              % (rule, arity, len(premises)))
@@ -301,7 +302,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
         _record(state, st)
         return
 
-    dis: list[tuple[int, Formula]] = []
+    dis: list[Formula] = []
     bad_discharge = False
     if discharges and rule not in _DISCHARGING:
         diag(origin, ILLEGAL_DISCHARGE, "rule %s discharges nothing" % rule)
@@ -317,7 +318,7 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
                      "discharge %d is not a hypothesis" % did)
                 bad_discharge = True
             else:
-                dis.append((did, state.formulas[did]))
+                dis.append(state.formulas[did])
     bad_fresh = fresh is not None and rule not in _FRESH_RULES
     if bad_fresh:
         diag(origin, SCHEMA_MISMATCH,
@@ -325,18 +326,19 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
     derived = rule in DERIVED
     if derived and not (bad_discharge or bad_fresh):
-        _expand(state, st, origin)
+        _expand(state, st, origin, tuple(prems))
         return
     if not (derived or bad_discharge):
-        _schema(state, rule, st.formula, fresh, origin, prems, dis)
+        _schema(state, st, origin, prems, dis)
     _record(state, st)
 
 
-def _expand(state: _State, st: ProofStep, origin: int) -> None:
-    # expand_derived is looked up in this module at call time, where
-    # perfbench wraps it to count expansions
+def _expand(state: _State, st: ProofStep, origin: int,
+            prems: tuple[Formula, ...]) -> None:
+    # expand_derived sees st and a tuple of its premises' formulas only.
+    # perfbench wraps it here, so it is looked up in this module per call
     try:
-        steps = expand_derived(st, state.formulas, state.helper_base)
+        steps = expand_derived(st, prems, state.helper_base)
     except ExpansionError as e:
         state.diag(origin, SCHEMA_MISMATCH, str(e))
         _record(state, st)
@@ -346,7 +348,7 @@ def _expand(state: _State, st: ProofStep, origin: int) -> None:
     # its wrong-system diagnostic, and a foreign helper would only echo it.
     system = state.system
     own = well_formed(st.formula, system) and all(
-        well_formed(state.formulas[pid], system) for pid in st.premises)
+        well_formed(p, system) for p in prems)
     for sub in steps:
         if own and sub is not steps[-1]:
             _vocabulary(state, sub, origin)
@@ -379,12 +381,13 @@ def _fresh_check(state: _State, origin: int, y: str, x: str,
                    % (y, print_formula(state.hyp_formulas[h])))
 
 
-def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
-            origin: int, prems: list[tuple[int, Formula]],
-            dis: list[tuple[int, Formula]]) -> None:
-    # what the rule instance fixes: its conclusion, the hypothesis it
-    # discharges, and its eigenvariable (the fresh label, and the label
-    # it must differ from)
+def _schema(state: _State, st: ProofStep, origin: int,
+            prems: list[Formula], dis: list[Formula]) -> None:
+    # prems, dis: st's premise and discharge formulas.  What the rule
+    # instance fixes: its conclusion, the hypothesis it discharges, and
+    # its eigenvariable (the fresh label, and the label it must differ from)
+    rule, f = st.rule, st.formula
+    p1, p2, p3 = (*prems, None, None, None)[:3]
     want = assumed = eigen = None
 
     def mism(message: str) -> None:
@@ -398,12 +401,11 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
             mism("ImpI concludes a labelled implication")
             return
         x, a, b = f.label, f.body.left, f.body.right
-        if prems[0][1] != Labelled(x, b):
+        if p1 != Labelled(x, b):
             mism("premise must be %s" % print_formula(Labelled(x, b)))
         assumed = Labelled(x, a)
 
     elif rule == "ImpE":
-        p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Labelled) and isinstance(p1.body, Implies)):
             mism("major premise must be a labelled implication")
             return
@@ -417,14 +419,12 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
         if not isinstance(f, Labelled):
             mism("RAA concludes a labelled formula")
             return
-        p = prems[0][1]
-        if not (isinstance(p, Labelled) and p.body == BOT):
+        if not (isinstance(p1, Labelled) and p1.body == BOT):
             mism("premise must conclude bot at some label")
         assumed = Labelled(f.label, Implies(f.body, BOT))
 
     elif rule == "BotE":
-        p = prems[0][1]
-        if not (isinstance(p, Labelled) and p.body == BOT):
+        if not (isinstance(p1, Labelled) and p1.body == BOT):
             mism("premise must conclude bot at some label")
 
     elif rule == "BoxI":
@@ -432,15 +432,13 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
             mism("BoxI concludes a labelled box formula")
             return
         x, rel, body = f.label, f.body.rel, f.body.body
-        p = prems[0][1]
-        if not (isinstance(p, Labelled) and p.body == body):
+        if not (isinstance(p1, Labelled) and p1.body == body):
             mism("premise must prove the box body at the fresh label")
             return
-        assumed = Relational(x, rel, p.label)
-        eigen = p.label, x
+        assumed = Relational(x, rel, p1.label)
+        eigen = p1.label, x
 
     elif rule == "BoxE":
-        p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Labelled) and isinstance(p1.body, Box)):
             mism("major premise must be a labelled box formula")
             return
@@ -458,15 +456,13 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
             mism("conclusion must have the shape x U x")
 
     elif rule == "Usymm":
-        p = prems[0][1]
-        if not (isinstance(p, Relational) and p.rel is Rel.U):
+        if not (isinstance(p1, Relational) and p1.rel is Rel.U):
             mism("premise must be a U formula")
             return
-        want = Relational(p.right, Rel.U, p.left)
+        want = Relational(p1.right, Rel.U, p1.left)
 
     elif rule in ("Utrans", "Ptrans"):
         rel = Rel.U if rule == "Utrans" else Rel.P
-        p1, p2 = prems[0][1], prems[1][1]
         if not (isinstance(p1, Relational) and p1.rel is rel
                 and isinstance(p2, Relational) and p2.rel is rel):
             mism("%s premises must be %s formulas" % (rule, rel.value))
@@ -478,23 +474,19 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
 
     elif rule in ("UIfromM", "PUI"):
         rel = Rel.M if rule == "UIfromM" else Rel.P
-        p = prems[0][1]
-        if not (isinstance(p, Relational) and p.rel is rel):
+        if not (isinstance(p1, Relational) and p1.rel is rel):
             mism("premise must be a %s formula" % rel.value)
             return
-        want = Relational(p.left, Rel.U, p.right)
+        want = Relational(p1.left, Rel.U, p1.right)
 
     elif rule == "Msrefl":
-        p = prems[0][1]
-        if not (isinstance(p, Relational) and p.rel is Rel.M):
+        if not (isinstance(p1, Relational) and p1.rel is Rel.M):
             mism("premise must be an M formula")
             return
-        want = Relational(p.right, Rel.M, p.right)
+        want = Relational(p1.right, Rel.M, p1.right)
 
     elif rule in ("Msub1", "Msub2", "Psub1", "Psub2"):
         rel = Rel.M if rule[0] == "M" else Rel.P
-        alpha = prems[0][1]
-        p2, p3 = prems[1][1], prems[2][1]
         if not (isinstance(p2, Relational) and p2.rel is rel
                 and p2.left == p2.right):
             mism("second premise must have the shape x %s x" % rel.value)
@@ -505,40 +497,38 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
             mism("third premise must be %s %s y" % (x, rel.value))
             return
         y = p3.right
-        want = (substitute(alpha, x, y) if rule.endswith("1")
-                else substitute(alpha, y, x))
+        want = (substitute(p1, x, y) if rule.endswith("1")
+                else substitute(p1, y, x))
 
     elif rule in ("Mser", "Class"):
         rel = Rel.M if rule == "Mser" else Rel.P
-        alpha = prems[0][1]
-        if f != alpha:
+        if f != p1:
             mism("conclusion must repeat the premise %s"
-                 % print_formula(alpha))
+                 % print_formula(p1))
             return
         if not dis:
             bad_dis("%s must discharge a hypothesis of the shape x %s y"
                     % (rule, rel.value))
             return
-        shapes = [df for _, df in dis]
         if not all(isinstance(df, Relational) and df.rel is rel
-                   for df in shapes):
+                   for df in dis):
             bad_dis("%s discharges only %s hypotheses" % (rule, rel.value))
             return
         if rule == "Mser":
-            first = shapes[0]
-            if any(df != first for df in shapes):
+            first = dis[0]
+            if any(df != first for df in dis):
                 bad_dis("Mser discharges occurrences of one hypothesis")
                 return
             x, y = first.left, first.right
         else:
-            proper = [df for df in shapes if df.left != df.right]
+            proper = [df for df in dis if df.left != df.right]
             if not proper:
                 bad_dis("Class needs a discharged hypothesis x P y "
                         "with two distinct labels")
                 return
             x, y = proper[0].left, proper[0].right
             want_refl = Relational(y, Rel.P, y)
-            for df in shapes:
+            for df in dis:
                 if df != proper[0] and df != want_refl:
                     bad_dis("Class here discharges %s and %s, not %s"
                             % (print_formula(proper[0]),
@@ -552,7 +542,7 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
     if want is not None and f != want:
         mism("conclusion must be %s" % print_formula(want))
     if assumed is not None:
-        wrong = [df for _, df in dis if df != assumed]
+        wrong = [df for df in dis if df != assumed]
         for df in wrong:
             bad_dis("%s here discharges %s, not %s"
                     % (rule, print_formula(assumed), print_formula(df)))
@@ -560,9 +550,9 @@ def _schema(state: _State, rule: str, f: Formula, fresh: Optional[str],
             return
     if eigen is not None:
         y, x = eigen
-        if fresh is not None and fresh != y:
+        if st.fresh is not None and st.fresh != y:
             mism("fresh annotation says %s, rule instance uses %s"
-                 % (fresh, y))
+                 % (st.fresh, y))
         else:
-            _fresh_check(state, origin, y, x, prems[0][0],
-                         state.mask_of(d for d, _ in dis), f)
+            _fresh_check(state, origin, y, x, st.premises[0],
+                         state.mask_of(st.discharges), f)

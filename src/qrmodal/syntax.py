@@ -693,7 +693,7 @@ def parse_formula(text: str, system: Optional[System] = None,
     if word in _REL:
         p.gate(1)
         if toks[2] in _RESERVED:
-            raise p.fail(2, ("ident",))
+            raise p.fail(2, ("identifier",))
         p.end(3)
         return Relational(label, _REL[word], toks[2])
     raise p.fail(1, (":", "U", "M", "P"))

@@ -256,6 +256,17 @@ def test_countermodel_labels_note(capsys):
         "interpretations could not separate them all\n")
 
 
+@pytest.mark.parametrize("query, error", [
+    ("x U bot", "1:5: expected identifier, found 'bot'"),
+    ("x M (", "1:5: expected identifier, found '('"),
+    ("x U", "1:4: expected identifier, found end of input"),
+])
+def test_relational_right_side_must_be_an_identifier(capsys, query, error):
+    # the same wording as every other identifier refusal
+    assert main(["countermodel", query]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % error)
+
+
 def test_countermodel_seed_reproducible(capsys):
     main(["countermodel", "x : r0 -> [] r0"])
     first = capsys.readouterr().out
@@ -346,6 +357,17 @@ def test_corpus_run_missing_entry_file(tmp_path, capsys):
     code = main(["corpus", "run", "--dir", str(dest)])
     assert code == 2
     assert "missing file" in capsys.readouterr().err
+
+
+def test_corpus_run_overlong_entry_path_is_a_missing_file(tmp_path, capsys):
+    # a file name longer than the system allows makes Path.is_file raise
+    # (ENAMETOOLONG) instead of returning False
+    path = tmp_path / ("a" * 300 + ".prf")
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"entries": [dict(THM1, path=path.name)]}))
+    code = main(["corpus", "run", "--dir", str(tmp_path)])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: corpus entry thm1: missing file %s\n" % path))
 
 
 THM1 = {"name": "thm1", "system": "msqr", "path": "thm1.prf",
@@ -1044,7 +1066,8 @@ def test_names_the_benchmark_calls_resolve(capsys):
         "schema-mismatch", "undischarged-at-theorem"}
     (mtrans,) = [s for s in script.steps if s.rule == "Mtrans"]
     formulas = {s.id: s.formula for s in script.steps}
-    steps = api["kernel.expand_derived"](mtrans, formulas, 100)
+    prems = tuple(formulas[pid] for pid in mtrans.premises)
+    steps = api["kernel.expand_derived"](mtrans, prems, 100)
     assert [s.rule for s in steps] == ["Msrefl", "Msub1"]
     assert api["syntax.tokenize"]("x : r0")[-1] == ""
     with pytest.raises(api["syntax.ParseError"]):

@@ -1,5 +1,8 @@
+import ast
 import json
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,13 +509,55 @@ def test_foreign_helper_of_an_in_vocabulary_step_is_reported(monkeypatch):
         (3, "wrong-system", _foreign("x : [P] r0"))]
 
 
+def test_the_expander_cannot_write_into_the_checker(monkeypatch):
+    # derived.py is not trusted.  This expander stores a stray x : bot
+    # under id 50 before it expands step 3; handed the checker's own
+    # table, that would let step 4 cite step 50 and prove x : r0, which
+    # fails on one world, from no assumption.  A tuple refuses the write
+    expand = kernel.expand_derived
+
+    def scribbling_expand(step, prems, base):
+        prems[50] = parse_formula("x : bot")
+        return expand(step, prems, base)
+
+    monkeypatch.setattr(kernel, "expand_derived", scribbling_expand)
+    script = parse_script(
+        "system MSQR\ntheorem t : x : r0\n1. x : r1 ; hyp\n"
+        "2. x : r1 -> bot ; hyp\n3. x : bot ; NegE 2,1\n"
+        "4. x : r0 ; BotE 50\nqed\n")
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        check(script)
+
+
+def test_the_expander_gets_its_premises_formulas_in_citing_order(
+        monkeypatch):
+    seen = []
+    expand = kernel.expand_derived
+
+    def recording_expand(step, prems, base):
+        seen.append((step, prems))
+        return expand(step, prems, base)
+
+    monkeypatch.setattr(kernel, "expand_derived", recording_expand)
+    expected = []
+    for entry in corpus_entries():
+        script = load(entry["path"])
+        formula = {s.id: s.formula for s in script.steps}
+        expected += [(s, tuple(formula[pid] for pid in s.premises))
+                     for s in script.steps if s.rule in DERIVED]
+        check(script)
+    assert len(expected) > 10
+    assert seen == expected
+    assert all(type(prems) is tuple for _, prems in seen)
+
+
 # -- derived rule expansion --------------------------------------------------
 
 def test_expand_mtrans_two_steps():
     # y M y by Msrefl from x M y, then Msub1 rewrites y to z in x M y
     step = ProofStep(5, parse_formula("x M z"), "Mtrans", premises=(1, 2))
-    out = expand_derived(step, {1: parse_formula("x M y"),
-                                2: parse_formula("y M z")}, 6)
+    out = expand_derived(step, (parse_formula("x M y"),
+                                parse_formula("y M z")), 6)
     assert out == [
         ProofStep(6, parse_formula("y M y"), "Msrefl", (1,)),
         ProofStep(5, parse_formula("x M z"), "Msub1", (1, 6, 2)),
@@ -523,7 +568,7 @@ def test_expand_ande2_four_steps():
     # refute x:r1->bot: a vacuous ImpI turns it into x:r0->(r1->bot),
     # which the premise refutes, and RAA discharges it
     step = ProofStep(5, parse_formula("x : r1"), "AndE2", premises=(1,))
-    out = expand_derived(step, {1: parse_formula("x : r0 & r1")}, 6)
+    out = expand_derived(step, (parse_formula("x : r0 & r1"),), 6)
     assert out == [
         ProofStep(6, parse_formula("x : r1 -> bot"), "hyp"),
         ProofStep(7, parse_formula("x : r0 -> r1 -> bot"), "ImpI", (6,)),
@@ -568,8 +613,8 @@ def test_expand_negi_is_impi_over_bote():
 
 def test_expand_iffi_concludes_the_sugar():
     step = ProofStep(9, parse_formula("x : r0 <-> r1"), "IffI", premises=(1, 2))
-    out = expand_derived(step, {1: parse_formula("x : r0 -> r1"),
-                                2: parse_formula("x : r1 -> r0")}, 10)
+    out = expand_derived(step, (parse_formula("x : r0 -> r1"),
+                                parse_formula("x : r1 -> r0")), 10)
     assert out[-1].formula == parse_formula("x : r0 <-> r1")
     assert all(s.rule in {"hyp", "ImpI", "ImpE"} for s in out)
 
@@ -976,6 +1021,181 @@ def test_excluded_middle():
         "2. x : r0 | ~ r0 ; ImpI 1 discharge 1\n"
         "qed\n"))
     assert report.accepted
+
+
+# -- every diagnostic site is reached ---------------------------------------
+
+def _script(steps, system="MSQR", theorem=None):
+    """The numbered steps, stating theorem or else the last step's
+    formula."""
+    return parse_script("system %s\ntheorem t : %s\n%s\nqed\n" % (
+        system, theorem or steps[-1].split(" ; ")[0],
+        "\n".join("%d. %s" % (i, s) for i, s in enumerate(steps, 1))))
+
+
+# One script per diagnostic call in kernel.py, in source order, with
+# the (step, reason) that call gives it.  An unknown rule is refused by
+# parse_script, so that script is built in code.
+DIAGNOSTIC_SITES = [
+    ("statement", _script(["x U x ; Urefl"], theorem="x : r1"),
+     1, "schema-mismatch"),
+    ("open-at-theorem", _script(["x : r0 ; hyp"]),
+     1, "undischarged-at-theorem"),
+    ("vocabulary", _script(["x : [P] r0 ; hyp"]), 1, "wrong-system"),
+    ("hyp-arity", _script(["x : r0 ; hyp", "x : r0 ; hyp 1"]),
+     2, "wrong-arity"),
+    ("rule-of-other-system",
+     _script(["x : r0 ; hyp", "x : r0 ; Mser 1"], "MSPQR"),
+     2, "wrong-system"),
+    ("unknown-rule", ProofScript(System.MSQR, "t", None, (
+        ProofStep(1, parse_formula("x : r0"), "hyp"),
+        ProofStep(2, parse_formula("x : r0"), "Frobnicate", (1,)))),
+     2, "schema-mismatch"),
+    ("unknown-premise", _script(["x : r0 ; hyp", "x : r0 ; BotE 5"]),
+     2, "unknown-premise"),
+    ("arity", _script(["x : bot ; hyp", "x : r0 ; BotE 1,1"]),
+     2, "wrong-arity"),
+    ("discharges-nothing",
+     _script(["x : bot ; hyp", "x : r0 ; BotE 1 discharge 1"]),
+     2, "illegal-discharge"),
+    ("discharge-later",
+     _script(["x : r0 ; hyp", "x : r0 -> r0 ; ImpI 1 discharge 7"]),
+     2, "illegal-discharge"),
+    ("discharge-not-hyp",
+     _script(["x : r0 ; hyp", "x U x ; Urefl",
+              "x : r0 -> r0 ; ImpI 1 discharge 2"]),
+     3, "illegal-discharge"),
+    ("fresh-on-impi",
+     _script(["x : r0 ; hyp", "x : r0 -> r0 ; ImpI 1 discharge 1 fresh y"]),
+     2, "schema-mismatch"),
+    ("expansion",
+     _script(["x M y ; hyp", "x : r0 ; hyp", "x : r0 & r0 ; AndI 1,2"]),
+     3, "schema-mismatch"),
+    ("fresh-differs", _script(["x : r0 ; hyp", "x : [] r0 ; BoxI 1"]),
+     2, "freshness-violation"),
+    ("fresh-in-conclusion",
+     _script(["y : r0 ; hyp", "x M y ; hyp", "y : r0 ; Mser 1 discharge 2"]),
+     3, "freshness-violation"),
+    ("fresh-in-open", _script(["y : r0 ; hyp", "x : [] r0 ; BoxI 1"]),
+     2, "freshness-violation"),
+    ("impi-conclusion", _script(["x : bot ; hyp", "x : bot ; ImpI 1"]),
+     2, "schema-mismatch"),
+    ("impi-premise", _script(["x : r0 ; hyp", "x : r1 -> r1 ; ImpI 1"]),
+     2, "schema-mismatch"),
+    ("impe-major", _script(["x : r0 ; hyp", "x : r0 ; ImpE 1,1"]),
+     2, "schema-mismatch"),
+    ("impe-minor",
+     _script(["x : r0 -> r1 ; hyp", "x : r1 ; hyp", "x : r1 ; ImpE 1,2"]),
+     3, "schema-mismatch"),
+    ("raa-conclusion", _script(["x : bot ; hyp", "x M x ; RAA 1"]),
+     2, "schema-mismatch"),
+    ("raa-premise", _script(["x : r0 ; hyp", "x : r1 ; RAA 1"]),
+     2, "schema-mismatch"),
+    ("bote-premise", _script(["x : r0 ; hyp", "x : r1 ; BotE 1"]),
+     2, "schema-mismatch"),
+    ("boxi-conclusion", _script(["y : r0 ; hyp", "x : r0 ; BoxI 1"]),
+     2, "schema-mismatch"),
+    ("boxi-premise", _script(["y : r1 ; hyp", "x : [] r0 ; BoxI 1"]),
+     2, "schema-mismatch"),
+    ("boxe-major",
+     _script(["x : r0 ; hyp", "x U y ; hyp", "y : r0 ; BoxE 1,2"]),
+     3, "schema-mismatch"),
+    ("boxe-relational",
+     _script(["x : [] r0 ; hyp", "y U x ; hyp", "y : r0 ; BoxE 1,2"]),
+     3, "schema-mismatch"),
+    ("urefl", _script(["x U y ; Urefl"]), 1, "schema-mismatch"),
+    ("usymm-premise", _script(["x M y ; hyp", "y U x ; Usymm 1"]),
+     2, "schema-mismatch"),
+    ("utrans-premises",
+     _script(["x M y ; hyp", "y U z ; hyp", "x U z ; Utrans 1,2"]),
+     3, "schema-mismatch"),
+    ("utrans-chain",
+     _script(["x U y ; hyp", "z U w ; hyp", "x U z ; Utrans 1,2"]),
+     3, "schema-mismatch"),
+    ("uifromm-premise", _script(["x U y ; hyp", "x U y ; UIfromM 1"]),
+     2, "schema-mismatch"),
+    ("msrefl-premise", _script(["x U y ; hyp", "y M y ; Msrefl 1"]),
+     2, "schema-mismatch"),
+    ("msub-second",
+     _script(["x : r0 ; hyp", "x M y ; hyp", "x M y ; hyp",
+              "y : r0 ; Msub1 1,2,3"]),
+     4, "schema-mismatch"),
+    ("msub-third",
+     _script(["x : r0 ; hyp", "x M x ; hyp", "y M x ; hyp",
+              "y : r0 ; Msub1 1,2,3"]),
+     4, "schema-mismatch"),
+    ("mser-repeats", _script(["x : r0 ; hyp", "x : r1 ; Mser 1"]),
+     2, "schema-mismatch"),
+    ("mser-discharges", _script(["x : r0 ; hyp", "x : r0 ; Mser 1"]),
+     2, "illegal-discharge"),
+    ("mser-kind", _script(["x : r0 ; hyp", "x : r0 ; Mser 1 discharge 1"]),
+     2, "illegal-discharge"),
+    ("mser-one",
+     _script(["x : r0 ; hyp", "x M x ; hyp", "x M y ; hyp",
+              "x : r0 ; Mser 1 discharge 2,3"]),
+     4, "illegal-discharge"),
+    ("class-proper",
+     _script(["x : r0 ; hyp", "x P x ; hyp", "x : r0 ; Class 1 discharge 2"],
+             "MSPQR"),
+     3, "illegal-discharge"),
+    ("class-pair",
+     _script(["x : r0 ; hyp", "x P y ; hyp", "z P z ; hyp",
+              "x : r0 ; Class 1 discharge 2,3"], "MSPQR"),
+     4, "illegal-discharge"),
+    ("conclusion", _script(["x U y ; hyp", "x U x ; Usymm 1"]),
+     2, "schema-mismatch"),
+    ("wrong-discharge",
+     _script(["x : r0 ; hyp", "x : r1 ; hyp",
+              "x : r0 -> r0 ; ImpI 1 discharge 2"]),
+     3, "illegal-discharge"),
+    ("fresh-annotation",
+     _script(["y : r0 ; hyp", "x : [] r0 ; BoxI 1 fresh z"]),
+     2, "schema-mismatch"),
+]
+
+
+def _diagnostic_sites():
+    """The first and last line of each diag, mism and bad_dis call in
+    kernel.py, in source order, but for the calls inside mism and
+    bad_dis, which only forward to diag."""
+    tree = ast.parse(Path(kernel.__file__).read_text())
+    forwarding = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef)
+                  and f.name in ("mism", "bad_dis") for node in ast.walk(f)}
+    return sorted(
+        (node.lineno, node.end_lineno) for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in forwarding
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("diag", "mism", "bad_dis"))
+
+
+def test_one_script_per_diagnostic_site():
+    assert len(_diagnostic_sites()) == len(DIAGNOSTIC_SITES) == 44
+
+
+@pytest.mark.parametrize("index", range(len(DIAGNOSTIC_SITES)),
+                         ids=[case[0] for case in DIAGNOSTIC_SITES])
+def test_diagnostic_site_is_reached(monkeypatch, index):
+    # each diagnostic is recorded with the kernel line that raised it:
+    # for one that came through mism or bad_dis, the line that called
+    # that closure
+    raised = []
+    diag = kernel._State.diag
+
+    def recording_diag(state, step, reason, message):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name in ("mism", "bad_dis"):
+            frame = frame.f_back
+        assert frame.f_code.co_filename == kernel.__file__
+        raised.append((frame.f_lineno, step, reason))
+        diag(state, step, reason, message)
+
+    monkeypatch.setattr(kernel._State, "diag", recording_diag)
+    _, script, step, reason = DIAGNOSTIC_SITES[index]
+    first, last = _diagnostic_sites()[index]
+    check(script)
+    assert [(s, r) for line, s, r in raised if first <= line <= last] == [
+        (step, reason)]
 
 
 # -- freshness ---------------------------------------------------------------

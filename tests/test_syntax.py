@@ -807,7 +807,9 @@ def old_parse_formula(text: str, system: Optional[System] = None) -> Formula:
     if k.kind in ("U", "M", "P"):
         p.take()
         p.gate(k)
-        r = p.expect("ident")
+        if p.peek().kind != "ident":
+            raise p.fail(("identifier",))
+        r = p.take()
         p.end()
         return Relational(t.text, Rel(k.kind), r.text)
     raise p.fail((":", "U", "M", "P"))
