@@ -148,7 +148,7 @@ def _cmd_countermodel(args) -> int:
     from .semantics import print_structure
     system = _SYSTEMS[args.system]
     alpha = parse_formula(args.formula, system)
-    text = _read(args.assumptions) if args.assumptions else ""
+    text = "" if args.assumptions is None else _read(args.assumptions)
     gamma = [line.formula(system=system) for line in syntax.read_lines(text)]
     result = find_countermodel(system, gamma, alpha,
                                SearchBudget(max_worlds=args.max_worlds))

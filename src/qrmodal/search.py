@@ -16,7 +16,9 @@ frames from it.
 The countermodel search returns the first failing structure in the
 order frames of growing size, then valuations over the propositions of
 the query (itertools.product order, world 0 slowest; _columns defines
-which bit of a valuation is which proposition at which world), then label
+which bit of a valuation is which proposition at which world, and packs
+each proposition's chunk of valuations into one int, world w's slice at
+bit w * 2**chunk_bits, the layout of truth_sets), then label
 interpretations (product order; labels may share worlds).  It evaluates
 one frame per isomorphism class, the orbit of a frame under renaming
 its worlds: the frame conditions do not change when worlds are renamed,
@@ -204,20 +206,22 @@ def _patterns(bits: int, full: int) -> list[int]:
 
 
 def _columns(props: list[str], size: int, chunk: int, chunk_bits: int,
-             low: list[int], full: int) -> dict[str, list[int]]:
+             low: list[int], full: int) -> dict[str, int]:
     # The valuation layout: valuation v is the v-th of itertools.product
     # over the subsets of props (mask k holds props[k]), one per world, so
     # world w owns bit len(props) * (size - 1 - w) + k of v for props[k].
-    # Column bit i of a chunk is valuation (chunk << chunk_bits) + i.
-    columns: dict[str, list[int]] = {}
+    # Bit i of a chunk's slices is valuation (chunk << chunk_bits) + i;
+    # world w's slice sits at bit w << chunk_bits of the packed column.
+    columns: dict[str, int] = {}
     for k, p in enumerate(props):
-        col = columns[p] = [0] * size
+        col = 0
         for w in range(size):
             j = len(props) * (size - 1 - w) + k
             if j < chunk_bits:
-                col[w] = low[j]
+                col |= low[j] << (w << chunk_bits)
             elif chunk >> (j - chunk_bits) & 1:
-                col[w] = full
+                col |= full << (w << chunk_bits)
+        columns[p] = col
     return columns
 
 
@@ -256,7 +260,8 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
                     if 0 < bad < lowest:
                         lowest, hit = bad, combo
                 if hit is not None:
-                    val = {w: [p for p in props if columns[p][w] & lowest]
+                    val = {w: [p for p in props
+                               if columns[p] >> (w << chunk_bits) & lowest]
                            for w in range(size)}
                     return Found(Structure(Model(frame, val),
                                            zip(labels, hit)))

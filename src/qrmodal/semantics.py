@@ -19,12 +19,15 @@ the successors of the evaluation world along its relation.  Formulas
 are evaluated bottom-up, by truth sets (the labelling algorithm of
 global model checking): compile_formulas lists the distinct subformulas
 in post order, and truth_sets computes each one's truth at every world
-once, for a batch of valuations at once, one bit per valuation.  A box
-ANDs its body's truth over each distinct successor row.  holds and the
-countermodel search share compile_queries, which refuses a formula
-outside the system's vocabulary, and satisfying, which reads a query's
-truth off truth_sets: holds under the model's own valuation, the search
-under many.
+once, for a batch of valuations at once.  A truth set is one int over
+all worlds, bit-sliced: world w owns bits w * W to w * W + W - 1, one
+per valuation of the batch (W is 1 for a single valuation).  So -> is
+one int operation for all worlds, and a box ANDs its body's slices once
+per distinct successor mask and copies the result to every world with
+that mask by one multiply.  holds and the countermodel search share
+compile_queries, which refuses a formula outside the system's
+vocabulary, and satisfying, which reads a query's truth off truth_sets:
+holds under the model's own valuation, the search under many.
 
 Model files look like:
 
@@ -50,6 +53,7 @@ line's first field.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .syntax import (
@@ -257,40 +261,53 @@ def compile_formulas(
     return program, roots
 
 
+@lru_cache(maxsize=1024)
+def _box_groups(masks: tuple[int, ...],
+                width: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Per distinct successor mask, the bit offsets of its worlds' slices
+    # and the spread of the worlds that have it (bit v * width set for
+    # each).  A box ANDs its body's slices at the offsets into a value
+    # no greater than full, so one multiply by the spread copies it to
+    # those worlds without a carry.  The search caches its frames, so
+    # the grouping is computed once per frame and width.
+    spreads: dict[int, int] = {}
+    for v, mask in enumerate(masks):
+        spreads[mask] = spreads.get(mask, 0) | 1 << v * width
+    return tuple((tuple(w * width for w in bit_indices(mask)), spread)
+                 for mask, spread in spreads.items())
+
+
 def truth_sets(program: Sequence[tuple], frame: Frame,
-               columns: Mapping[str, Sequence[int]],
-               full: int) -> list[list[int]]:
+               columns: Mapping[str, int], full: int) -> list[int]:
     """Sat of every node of a compiled program on a frame, for a batch
     of valuations at once.
 
-    Bit v of columns[p][w] says that p is true at world w under
-    valuation v; full has one bit per valuation.  The result holds, per
-    node, one int per world with the same meaning for the node's formula.
-    Propositions without a column are false everywhere; a relation
-    outside the frame's system raises WrongSystem.
+    Truth sets are bit-sliced: with W = full.bit_length(), one bit per
+    valuation, bit w * W + i of an int says that the formula is true at
+    world w under valuation i, so world w's slice is (x >> w * W) & full.
+    columns[p] holds proposition p in that layout; the result holds one
+    such int per node.  Propositions without a column are false
+    everywhere; a relation outside the frame's system raises WrongSystem.
     """
-    zero = [0] * frame.size
-    sat: list[list[int]] = []
+    width = full.bit_length()
+    every = (1 << frame.size * width) - 1
+    sat: list[int] = []
     for node in program:
         kind = node[0]
         if kind is Implies:
-            col = [(full ^ a) | b for a, b in zip(sat[node[1]], sat[node[2]])]
+            col = (every ^ sat[node[1]]) | sat[node[2]]
         elif kind is Box:
             body = sat[node[2]]
-            seen: dict[int, int] = {}
-            col = []
-            for mask in frame.masks(node[1]):
-                got = seen.get(mask)
-                if got is None:
-                    got = full
-                    for w in bit_indices(mask):
-                        got &= body[w]
-                    seen[mask] = got
-                col.append(got)
+            col = 0
+            for shifts, spread in _box_groups(frame.masks(node[1]), width):
+                got = full
+                for k in shifts:
+                    got &= body >> k
+                col |= got * spread
         elif kind is Prop:
-            col = columns.get(node[1], zero)
+            col = columns.get(node[1], 0)
         else:
-            col = zero
+            col = 0
         sat.append(col)
     return sat
 
@@ -317,18 +334,21 @@ def compile_queries(system: System, formulas: Sequence[Formula]) -> tuple:
     return labels, props, program, queries
 
 
-def satisfying(q: tuple, frame: Frame, sat: Sequence[Sequence[int]],
+def satisfying(q: tuple, frame: Frame, sat: Sequence[int],
                combo: Sequence[int], full: int) -> int:
     """The valuations (bits of full) where compiled query q holds on
-    frame, label slot k denoting world combo[k], given truth_sets' sat."""
+    frame, label slot k denoting world combo[k], given truth_sets' sat:
+    a labelled query reads the slice of its world."""
     if q[0] is Labelled:
-        return sat[q[2]][combo[q[1]]]
+        return sat[q[2]] >> combo[q[1]] * full.bit_length() & full
     return full if frame.masks(q[2])[combo[q[1]]] >> combo[q[3]] & 1 else 0
 
 
-def _model_sets(model: Model, program: Sequence[tuple]) -> list[list[int]]:
-    # truth_sets under the model's own valuation, as valuation bit 0
-    columns = {node[1]: [int(node[1] in props) for props in model.valuation]
+def _model_sets(model: Model, program: Sequence[tuple]) -> list[int]:
+    # truth_sets under the model's own valuation, a batch of one: bit w
+    # is the truth at world w
+    columns = {node[1]: sum(1 << w for w, props in enumerate(model.valuation)
+                            if node[1] in props)
                for node in program if node[0] is Prop}
     return truth_sets(program, model.frame, columns, 1)
 
@@ -338,7 +358,7 @@ def evaluate(model: Model, world: int, phi: MFormula) -> bool:
     if not (0 <= world < model.frame.size):
         raise UnknownWorld("world %r out of range" % (world,))
     program, (root,) = compile_formulas([phi])
-    return _model_sets(model, program)[root][world] == 1
+    return _model_sets(model, program)[root] >> world & 1 == 1
 
 
 def holds(structure: Structure, f: Formula) -> bool:

@@ -563,6 +563,20 @@ def test_path_with_a_nul_is_a_read_error(capsys, command):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["check", ""],
+    ["eval", "", "x : r0"],
+    ["frame", "validate", ""],
+    ["countermodel", "x : r0 -> [M] r0", "--assumptions", ""],
+], ids=["check", "eval-model", "frame-validate", "countermodel-assumptions"])
+def test_empty_path_is_a_read_error(capsys, command):
+    # an empty --assumptions names no file; it is not "no assumptions"
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot read : No such file or directory\n"
+    assert captured.out == ""
+
+
 DEEP = {
     "~": "~" * 10_000 + " p",
     "(": "(" * 10_000 + "p" + ")" * 10_000,

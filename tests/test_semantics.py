@@ -32,6 +32,7 @@ from qrmodal.syntax import (
     Rel,
     Relational,
     System,
+    bit_indices,
     legal_rels,
     parse_formula,
     parse_mformula,
@@ -78,6 +79,37 @@ def truth_set(model, phi):
     rel = pairs(model.frame.u if phi.rel is Rel.U else model.frame.meas)
     return frozenset(w for w in worlds
                      if all(v in body for (u, v) in rel if u == w))
+
+
+def per_world_truth_sets(program, frame, columns, full):
+    # oracle for truth_sets: one int per world instead of one packed over
+    # all worlds, so bit i of sat[node][w] is the node's truth at world w
+    # under valuation i of the batch, and columns[p][w] likewise
+    zero = [0] * frame.size
+    sat = []
+    for node in program:
+        kind = node[0]
+        if kind is Implies:
+            col = [(full ^ a) | b for a, b in zip(sat[node[1]], sat[node[2]])]
+        elif kind is Box:
+            body = sat[node[2]]
+            col = []
+            for mask in frame.masks(node[1]):
+                got = full
+                for w in bit_indices(mask):
+                    got &= body[w]
+                col.append(got)
+        elif kind is Prop:
+            col = columns.get(node[1], zero)
+        else:
+            col = zero
+        sat.append(col)
+    return sat
+
+
+def pack(slices, width):
+    """One int holding world w's slice at bit w * width."""
+    return sum(x << w * width for w, x in enumerate(slices))
 
 
 # -- frame validation --------------------------------------------------------
@@ -529,19 +561,124 @@ def _models_and_formulas(draw):
 @given(_models_and_formulas())
 @settings(max_examples=150, deadline=None)
 def test_truth_sets_agree_with_oracle(case):
-    # valuation i of the batch is bit i of every truth-set int
+    # valuation i of a batch of W is bit w * W + i of a truth-set int
     frame, vals, phis = case
-    columns = {p: [sum(1 << i for i, val in enumerate(vals) if p in val[w])
-                   for w in range(frame.size)] for p in _PROPS}
+    width = len(vals)
+    columns = {p: pack([sum(1 << i for i, val in enumerate(vals)
+                            if p in val[w]) for w in range(frame.size)],
+                       width) for p in _PROPS}
     program, roots = compile_formulas(phis)
-    sat = truth_sets(program, frame, columns, (1 << len(vals)) - 1)
+    sat = truth_sets(program, frame, columns, (1 << width) - 1)
     for i, val in enumerate(vals):
         model = Model(frame, dict(enumerate(val)))
         for phi, root in zip(phis, roots):
             expect = truth_set(model, phi)
             for w in range(frame.size):
-                assert (sat[root][w] >> i & 1) == (w in expect)
+                assert (sat[root] >> w * width + i & 1) == (w in expect)
                 assert evaluate(model, w, phi) == (w in expect)
+
+
+@st.composite
+def _any_frames(draw):
+    # 1 to 6 worlds in either system, valid or not: the frames of
+    # _models_and_formulas, or a U partition with measurement masks drawn
+    # from a pool of up to three, so that worlds share successor masks,
+    # the empty one included
+    if draw(st.booleans()):
+        return draw(_models_and_formulas())[0]
+    system = draw(st.sampled_from(list(System)))
+    n = draw(st.integers(1, 6))
+    block = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    u = [sum(1 << w for w in range(n) if block[w] == block[v])
+         for v in range(n)]
+    pool = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                         max_size=3))
+    meas = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return Frame(system, n, u, meas)
+
+
+@given(_any_frames(), st.sampled_from([1, 2, 64, 4096]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+@settings(max_examples=200, deadline=None)
+def test_packed_truth_sets_agree_with_per_world_oracle(frame, batch, seed,
+                                                       data):
+    # every node, every world, every valuation of the batch; r2 has no
+    # column, and a box over a relation outside the system must raise in
+    # both
+    phis = data.draw(st.lists(_mformulas(set(Rel)), min_size=1, max_size=3))
+    rng = random.Random(seed)
+    full = (1 << batch) - 1
+    slices = {p: [rng.getrandbits(batch) for _ in range(frame.size)]
+              for p in _PROPS[:2]}
+    columns = {p: pack(col, batch) for p, col in slices.items()}
+    program, _ = compile_formulas(phis)
+    try:
+        expect = per_world_truth_sets(program, frame, slices, full)
+    except WrongSystem:
+        with pytest.raises(WrongSystem):
+            truth_sets(program, frame, columns, full)
+        return
+    assert truth_sets(program, frame, columns, full) == \
+        [pack(col, batch) for col in expect]
+
+
+@st.composite
+def _large_models(draw):
+    # 16 to 64 worlds in 2 to 5 U-blocks of at least 3 worlds; per block
+    # a nonempty classical set, each classical world measuring only
+    # itself and every other world one of two subsets of the classical
+    # set, so that several successor masks each cover many worlds.  The
+    # frame is valid in both systems.
+    system = draw(st.sampled_from(list(System)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, k = rng.randint(16, 64), rng.randint(2, 5)
+    block = [v % k for v in range(n)]
+    rng.shuffle(block)
+    u = [sum(1 << w for w in range(n) if block[w] == block[v])
+         for v in range(n)]
+    meas = [0] * n
+    for b in range(k):
+        members = [w for w in range(n) if block[w] == b]
+        classical = rng.sample(members, rng.randint(1, len(members) - 1))
+        subsets = [sum(1 << w for w in rng.sample(
+            classical, rng.randint(1, len(classical)))) for _ in range(2)]
+        for w in members:
+            meas[w] = (1 << w if w in classical else rng.choice(subsets))
+    frame = Frame(system, n, u, meas)
+    val = {w: draw(st.sets(st.sampled_from(_PROPS))) for w in range(n)}
+    return Model(frame, val)
+
+
+@given(_large_models(), st.data())
+@settings(max_examples=25, deadline=None)
+def test_large_models_agree_with_oracle(model, data):
+    # a batch of one valuation, so every world's slice is one bit
+    frame = model.frame
+    assert validate_frame(frame) == []
+    shared = [mask for masks in (frame.u, frame.meas) for mask in set(masks)
+              if masks.count(mask) > 1]
+    assert len(shared) >= 2
+    phis = data.draw(st.lists(_mformulas(legal_rels(frame.system)),
+                              min_size=1, max_size=3))
+    worlds = st.integers(0, frame.size - 1)
+    interp = {"x": data.draw(worlds), "y": data.draw(worlds)}
+    structure = Structure(model, interp)
+    for phi in phis:
+        expect = truth_set(model, phi)
+        assert [evaluate(model, w, phi) for w in range(frame.size)] == \
+            [w in expect for w in range(frame.size)]
+        assert holds(structure, Labelled("y", phi)) == \
+            (interp["y"] in expect)
+    for rel in legal_rels(frame.system):
+        assert holds(structure, Relational("x", rel, "y")) == \
+            ((interp["x"], interp["y"]) in
+             pairs(frame.u if rel is Rel.U else frame.meas))
+    foreign = next(r for r in (Rel.M, Rel.P)
+                   if r not in legal_rels(frame.system))
+    with pytest.raises(WrongSystem):
+        evaluate(model, interp["x"], Implies(phis[0], Box(foreign, phis[0])))
+    with pytest.raises(WrongSystem):
+        holds(structure, Labelled("x", Box(foreign, phis[0])))
 
 
 @given(_models_and_formulas(), st.data())
