@@ -25,16 +25,24 @@ its worlds: the frame conditions do not change when worlds are renamed,
 and valuations and interpretations range over all worlds, so a class
 fails exactly when its first frame in enumeration order does, and that
 frame comes before every other member of its class.  The first failing
-frame is therefore the one the labelled order would reach first.  Nor
-does the search visit the structures one by one, or read a formula:
+frame is therefore the one the labelled order would reach first.  Of
+those classes it evaluates the ones with at most L U-blocks, L the
+number of distinct labels of gamma and alpha together.  Meas and P lie
+inside U, so every modality, every relational formula and every frame
+condition stays inside one U-block, and a failing structure cut down to
+the blocks that hold a label still fails (its generated submodel), on
+fewer worlds if some block held none.  At the smallest failing size
+every failing class therefore has at most L blocks, and the first
+failing class is among those evaluated.  Nor does the search visit the
+structures one by one, or read a formula:
 semantics.compile_queries compiles the query once; per frame and chunk
 of valuations, truth_sets gives each subformula's truth and satisfying
 the valuations where an interpretation makes gamma hold and alpha fail;
 the lowest such valuation wins, then the first interpretation failing
 under it.  Otherwise the search reports how many frames it checked:
-every valid labelled frame up to the bound, since it evaluated every
-class.  A no-countermodel answer is relative to the bound and is never
-a theoremhood claim.
+every valid labelled frame up to the bound, since a class it skipped
+fails only if one it evaluated on fewer worlds does.  A no-countermodel
+answer is relative to the bound and is never a theoremhood claim.
 
 Sizes above MAX_ENUM_SIZE are refused (bound-too-large) to keep the
 search exhaustive within sane time, and bounds below 1 with SearchError;
@@ -100,7 +108,8 @@ class NotFoundWithin(Record):
 
     frames_checked counts every valid labelled frame of at most bound
     worlds, although the search evaluated one frame per isomorphism
-    class.
+    class, and only the classes with at most as many U-blocks as the
+    query has labels.
     """
 
     __slots__ = ()
@@ -180,6 +189,14 @@ def _classes(system: System, size: int) -> tuple[Frame, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _classes_within(system: System, size: int,
+                    blocks: int) -> tuple[Frame, ...]:
+    """The frames of _classes(system, size) that have at most blocks
+    U-blocks (the distinct masks of frame.u), in that order."""
+    return tuple(f for f in _classes(system, size) if len(set(f.u)) <= blocks)
+
+
 def enumerate_frames(system: System, size: int) -> Iterator[Frame]:
     """All valid frames on worlds {0..size-1}, each exactly once."""
     _bounded(size, "size", "enumeration")
@@ -243,7 +260,7 @@ def find_countermodel(system: System, gamma: Iterable[Formula],
         first = _columns(props, size, 0, chunk_bits, low, full)
         combos = list(itertools.product(range(size), repeat=len(labels)))
         frames_checked += len(_frames(system, size))
-        for frame in _classes(system, size):
+        for frame in _classes_within(system, size, min(len(labels), size)):
             for chunk in range(1 << (total_bits - chunk_bits)):
                 columns = first if chunk == 0 else _columns(
                     props, size, chunk, chunk_bits, low, full)

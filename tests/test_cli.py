@@ -1045,6 +1045,12 @@ def test_readme_states_the_numbers_of_the_code():
                    len(list(search.enumerate_frames(system, 4))))
     assert stated(r"At 4 worlds that is ([\d,]+) of ([\d,]+) MSQR frames "
                   r"and ([\d,]+) of ([\d,]+) MSpQR frames") == [counts]
+    counts = ()
+    for system in (System.MSQR, System.MSPQR):
+        counts += (len(search._classes_within(system, 4, 1)),
+                   len(search._classes(system, 4)))
+    assert stated(r"At 4 worlds that is ([\d,]+) of ([\d,]+) MSQR classes "
+                  r"and ([\d,]+) of ([\d,]+) MSpQR classes") == [counts]
 
 
 # -- names the benchmark calls -----------------------------------------------

@@ -1,6 +1,7 @@
 import json
 from importlib import resources
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -18,7 +19,7 @@ from qrmodal.search import (
 )
 from qrmodal.semantics import (
     Frame, Model, Structure, WrongSystem, holds, print_structure,
-    validate_frame,
+    truth_sets, validate_frame,
 )
 from qrmodal.syntax import (
     Box, Implies, Labelled, Prop, Rel, System, labels_in, parse_formula,
@@ -177,6 +178,17 @@ def test_enumeration_bound():
 CLASS_COUNTS = [(System.MSQR, (1, 3, 7, 19), (1, 4, 23, 185)),
                 (System.MSPQR, (1, 3, 8, 27), (1, 4, 29, 341))]
 
+# per size 1 to 4: the classes whose frame has a single U-block
+ONE_BLOCK_COUNTS = [(System.MSQR, (1, 2, 4, 9)),
+                    (System.MSPQR, (1, 2, 5, 16))]
+
+
+def blocks(frame):
+    """The number of U-blocks of frame, read from its U-pairs."""
+    u = pairs(frame.u)
+    return len({frozenset(w for w in range(frame.size) if (v, w) in u)
+                for v in range(frame.size)})
+
 
 @pytest.mark.parametrize("system, classes, frames", CLASS_COUNTS)
 def test_class_counts_and_orbits(system, classes, frames):
@@ -186,6 +198,37 @@ def test_class_counts_and_orbits(system, classes, frames):
         assert len(list(enumerate_frames(system, n))) == labelled
         for frame in table:
             assert validate_frame(frame) == []
+
+
+@pytest.mark.parametrize("system, one_block", ONE_BLOCK_COUNTS)
+def test_one_block_classes_and_block_filter(system, one_block):
+    for n, single in zip((1, 2, 3, 4), one_block):
+        table = search._classes(system, n)
+        assert sum(blocks(f) == 1 for f in table) == single
+        # the classes the search evaluates for a query with k labels
+        for k in range(1, n + 1):
+            assert search._classes_within(system, n, k) == tuple(
+                f for f in table if blocks(f) <= k)
+
+
+@pytest.mark.parametrize("system", list(System))
+def test_frame_counts_follow_from_one_block_frames(system):
+    # The frame conditions are local to a U-block, so a frame on n worlds
+    # is a one-block frame on the k worlds of world 0's block (C(n-1,
+    # k-1) choices of them) beside any frame on the other n-k worlds:
+    # F(n) = sum over k of C(n-1, k-1) * b(k) * F(n-k), F(0) = 1, where
+    # b(k) counts the one-block frames on k worlds.  The search's block
+    # filter rests on this locality.
+    sizes = range(1, 6)
+    b = [None] + [sum(blocks(f) == 1 for f in search._frames(system, k))
+                  for k in sizes]
+    F = [1]
+    for n in sizes:
+        F.append(sum(comb(n - 1, k - 1) * b[k] * F[n - k]
+                     for k in range(1, n + 1)))
+    assert F[1:] == [len(search._frames(system, n)) for n in sizes] == {
+        System.MSQR: [1, 4, 23, 185, 1962],
+        System.MSPQR: [1, 4, 29, 341, 6252]}[system]
 
 
 def canonical(frame):
@@ -215,6 +258,26 @@ def test_frames_checked_counts_every_labelled_frame(system, bound):
                                SearchBudget(max_worlds=bound))
     assert result == NotFoundWithin(bound, sum(
         len(list(enumerate_frames(system, n))) for n in range(1, bound + 1)))
+
+
+@pytest.mark.parametrize("system, evaluated", [(System.MSQR, 16),
+                                               (System.MSPQR, 24)])
+def test_one_label_query_evaluates_one_block_classes(monkeypatch, system,
+                                                     evaluated):
+    # a query with one label cannot fail on a frame of two blocks first,
+    # so of the 30 MSQR and 39 MSpQR classes of 1 to 4 worlds the search
+    # evaluates the one-block ones, one valuation chunk each
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return truth_sets(*args)
+    monkeypatch.setattr(search, "truth_sets", counted)
+    result = find_countermodel(system, [], parse_formula("x : r0 -> r0"),
+                               SearchBudget(max_worlds=4))
+    assert isinstance(result, NotFoundWithin)
+    assert len(calls) == evaluated
+    assert {blocks(frame) for frame in calls} == {1}
 
 
 # -- random generation -------------------------------------------------------
@@ -516,6 +579,11 @@ REFUTABLE = [
     (("x : r0",), "y : r0"),
     (("x : [] r0",), "x : [M] r1"),
     (("x U y", "y : r0"), "x : <P> r0"),
+    # refuted at 2 worlds only by the frame of two blocks: a search that
+    # allowed fewer blocks than the query has labels would miss both, and
+    # one that counted alpha's labels alone would miss the second
+    ((), "x U y"),
+    (("x : [] r0",), "y : r0"),
 ]
 
 QUERIES = [((), s) for s in _corpus_statements()] + REFUTABLE
@@ -565,8 +633,9 @@ def test_search_in_small_valuation_chunks(monkeypatch, chunk_bits):
 @pytest.mark.parametrize("system", list(System))
 def test_search_at_bound_four_matches_every_labelled_frame(monkeypatch,
                                                            system):
-    # one frame per class gives what evaluating every labelled frame
-    # gives: the same structure, or the same labelled frame count
+    # one frame per class, of at most as many blocks as the query has
+    # labels, gives what evaluating every labelled frame gives: the same
+    # structure, or the same labelled frame count
     queries = []
     for assumptions, goal in QUERIES:
         gamma = [parse_formula(a) for a in assumptions]
@@ -576,7 +645,8 @@ def test_search_at_bound_four_matches_every_labelled_frame(monkeypatch,
     budget = SearchBudget(max_worlds=4)
     want = [find_countermodel(system, gamma, alpha, budget)
             for gamma, alpha in queries]
-    monkeypatch.setattr(search, "_classes", search._frames)
+    monkeypatch.setattr(search, "_classes_within",
+                        lambda system, size, _: search._frames(system, size))
     got = [find_countermodel(system, gamma, alpha, budget)
            for gamma, alpha in queries]
     assert got == want
