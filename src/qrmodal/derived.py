@@ -114,6 +114,9 @@ def expand_derived(step: ProofStep, prems: tuple[Formula, ...],
                     "Mtrans premise must be an M formula, got %s"
                     % print_formula(p))
         b = prems[0].right
+        if prems[1].left != b:
+            raise ExpansionError(
+                "Mtrans premises must chain: second must start at %s" % b)
         return [
             ProofStep(nid, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
             ProofStep(step.id, step.formula, "Msub1", (pids[0], nid, pids[1])),

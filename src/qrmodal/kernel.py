@@ -494,7 +494,8 @@ def _schema(state: _State, st: ProofStep, origin: int,
         x = p2.left
         if not (isinstance(p3, Relational) and p3.rel is rel
                 and p3.left == x):
-            mism("third premise must be %s %s y" % (x, rel.value))
+            mism("third premise must be a %s formula from %s"
+                 % (rel.value, x))
             return
         y = p3.right
         want = (substitute(p1, x, y) if rule.endswith("1")

@@ -26,10 +26,12 @@ The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
 attribute at call time, so a wrapper installed there (perfbench counts
 parses that way) sees every one.  Each ``parse_script`` call keeps one
-memo of the parenthesised groups its formulas hold, so a group that a
-later step restates is not parsed again and its node is shared; groups
-that could pass the depth cap are always parsed (see ``syntax``).  The
-memo lives for that call only.
+memo from the text of each parenthesised group its formulas hold to
+the group's node.  It is asked before a formula is tokenized, so a
+group that a later step restates with the same text is neither
+tokenized nor parsed again, and its node is shared; restated with
+other blanks it is read again, correctly but not shared (see
+``syntax``).  The memo lives for that call only.
 """
 
 from __future__ import annotations

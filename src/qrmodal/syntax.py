@@ -59,20 +59,21 @@ operator level as soon as the next token ends it.
 
 A proof script restates the formulas of earlier steps inside later
 ones, so ``script.parse_script`` hands every formula of one script the
-same memo, a dict from each parenthesised group read so far to its
-node.  The key is the group's tokens joined by a blank; no token holds
-a blank, so two keys are equal only for equal tokens.  The first ``(``
-of a formula that has a memo costs one pass over its tokens, which
-finds each ``(``'s matching ``)`` and the group's depth in
-parentheses, its own included.  A group in the memo is not read
-again: the parser takes its node and goes on after its ``)``, so equal
-groups of one script are one object.  The depth cap on parentheses is
-the one check whose outcome depends on where a group stands, so the
-memo is used only where the open parentheses and the group's depth add
-up to at most ``MAX_DEPTH``; deeper groups are read token by token and
-refused where they always were.  Only groups that parse enter the
-memo, and the memo serves one system: parse_script reads every formula
-with system None.
+same memo, a dict from the text of each parenthesised group read so
+far to its node.  The memo is asked before the formula is tokenized:
+one pass over the text finds each ``(``'s matching ``)``, and each
+group whose text the memo holds is cut to ``()``, unless it lies in a
+group cut already.  Only the rest is tokenized and parsed; the parser
+takes the node of each group cut by the order of its ``(``, and enters
+each group it reads under the group's text.  So equal groups of one script are one object once
+a formula has held them, and a group restated with other blanks is
+read again: its node is equal, not shared.  A text whose parentheses
+do not balance or nest deeper than ``MAX_DEPTH`` is always refused,
+and is read without the memo.  Any refusal is read again without the
+memo, so its message and position are those of the formula alone.
+Only groups that parse enter the memo.  The memo serves one system
+and texts without comments: parse_script reads every formula with
+system None, from lines that read_lines has cut comments from.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ import collections
 import enum
 import itertools
 import re
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 
 # Members are singletons and compare by identity, so they hash by it
@@ -493,27 +494,17 @@ class _Parser:
     """
 
     def __init__(self, text: str, toks: list[str],
-                 system: Optional[System], memo: Optional[dict] = None):
+                 system: Optional[System], memo: Optional[dict] = None,
+                 groups: Iterable = ()):
         self.text = text
         self.toks = toks
         self.system = system
         self.foreign = _FOREIGN[system]
         self.parens = 0
+        # parse_script's memo, and per "(" of text, in order, what
+        # _cut_groups found there
         self.memo = memo
-        self.groups: Optional[dict[int, tuple[int, int]]] = None
-
-    def key(self, i: int) -> Optional[str]:
-        # the memo key of the group whose "(" is token i: its tokens
-        # joined by a blank.  None without a memo, when the "(" has no
-        # ")", or when the group's parentheses could pass MAX_DEPTH here.
-        if self.memo is None:
-            return None
-        if self.groups is None:
-            self.groups = _groups(self.toks)
-        group = self.groups.get(i)
-        if group is None or self.parens + group[1] > MAX_DEPTH:
-            return None
-        return " ".join(self.toks[i + 1:group[0]])
+        self.groups = iter(groups)
 
     def fail(self, i: int, expected: tuple[str, ...]) -> ParseError:
         word = self.toks[i]
@@ -618,10 +609,10 @@ class _Parser:
         elif word == "(":
             if self.parens == MAX_DEPTH:
                 raise self.too_deep(i)
-            key = self.key(i)
-            a = None if key is None else self.memo.get(key)
-            if a is not None:
-                i = self.groups[i][0] + 1
+            group = next(self.groups, None)
+            if isinstance(group, MFormula):  # a group the memo holds
+                a = group
+                i += 2
             else:
                 self.parens += 1
                 a, i = self.mformula(i + 1)
@@ -629,8 +620,8 @@ class _Parser:
                     raise self.fail(i, (")",))
                 self.parens -= 1
                 i += 1
-                if key is not None:
-                    self.memo[key] = a
+                if group is not None:
+                    self.memo[group] = a
         else:
             raise self.fail(i, ("identifier", "bot", "("))
         if ops == start:
@@ -644,22 +635,6 @@ class _Parser:
             else:
                 a = diamond(_REL_OF_DIA[op], a)
         return self.capped(a, i), i
-
-
-def _groups(toks: list[str]) -> dict[int, tuple[int, int]]:
-    # for each "(" that has a matching ")": the index of the ")" and the
-    # group's depth in parentheses, its own included
-    groups = {}
-    stack: list[list[int]] = []  # [index of "(", depth so far]
-    for j, word in enumerate(toks):
-        if word == "(":
-            stack.append([j, 1])
-        elif word == ")" and stack:
-            i, depth = stack.pop()
-            groups[i] = j, depth
-            if stack and stack[-1][1] <= depth:
-                stack[-1][1] = depth + 1
-    return groups
 
 
 def parse_mformula(text: str, system: Optional[System] = None) -> MFormula:
@@ -678,10 +653,22 @@ def parse_formula(text: str, system: Optional[System] = None,
     """Parse a labelled or relational formula.
 
     _memo is private: parse_script's memo of parenthesised groups, for
-    system None only.
+    system None and texts without a comment only (read_lines cuts them).
     """
-    toks = tokenize(text)
-    p = _Parser(text, toks, system, _memo)
+    if _memo is not None and "(" in text:
+        cut = _cut_groups(text, _memo)
+        if cut is not None:
+            rest, groups = cut
+            try:
+                return _formula(_Parser(rest, tokenize(rest), system, _memo,
+                                        groups))
+            except ParseError:
+                pass  # read again below, for the memo-free error
+    return _formula(_Parser(text, tokenize(text), system))
+
+
+def _formula(p: _Parser) -> Formula:
+    toks = p.toks
     label = toks[0]
     if label in _RESERVED:
         raise p.fail(0, ("identifier",))
@@ -697,6 +684,52 @@ def parse_formula(text: str, system: Optional[System] = None,
         p.end(3)
         return Relational(label, _REL[word], toks[2])
     raise p.fail(1, (":", "U", "M", "P"))
+
+
+_PARENS = re.compile(r"[()]")
+
+
+def _cut_groups(text: str, memo: dict) -> Optional[tuple[str, list]]:
+    # text with each group that the memo holds cut to "()", unless it
+    # lies in a group cut already; and per "(" of that text, in order,
+    # the node of the group cut there, or else the group's text, the
+    # key under which the parser enters the node it reads.  None when
+    # the parentheses do not balance or nest deeper than MAX_DEPTH:
+    # such a text is refused.
+    spans = []  # [offset of "(", offset of its ")"], in order of "("
+    stack = []
+    for m in _PARENS.finditer(text):
+        at = m.start()
+        if text[at] == "(":
+            if len(stack) == MAX_DEPTH:
+                return None
+            span = [at, 0]
+            stack.append(span)
+            spans.append(span)
+        elif stack:
+            stack.pop()[1] = at
+        else:
+            return None
+    if stack:
+        return None
+    pieces = []
+    groups: list = []
+    done = 0  # text[:done] is copied or cut already
+    for start, end in spans:
+        if start < done:  # inside a group cut
+            continue
+        key = text[start + 1:end]
+        node = memo.get(key)
+        if node is None:
+            groups.append(key)
+        else:
+            groups.append(node)
+            pieces.append(text[done:start + 1])
+            done = end
+    if not pieces:
+        return text, groups
+    pieces.append(text[done:])
+    return "".join(pieces), groups
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +757,9 @@ class Line(Record):
                 memo: Optional[dict] = None) -> Formula:
         """The formula in text[at:end]; errors start with where % args.
 
-        memo, a dict that parse_script keeps for one script, maps each
-        parenthesised group read so far to its node; see the module
-        docstring.
+        memo, a dict that parse_script keeps for one script, maps the
+        text of each parenthesised group read so far to its node; see
+        the module docstring.
         """
         try:
             return parse_formula(self.text[at:end], system, memo)

@@ -132,7 +132,7 @@ def main(argv: list[str]) -> int:
         copies = []
         for j in range(min(JOBS, len(picked))):
             copy = Path(tmp) / str(j)
-            for part in ("src", "tests"):
+            for part in ("src", "tests", "perfbench"):
                 shutil.copytree(ROOT / part, copy / part,
                                 ignore=shutil.ignore_patterns("__pycache__"))
             shutil.copy(ROOT / "pyproject.toml", copy)

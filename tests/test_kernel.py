@@ -375,13 +375,18 @@ def test_admission_same_for_derived_and_primitive(system, derived, primitive,
      "got x U x"),
     ("x M x ; Mtrans 1,3", "Mtrans premise must be an M formula, "
      "got x : r0"),
+    ("x M w ; Mtrans 6,7", "Mtrans premises must chain: second must "
+     "start at y"),
     ("x U x ; NegI 1", "NegI conclusion must be a labelled formula, "
      "got x U x"),
 ])
 def test_expansion_failure_is_a_schema_mismatch(line, message):
+    # the relational hypotheses 6 and 7 come first, so ids 1, 3 and 4
+    # keep their places
     report = check(parse_script(
-        "system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
-        "3. x U x ; hyp\n4. %s\n5. x : r0 ; hyp\nqed\n" % line))
+        "system MSQR\ntheorem t : x : r0\n6. x M y ; hyp\n7. z M w ; hyp\n"
+        "1. x : r0 ; hyp\n3. x U x ; hyp\n4. %s\n5. x : r0 ; hyp\nqed\n"
+        % line))
     assert [(d.step, d.reason, d.message) for d in report.diagnostics
             if d.step == 4] == [(4, "schema-mismatch", message)]
 
@@ -948,13 +953,25 @@ ONE_REFUSAL_PER_STEP = [
      ["y : r0 ; hyp", "y : r1 ; hyp", "x : [] r0 ; BoxI 1 discharge 2"],
      [(3, "illegal-discharge", "BoxI here discharges x U y, not y : r1"),
       (3, "undischarged-at-theorem", "open assumptions remain: y : r0")]),
+    # the label is named y, and the refusal names no metavariable
+    ("MSQR", "y : r0",
+     ["y : r0 ; hyp", "y M y ; hyp", "z M y ; hyp", "y : r0 ; Msub1 1,2,3"],
+     [(4, "schema-mismatch", "third premise must be a M formula from y"),
+      (4, "undischarged-at-theorem",
+       "open assumptions remain: y : r0, y M y, z M y")]),
+    ("MSPQR", "y : r0",
+     ["y : r0 ; hyp", "y P y ; hyp", "z P y ; hyp", "y : r0 ; Psub2 1,2,3"],
+     [(4, "schema-mismatch", "third premise must be a P formula from y"),
+      (4, "undischarged-at-theorem",
+       "open assumptions remain: y : r0, y P y, z P y")]),
 ]
 
 
 @pytest.mark.parametrize(
     "system, theorem, steps, diagnostics", ONE_REFUSAL_PER_STEP,
     ids=["fresh-differs", "fresh-in-conclusion", "utrans-chain",
-         "mser-repeats", "mser-one", "class-pair", "wrong-discharge"])
+         "mser-repeats", "mser-one", "class-pair", "wrong-discharge",
+         "msub-from", "psub-from"])
 def test_a_refused_step_gets_one_diagnostic(system, theorem, steps,
                                             diagnostics):
     report = check(parse_script("system %s\ntheorem t : %s\n%s\nqed\n" % (

@@ -1,9 +1,11 @@
 import copy
+import importlib
 import json
 import pickle
 import re
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import pytest
@@ -1456,16 +1458,22 @@ def assert_memo_changes_nothing(text):
     assert repr(new) == repr(old)
 
 
+# blanks changed in a restated formula: its tokens stay, its text changes
+_RESPACINGS = st.sampled_from([(" ", " "), (" ", "  "), (" ", "\t"),
+                               ("(", "( "), (")", " )")])
+
+
 @st.composite
 def _restating_scripts(draw):
     # a script whose steps restate earlier formulas inside new ones, as
-    # natural-deduction conclusions do; some steps are mutated
+    # natural-deduction conclusions do, some with other blanks; some
+    # steps are mutated
     bodies = [draw(_sugared())]
     for _ in range(draw(st.integers(1, 5))):
         shape = draw(st.sampled_from(["(%s) -> (%s)", "[M] ((%s) & (%s))",
                                       "~(%s) | %s", "(%s) <-> (%s)"]))
-        body = shape % (draw(st.sampled_from(bodies)),
-                        draw(st.sampled_from(bodies)))
+        body = shape % tuple(draw(st.sampled_from(bodies)).replace(
+            *draw(_RESPACINGS)) for _ in range(2))
         if draw(st.integers(0, 3)) == 0:
             body = draw(_mutated(body, PIECES))
         bodies.append(body)
@@ -1512,6 +1520,47 @@ def test_memo_reads_corpus_mutants_as_each_formula_alone():
             new = outcome(parse_script, mutant)
             results.add(new.reason if isinstance(new, Refusal) else "parsed")
     assert results >= {"parsed", "syntax", "too-deep"}
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_memo_reads_realistic_scripts_as_each_formula_alone(monkeypatch):
+    # every proofs input of the benchmark at seed 1: the bundled corpus,
+    # derived-rule, BoxI, seriality, mutant, chain and deep scripts
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    inputs = importlib.import_module("inputs")
+    texts = [op["text"] for op in inputs.proofs_inputs(PERFBENCH.parent, 1)]
+    assert set(CORPUS_TEXTS) < set(texts)
+    for text in texts:
+        assert_memo_changes_nothing(text)
+
+
+def test_memo_is_asked_before_tokenizing(monkeypatch):
+    # a group restated with the same text is cut to "()" before its
+    # formula is tokenized, and the steps share its node; restated with
+    # other blanks it is read again, equal but not shared, while the
+    # groups it holds are still cut
+    seen = []
+
+    def recording(text):
+        seen.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(syntax, "tokenize", recording)
+    group = "[M] (p & q) -> <> r"
+    script = parse_script(
+        "system MSQR\ntheorem t : x : (%s) -> s\n1. x : (%s) ; hyp\n"
+        "2. y : ~(%s) ; hyp\n3. z : (p & q) ; hyp\n4. x : ( %s ) ; hyp\n"
+        "5. x : (%s) -> s ; hyp\nqed\n" % ((group,) * 5))
+    assert [text.strip() for text in seen] == [
+        "x : (%s) -> s" % group, "x : ()", "y : ~()", "z : ()",
+        "x : ( [M] () -> <> r )", "x : () -> s"]
+    node = script.statement.body.left
+    s1, s2, s3, s4, s5 = (step.formula.body for step in script.steps)
+    assert s1 is node and s2.left is node and s5.left is node
+    assert s3 is node.left.body
+    assert s4 == node and s4 is not node and s4.left.body is s3
 
 
 def test_memo_keeps_the_depth_cap_where_a_group_is_reused():
