@@ -27,11 +27,14 @@ decided by the kernel.  Formulas are read through the syntax module's
 attribute at call time, so a wrapper installed there (perfbench counts
 parses that way) sees every one.  Each ``parse_script`` call keeps one
 memo from the text of each parenthesised group its formulas hold to
-the group's node.  It is asked before a formula is tokenized, so a
-group that a later step restates with the same text is neither
-tokenized nor parsed again, and its node is shared; restated with
-other blanks it is read again, correctly but not shared (see
-``syntax``).  The memo lives for that call only.
+the group's node.  It is asked before a formula is tokenized, first
+for the formula's outermost group, so a group that a later step
+restates with the same text is neither tokenized nor parsed again,
+and its node is shared; a step that is one such group after its
+label, as a conclusion restating a premise is, is not even scanned
+for parentheses.  Restated with other blanks, a group is read again,
+correctly but not shared (see ``syntax``).  The memo lives for that
+call only.
 """
 
 from __future__ import annotations

@@ -60,20 +60,24 @@ operator level as soon as the next token ends it.
 A proof script restates the formulas of earlier steps inside later
 ones, so ``script.parse_script`` hands every formula of one script the
 same memo, a dict from the text of each parenthesised group read so
-far to its node.  The memo is asked before the formula is tokenized:
+far to its node.  The memo is asked before the formula is tokenized,
+first for the outermost group: when the text ends with a ``)``, the
+text from its first ``(`` to that ``)`` is looked up, and a hit is
+cut to ``()`` without visiting the parentheses inside it.  Otherwise
 one pass over the text finds each ``(``'s matching ``)``, and each
 group whose text the memo holds is cut to ``()``, unless it lies in a
 group cut already.  Only the rest is tokenized and parsed; the parser
-takes the node of each group cut by the order of its ``(``, and enters
-each group it reads under the group's text.  So equal groups of one script are one object once
-a formula has held them, and a group restated with other blanks is
-read again: its node is equal, not shared.  A text whose parentheses
-do not balance or nest deeper than ``MAX_DEPTH`` is always refused,
-and is read without the memo.  Any refusal is read again without the
-memo, so its message and position are those of the formula alone.
-Only groups that parse enter the memo.  The memo serves one system
-and texts without comments: parse_script reads every formula with
-system None, from lines that read_lines has cut comments from.
+takes the node of each group cut by the order of its ``(``, and
+enters each group it reads under the group's text.  So equal groups
+of one script are one object once a formula has held them, and a
+group restated with other blanks is read again: its node is equal,
+not shared.  A text whose parentheses do not balance or nest deeper
+than ``MAX_DEPTH`` is always refused, and is read without the memo.
+Any refusal is read again without the memo, so its message and
+position are those of the formula alone.  Only groups that parse
+enter the memo.  The memo serves one system and texts without
+comments: parse_script reads every formula with system None, from
+lines that read_lines has cut comments from.
 """
 
 from __future__ import annotations
@@ -696,6 +700,15 @@ def _cut_groups(text: str, memo: dict) -> Optional[tuple[str, list]]:
     # key under which the parser enters the node it reads.  None when
     # the parentheses do not balance or nest deeper than MAX_DEPTH:
     # such a text is refused.
+    # The group from the first "(" to a ")" that ends the text is asked
+    # first.  Every key is the balanced text of a group read within
+    # MAX_DEPTH, so a hit is the group the scan would cut there; only
+    # a ")" before the "(" differs, and the parser refuses that.
+    first = text.find("(")
+    last = len(text.rstrip(BLANKS)) - 1
+    node = memo.get(text[first + 1:last]) if text[last] == ")" else None
+    if node is not None:
+        return text[:first + 1] + text[last:], [node]
     spans = []  # [offset of "(", offset of its ")"], in order of "("
     stack = []
     for m in _PARENS.finditer(text):

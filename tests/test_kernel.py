@@ -662,14 +662,17 @@ def test_layer_boundaries_are_module_attributes(monkeypatch):
 
 # -- per-rule scripts --------------------------------------------------------
 
-def _accepted_modulo_open(script_text):
-    """Check a fragment; only the final open-assumption diagnostic may fire."""
-    report = check(parse_script(script_text))
-    return reasons(report) <= {"undischarged-at-theorem"}
+def assert_sound_modulo_open(script_text):
+    """Check a fragment, where only the final open-assumption diagnostic
+    may fire, and run the semantic oracle on each of its steps."""
+    script = parse_script(script_text)
+    report = check(script)
+    assert reasons(report) <= {"undischarged-at-theorem"}, report.diagnostics
+    assert_sound_at_every_step(script, script.system, report)
 
 
 def test_msub2_unit():
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSQR\n"
         "theorem t : x : r0\n"
         "1. y : r0 ; hyp\n"
@@ -680,7 +683,7 @@ def test_msub2_unit():
 
 
 def test_msub1_substitutes_relational_operand():
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSQR\n"
         "theorem t : z U y\n"
         "1. x U y ; hyp\n"
@@ -703,7 +706,7 @@ def test_msub1_rejects_mismatched_pivot():
 
 
 def test_psub_units():
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSPQR\n"
         "theorem t : y : r0\n"
         "1. x : r0 ; hyp\n"
@@ -711,7 +714,7 @@ def test_psub_units():
         "3. x P y ; hyp\n"
         "4. y : r0 ; Psub1 1,2,3\n"
         "qed\n")
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSPQR\n"
         "theorem t : x : r0\n"
         "1. y : r0 ; hyp\n"
@@ -722,37 +725,66 @@ def test_psub_units():
 
 
 def test_relation_rule_units():
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSQR\n"
         "theorem t : y U x\n"
         "1. x U y ; hyp\n"
         "2. y U x ; Usymm 1\n"
         "qed\n")
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSQR\n"
         "theorem t : x U z\n"
         "1. x U y ; hyp\n"
         "2. y U z ; hyp\n"
         "3. x U z ; Utrans 1,2\n"
         "qed\n")
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSQR\n"
         "theorem t : x U y\n"
         "1. x M y ; hyp\n"
         "2. x U y ; UIfromM 1\n"
         "qed\n")
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSPQR\n"
         "theorem t : x U y\n"
         "1. x P y ; hyp\n"
         "2. x U y ; PUI 1\n"
         "qed\n")
-    assert _accepted_modulo_open(
+    assert_sound_modulo_open(
         "system MSPQR\n"
         "theorem t : x P z\n"
         "1. x P y ; hyp\n"
         "2. y P z ; hyp\n"
         "3. x P z ; Ptrans 1,2\n"
+        "qed\n")
+
+
+def test_classical_and_u_rules_under_mspqr():
+    # no corpus script uses these four rules under MSpQR
+    assert_sound_modulo_open(
+        "system MSPQR\n"
+        "theorem t : x : ~ ~ <P> r0 -> <P> r0\n"
+        "1. x : ~ ~ <P> r0 ; hyp\n"
+        "2. x : ~ <P> r0 ; hyp\n"
+        "3. x : bot ; ImpE 1,2\n"
+        "4. x : <P> r0 ; RAA 3 discharge 2\n"
+        "5. x : ~ ~ <P> r0 -> <P> r0 ; ImpI 4 discharge 1\n"
+        "qed\n")
+    assert_sound_modulo_open(
+        "system MSPQR\n"
+        "theorem t : x : [] [P] r0 -> [P] r0\n"
+        "1. x : [] [P] r0 ; hyp\n"
+        "2. x U x ; Urefl\n"
+        "3. x : [P] r0 ; BoxE 1,2\n"
+        "4. x : [] [P] r0 -> [P] r0 ; ImpI 3 discharge 1\n"
+        "qed\n")
+    assert_sound_modulo_open(
+        "system MSPQR\n"
+        "theorem t : z U x\n"
+        "1. x U y ; hyp\n"
+        "2. y U z ; hyp\n"
+        "3. x U z ; Utrans 1,2\n"
+        "4. z U x ; Usymm 3\n"
         "qed\n")
 
 

@@ -1225,8 +1225,8 @@ def id_lists(line):
     lists = {"premise": [], "discharge": []}
     what = "premise"
     for f in fields:
-        if f == "fresh":
-            break
+        if f == "fresh" or f == "discharge" == what:
+            break  # a second "discharge" is a field left over
         if f == "discharge":
             what = "discharge"
         else:
@@ -1343,6 +1343,8 @@ def first_nonblank_column(line):
 @example("system MSQR\ntheorem\xa0t : x : r0\n1. x : r0 ; hyp\nqed\n")
 @example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
          "2. x : r0 -> r0 ; ImpI 1\x0cdischarge 1\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 -> r0 ; ImpI 1 discharge 1, discharge 2\nqed\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_script_matches_the_oracle(text):
     new, old = outcome(parse_script, text), _old_script(text)
@@ -1582,6 +1584,79 @@ def test_memo_keeps_the_depth_cap_where_a_group_is_reused():
             err = outcome(parse_script, text)
             assert (err.reason, err.line, err.col) == \
                 ("too-deep", 4, len("2. x : ") + MAX_DEPTH + 1)
+
+
+def recorded_scans(monkeypatch):
+    """The texts whose parentheses _cut_groups scans, in order, as the
+    scans happen."""
+    scanned = []
+    pattern = syntax._PARENS
+
+    class Recording:
+        def finditer(self, text):
+            scanned.append(text.strip())
+            return pattern.finditer(text)
+
+    monkeypatch.setattr(syntax, "_PARENS", Recording())
+    return scanned
+
+
+def test_memo_is_asked_for_the_outermost_group_before_the_scan(monkeypatch):
+    # a formula that is one restated group after its first "(" takes the
+    # group's node without scanning the parentheses inside it; any other
+    # text around the group, or other blanks in it, is scanned as before
+    scanned = recorded_scans(monkeypatch)
+    group = "[M] (p & q) -> <> (r | s)"
+    text = ("system MSQR\ntheorem t : x : (%s) -> s\n1. x : (%s) ; hyp\n"
+            "2. y : ~(%s) ; hyp\n3. z : [] (%s)   ; hyp\n"
+            "4. x : (%s) -> s ; hyp\n5. x : ( %s ) ; hyp\nqed\n"
+            % ((group,) * 6))
+    script = parse_script(text)
+    assert scanned == ["x : (%s) -> s" % group, "x : (%s) -> s" % group,
+                       "x : ( %s )" % group]
+    node = script.statement.body.left
+    s1, s2, s3, s4, s5 = (step.formula.body for step in script.steps)
+    assert s1 is node and s2.left is node and s3.body is node
+    assert s4.left is node and s5 == node and s5 is not node
+    assert_memo_changes_nothing(text)
+
+
+def test_memo_asked_for_the_outermost_group_keeps_the_depth_cap(
+        monkeypatch):
+    # a group 99 deep in parentheses, restated inside one more, fits
+    # MAX_DEPTH and takes the memo's node unscanned; inside two more it
+    # is refused as too deep, at the same position as without the memo
+    scanned = recorded_scans(monkeypatch)
+    group = "(" * 99 + "p -> q" + ")" * 99
+    for outer, fits in ((1, True), (2, False)):
+        scanned.clear()
+        restated = "(" * outer + group + ")" * outer
+        text = ("system MSQR\ntheorem t : x : (%s)\n1. x : (%s) ; hyp\n"
+                "2. x : %s ; hyp\nqed\n" % (group, group, restated))
+        result = outcome(parse_script, text)
+        if fits:
+            assert outer + 99 == MAX_DEPTH
+            assert scanned == ["x : (%s)" % group]
+            statement = result.statement.body
+            assert all(step.formula.body is statement
+                       for step in result.steps)
+        else:
+            assert scanned == ["x : (%s)" % group, "x : " + restated]
+            assert (result.reason, result.line, result.col) == \
+                ("too-deep", 4, len("2. x : ") + MAX_DEPTH + 1)
+        assert_memo_changes_nothing(text)
+
+
+@pytest.mark.parametrize("step", [
+    # a ")" before the first "(": the cut text is refused, then read alone
+    "x ) : (p & q)",
+    # "(p" is not a group that ends the text, though "p" is a key
+    "x : (pq"])
+def test_memo_asked_for_the_outermost_group_refuses_as_alone(step):
+    text = ("system MSQR\ntheorem t : x : [M] (p & q)\n1. x : (p) ; hyp\n"
+            "2. %s ; hyp\nqed\n" % step)
+    assert isinstance(outcome(parse_script, text), Refusal)
+    assert_memo_changes_nothing(text)
 
 
 def test_memo_shares_equal_groups_within_one_script_only():
