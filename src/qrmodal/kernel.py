@@ -138,7 +138,11 @@ class CheckReport(Record):
         return not self.diagnostics
 
     def open_at(self, step_id: int) -> frozenset[Formula]:
-        """Hypothesis formulas a step of the checked script depends on."""
+        """Hypothesis formulas a step of the checked script depends on.
+
+        The id is found by a scan of step_ids, so a call costs O(n) for
+        n steps, plus building the set it returns.
+        """
         if step_id not in self.step_ids:
             raise KernelError(UNKNOWN_PREMISE, "no step with id %d" % step_id)
         return _formulas_of(self.hyp_formulas,

@@ -16,11 +16,19 @@ checked against the inferred one.  Ids are ASCII decimal numbers of
 at most as many digits as int() converts: the interpreter's limit, or
 ``MAX_ID_DIGITS`` where it has none.  The ids of a list are separated
 by commas, with or without blanks beside them.  The final step must
-restate the theorem.  Lines are read by ``syntax.read_lines``, as
-model and assumption files are.  A step-line error points at the field
-it is about, a formula error at its token, another line's error at the
-line's first nonblank character, and a missing part of the script at
-1:1.
+restate the theorem.  Lines end at "\\n" only, and each is cut as
+``syntax.read_lines`` cuts the lines of model and assumption files.  A
+step-line error points at the field it is about, a formula error at
+its token, another line's error at the line's first nonblank
+character, and a missing part of the script at 1:1.
+
+Most step lines have one plain shape: no comment, no blank before the
+``.`` or beside a comma, the fields in the order above and each id of
+at most 640 digits.  Such a line is read with one match, and its step
+is built from the match's groups when its id is new and positive and
+its rule known; a formula it holds that does not parse is refused
+there.  Every other line is read field by field, by the reader that
+alone names what is wrong with a step line's fields.
 
 The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
@@ -91,7 +99,17 @@ def parse_script(text: str) -> ProofScript:
     memo: dict = {}  # the parenthesised groups read so far
     done = False
 
-    for line in syntax.read_lines(text):
+    for number, raw in enumerate(text.split("\n"), start=1):
+        if name is not None and not done:
+            m = _PLAIN_STEP.fullmatch(raw)
+            if m is not None:
+                step = _plain_step(m, number, seen, memo)
+                if step is not None:
+                    steps.append(step)
+                    continue
+        line = syntax.read_line(number, raw)
+        if line is None:
+            continue
         if done:
             raise line.error("content after qed")
         if system is None:
@@ -120,9 +138,36 @@ def parse_script(text: str) -> ProofScript:
     return ProofScript(system, name, statement, tuple(steps))
 
 
-# Blanks (B) and the fields they separate (F+) are the tokenizer's.  An
-# id list runs over the fields up to the next keyword field.
+# The most digits an id may have, leading zeros included, is the most
+# that int() converts: the interpreter's limit, 4,300 by default since
+# Python 3.10.7 and never set below _MIN_ID_CAP.  A limit of 0 means
+# none, and then the cap is MAX_ID_DIGITS, so such an interpreter
+# refuses the same ids as a default one.
+MAX_ID_DIGITS = 4300
+_MIN_ID_CAP = 640
+
+# Blanks (B) and the fields they separate (F+) are the tokenizer's.
 _B, _F = syntax.BLANK, syntax.NOT_BLANK
+# A step line of the common shape, read whole: each id of at most
+# _MIN_ID_CAP digits, no blank before "." or beside a comma, no "#",
+# and the fields in order.  A line that fails it is read field by field.
+# It must accept only lines that _STEP reads with no fault but one that
+# _plain_step checks (a zero or repeated id, an unknown rule, a refused
+# formula): edit the two patterns together.
+_ID = "[0-9]{1,%d}" % _MIN_ID_CAP
+_ID_RUN = rf"({_ID}(?:,{_ID})*)"
+_PLAIN_STEP = re.compile(rf"""
+    {_B}* ({_ID}) \.                     # step id
+    ([^;\#]*) ;                          # formula
+    {_B}* ([A-Za-z0-9]+)                 # rule
+    (?: {_B}+ {_ID_RUN} )?               # premise ids
+    (?: {_B}+ discharge {_B}+ {_ID_RUN} )?
+    (?: {_B}+ fresh {_B}+ ([^{re.escape(syntax.BLANKS)}\#]+) )?
+    {_B}*""", re.VERBOSE)
+# The field-by-field reader, which alone names a step line's faults;
+# _PLAIN_STEP is its fast path for the common shape and must stay
+# within what it accepts.  An id list runs over the fields up to the
+# next keyword field.
 _ID_FIELDS = rf"( (?: {_B}+ (?! (?:discharge|fresh) (?!{_F}) ) {_F}+ )* )"
 _STEP = re.compile(rf"""
     ([0-9]+) {_B}* \.                    # step id
@@ -135,17 +180,29 @@ _STEP = re.compile(rf"""
     )?""", re.VERBOSE)
 _ID_LIST = re.compile(r"[0-9]+(?:,[0-9]+)*")
 _BLANK_BETWEEN_DIGITS = re.compile(rf"[0-9]{_B}+[0-9]")
-# The most digits an id may have, leading zeros included, is the most
-# that int() converts: the interpreter's limit, 4,300 by default since
-# Python 3.10.7 and never set below _MIN_ID_CAP.  A limit of 0 means
-# none, and then the cap is MAX_ID_DIGITS, so such an interpreter
-# refuses the same ids as a default one.
-MAX_ID_DIGITS = 4300
-_MIN_ID_CAP = 640
 
 
 def _id_cap() -> int:
     return sys.get_int_max_str_digits() or MAX_ID_DIGITS
+
+
+def _plain_step(m: re.Match, number: int, seen: set[int],
+                memo: dict) -> Optional[ProofStep]:
+    # the step of line number, which _PLAIN_STEP matched; None when its
+    # id is not new and positive or its rule unknown, so _parse_step
+    # names the fault.  A refused formula is the fault _parse_step would
+    # name, so it is raised here and the formula is read only once.
+    head, text, rule, premises, discharges, fresh = m.groups()
+    sid = int(head)
+    if sid <= 0 or sid in seen or rule not in ALL_RULES:
+        return None
+    formula = syntax.parse_formula_at(text, number, m.start(2),
+                                      "in step %d: ", sid, memo=memo)
+    seen.add(sid)
+    return ProofStep(sid, formula, rule,
+                     tuple(map(int, premises.split(","))) if premises else (),
+                     tuple(map(int, discharges.split(",")))
+                     if discharges else (), fresh)
 
 
 def _parse_step(line: syntax.Line, seen: set[int], memo: dict) -> ProofStep:

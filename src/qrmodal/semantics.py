@@ -46,9 +46,9 @@ One relation pair per line, `val` lines list the propositions true at a
 world (worlds with no line get none), `interp` binds labels to worlds.
 Propositions and labels are identifiers, as syntax.is_identifier
 decides; world names are any fields without "#".
-Lines are read by syntax.read_lines, as scripts are.  An error points
-at the field it is about, such as an unknown world, or else at the
-line's first field.
+Lines are cut by syntax.read_lines, as script lines are.  An error
+points at the field it is about, such as an unknown world, or else at
+the line's first field.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ Any refusal is read again without the memo, so its message and
 position are those of the formula alone.  Only groups that parse
 enter the memo.  The memo serves one system and texts without
 comments: parse_script reads every formula with system None, from
-lines that read_lines has cut comments from.
+lines that hold no comment or have had it cut as read_line cuts it.
 """
 
 from __future__ import annotations
@@ -657,7 +657,7 @@ def parse_formula(text: str, system: Optional[System] = None,
     """Parse a labelled or relational formula.
 
     _memo is private: parse_script's memo of parenthesised groups, for
-    system None and texts without a comment only (read_lines cuts them).
+    system None and texts without a comment only (read_line cuts them).
     """
     if _memo is not None and "(" in text:
         cut = _cut_groups(text, _memo)
@@ -774,12 +774,9 @@ class Line(Record):
         text of each parenthesised group read so far to its node; see
         the module docstring.
         """
-        try:
-            return parse_formula(self.text[at:end], system, memo)
-        except ParseError as e:
-            raise ParseError(where % args + e.message, self.number,
-                             self.start + at + e.col, e.expected,
-                             e.reason) from None
+        return parse_formula_at(self.text[at:end], self.number,
+                                self.start + at, where, *args,
+                                system=system, memo=memo)
 
     def system(self) -> System:
         """The system that a system line names."""
@@ -789,11 +786,32 @@ class Line(Record):
         return System(fields[1])
 
 
+def parse_formula_at(text: str, number: int, offset: int, where: str = "",
+                     *args: object, system: Optional[System] = None,
+                     memo: Optional[dict] = None) -> Formula:
+    """parse_formula of text, which starts on line number after offset
+    characters; a refusal is placed there and its message starts with
+    where % args."""
+    try:
+        return parse_formula(text, system, memo)
+    except ParseError as e:
+        raise ParseError(where % args + e.message, number, offset + e.col,
+                         e.expected, e.reason) from None
+
+
+def read_line(number: int, raw: str) -> Optional[Line]:
+    """The Line of raw, the text of line number up to its "\\n"; None
+    when it is blank or a comment."""
+    line = raw.split("#", 1)[0]
+    stripped = line.lstrip(BLANKS)
+    if not stripped:
+        return None
+    return Line(number, stripped.rstrip(BLANKS), len(line) - len(stripped))
+
+
 def read_lines(text: str) -> Iterator[Line]:
     """Nonblank lines; they end at "\\n" only, as the tokenizer counts."""
     for number, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0]
-        stripped = line.lstrip(BLANKS)
-        if stripped:
-            yield Line(number, stripped.rstrip(BLANKS),
-                       len(line) - len(stripped))
+        line = read_line(number, raw)
+        if line is not None:
+            yield line

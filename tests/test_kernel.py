@@ -166,6 +166,54 @@ def test_report_holds_no_mutable_container():
     assert hash(report) == hash(check(script))
 
 
+def linear_open_at(report, step_id):
+    """open_at by a linear scan of the step ids, the oracle."""
+    if step_id not in report.step_ids:
+        raise KernelError(kernel.UNKNOWN_PREMISE, "no step %d" % step_id)
+    mask = report.deps[report.step_ids.index(step_id)]
+    return frozenset(h for i, h in enumerate(report.hyp_formulas)
+                     if mask >> i & 1)
+
+
+def renumbered(script, new_ids):
+    """script with its step ids renamed, in order, to new_ids."""
+    rename = dict(zip((step.id for step in script.steps), new_ids))
+
+    def ids(old):
+        return tuple(rename.get(i, i) for i in old)
+
+    return ProofScript(script.system, script.name, script.statement, tuple(
+        ProofStep(rename[step.id], step.formula, step.rule,
+                  ids(step.premises), ids(step.discharges), step.fresh)
+        for step in script.steps))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_open_at_matches_a_linear_scan(data):
+    # ids out of order: open_at finds each step's open set where a scan of
+    # step_ids does, and refuses any other id as an unknown premise
+    script = load(data.draw(st.sampled_from(
+        [e["path"] for e in corpus_entries()])))
+    n = len(script.steps)
+    new_ids = data.draw(st.one_of(
+        st.just(range(n, 0, -1)),
+        st.lists(st.integers(1, 10 ** 6), min_size=n, max_size=n,
+                 unique=True)))
+    report = check(renumbered(script, new_ids))
+    assert report.step_ids == tuple(new_ids)
+    for sid in report.step_ids:
+        assert report.open_at(sid) == linear_open_at(report, sid)
+    others = data.draw(st.lists(st.integers(-2, 10 ** 6 + 1).filter(
+        lambda i: i not in report.step_ids), max_size=5))
+    for sid in others:
+        with pytest.raises(KernelError) as exc:
+            report.open_at(sid)
+        assert exc.value.code == kernel.UNKNOWN_PREMISE
+    again = check(renumbered(script, new_ids))
+    assert again == report and hash(again) == hash(report)
+
+
 # -- dependency bitsets against a frozenset oracle ---------------------------
 
 def frozenset_deps(script):

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qrmodal import kernel, syntax
+from qrmodal import kernel, script as script_module, syntax
 from qrmodal.kernel import DERIVED, Diagnostic, check, parse_script
 from qrmodal.script import ALL_RULES, ProofScript, ProofStep
 from qrmodal.search import Found, NotFoundWithin, SearchBudget
@@ -1345,6 +1345,28 @@ def first_nonblank_column(line):
          "2. x : r0 -> r0 ; ImpI 1\x0cdischarge 1\nqed\n")
 @example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
          "2. x : r0 -> r0 ; ImpI 1 discharge 1, discharge 2\nqed\n")
+# the edges of the one-match step reader: each line below leaves it
+# for the field-by-field reader, or is refused by the formula alone
+@example("system MSQR\ntheorem t : x : r0\n1 . x : r0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpE 1 ,2\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp # a note\nqed\n")
+@example("system MSQR\r\ntheorem t : x : r0\r\n1. x : r0 ; hyp\r\n"
+         "2. x : r0 ; ImpE 1,1\r\nqed\r\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpE 1,\xa01\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x :\x0cr0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n%s. x : r0 ; hyp\nqed\n"
+         % ("1" * 641))
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 ; ImpE %s,1\nqed\n" % ("1" * 641))
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 -> r0 ; ImpI 1 discharge\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "1. x : r0 ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; Hyp\nqed\n")
+@example("system MSQR\ntheorem t : x : r0\n1. x : r0 ; hyp\n"
+         "2. x : r0 -> ; ImpE 1,1 discharge 1 fresh y\nqed\n")
 @settings(max_examples=400, deadline=None)
 def test_parse_script_matches_the_oracle(text):
     new, old = outcome(parse_script, text), _old_script(text)
@@ -1438,6 +1460,50 @@ def test_every_formula_goes_through_tokenize_once(monkeypatch):
     for text, toks in seen:
         assert toks == [t.text for t in old_tokenize(text)]
         assert toks[-1] == ""
+
+
+# -- the one-match step reader ----------------------------------------------
+
+def counted_reads(monkeypatch):
+    """How many step lines parse_script reads field by field, and how
+    many Line records it builds, as they happen."""
+    counts = {"fields": 0, "lines": 0}
+    parse_step, line = script_module._parse_step, syntax.Line
+
+    def field_by_field(*args):
+        counts["fields"] += 1
+        return parse_step(*args)
+
+    def counted_line(*args):
+        counts["lines"] += 1
+        return line(*args)
+
+    monkeypatch.setattr(script_module, "_parse_step", field_by_field)
+    monkeypatch.setattr(syntax, "Line", counted_line)
+    return counts
+
+
+def test_common_step_lines_are_read_with_one_match(monkeypatch):
+    # every step line of the bundled corpus has the common shape, so only
+    # the system, theorem and qed lines become Line records
+    counts = counted_reads(monkeypatch)
+    for text in CORPUS_TEXTS:
+        parse_script(text)
+    assert counts == {"fields": 0, "lines": 3 * len(CORPUS_TEXTS)}
+
+
+def test_an_odd_step_line_alone_is_read_field_by_field(monkeypatch):
+    # a blank beside a comma leaves the common shape: that line alone is
+    # read field by field, into the step the common shape gives
+    text = (CORPUS / "msqr" / "diamond_mono.prf").read_text()
+    plain = next(line for line in text.split("\n")
+                 if re.search(r"; ImpE [0-9]+,[0-9]+$", line))
+    odd = plain.replace(",", ", ")
+    counts = counted_reads(monkeypatch)
+    expected = parse_script(text)
+    assert counts == {"fields": 0, "lines": 3}
+    assert parse_script(text.replace(plain, odd)) == expected
+    assert counts == {"fields": 1, "lines": 7}
 
 
 # -- the group memo of parse_script ------------------------------------------
