@@ -117,6 +117,11 @@ def expand_derived(step: ProofStep, prems: tuple[Formula, ...],
         if prems[1].left != b:
             raise ExpansionError(
                 "Mtrans premises must chain: second must start at %s" % b)
+        if prems[0].left == b:
+            # a = b: rewriting b to c would rewrite a too, so Msub1
+            # rewrites a to a in b M c, which leaves it unchanged
+            return [ProofStep(step.id, step.formula, "Msub1",
+                              (pids[1], pids[0], pids[0]))]
         return [
             ProofStep(nid, Relational(b, Rel.M, b), "Msrefl", (pids[0],)),
             ProofStep(step.id, step.formula, "Msub1", (pids[0], nid, pids[1])),

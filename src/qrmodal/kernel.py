@@ -59,19 +59,21 @@ Diagnostics carry stable reason codes: wrong-arity, schema-mismatch,
 illegal-discharge, freshness-violation, undischarged-at-theorem,
 wrong-system, unknown-premise.
 
-Every rule fact the checker uses is stated in the tables below the
-reason codes: each system's rules with their premise counts
-(_PREMISES), the derived rules, and the rules that discharge or take a
-fresh label.  Scripts are read and printed by qrmodal.script, which
-knows only the rule names its reader accepts; derived rules are
-expanded by qrmodal.derived, which is handed only the derived step and
-a tuple of its premises' formulas.  Neither is trusted.  This module
-re-exports parse_script only, because the CLI, the README's library
-example and perfbench call it as kernel.parse_script.
+Every rule fact the checker uses is stated in one table per system,
+_RULES, at the end of this module: a rule's row holds its premise
+count, whether it discharges or takes a fresh label, and the function
+that checks an instance, which a derived rule lacks.  Scripts are read
+and printed by qrmodal.script, which knows only the rule names its
+reader accepts; derived rules are expanded by qrmodal.derived, which
+is handed only the derived step and a tuple of its premises' formulas.
+Neither is trusted.  This module re-exports parse_script only, because
+the CLI, the README's library example and perfbench call it as
+kernel.parse_script.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional, Sequence
 
 from .derived import ExpansionError, expand_derived
@@ -89,27 +91,9 @@ UNDISCHARGED_AT_THEOREM = "undischarged-at-theorem"
 WRONG_SYSTEM = "wrong-system"
 UNKNOWN_PREMISE = "unknown-premise"
 
-# each system's rules and their premise counts: the shared, then its own
-_SHARED = {
-    HYP: 0, "ImpI": 1, "ImpE": 2, "RAA": 1, "BotE": 1, "BoxI": 1,
-    "BoxE": 2, "Urefl": 0, "Usymm": 1, "Utrans": 2,
-    "NegI": 1, "NegE": 2, "IffI": 2, "IffE1": 1, "IffE2": 1,
-    "AndI": 2, "AndE1": 1, "AndE2": 1,
-}
-_PREMISES = {
-    System.MSQR: {**_SHARED, "UIfromM": 1, "Mser": 1, "Msrefl": 1,
-                  "Msub1": 3, "Msub2": 3, "Mtrans": 2},
-    System.MSPQR: {**_SHARED, "PUI": 1, "Ptrans": 2, "Class": 1,
-                   "Psub1": 3, "Psub2": 3},
-}
-DERIVED = frozenset(("NegI", "NegE", "IffI", "IffE1", "IffE2", "AndI",
-                     "AndE1", "AndE2", "Mtrans"))
-_DISCHARGING = frozenset(("ImpI", "RAA", "BoxI", "Mser", "Class", "NegI"))
-_FRESH_RULES = frozenset(("BoxI", "Mser", "Class"))
-
 
 def rules_of(system: System) -> frozenset[str]:
-    return frozenset(_PREMISES[system])
+    return frozenset((HYP, *_RULES[system]))
 
 
 class Diagnostic(Record):
@@ -170,14 +154,15 @@ def check(script: ProofScript, system: Optional[System] = None) -> CheckReport:
 
 
 def _formulas_of(hyps: Sequence[Formula], mask: int) -> frozenset[Formula]:
-    return frozenset(hyps[i] for i in bit_indices(mask))
+    # one pass over mask's binary digits, lowest first
+    return frozenset(compress(hyps, map("1".__eq__, bin(mask)[:1:-1])))
 
 
 class _State:
     def __init__(self, script: ProofScript, system: Optional[System]):
         self.script = script
         self.system = system or script.system
-        self.premises = _PREMISES[self.system]  # rule -> premise count
+        self.rules = _RULES[self.system]  # rule -> its row
         self.diags: list[Diagnostic] = []
         self.formulas: dict[int, Formula] = {}
         # per step, its open hypotheses as a bitset over hypothesis indices
@@ -246,107 +231,97 @@ def _vocabulary(state: _State, st: ProofStep, origin: int) -> None:
                    % (print_formula(st.formula), state.system.value))
 
 
-def _record(state: _State, st: ProofStep) -> None:
-    # the premises' open hypotheses minus the hypotheses the step lists
-    # as discharged; a step that failed, whatever its rule, still
-    # footprints its known premises and clears its listed discharges
-    deps = 0
-    for pid in st.premises:
-        deps |= state.deps.get(pid, 0)
-    sid = st.id
-    state.formulas[sid] = st.formula
-    state.deps[sid] = deps & ~state.mask_of(st.discharges)
-
-
 def _step(state: _State, st: ProofStep, origin: int) -> None:
     # the caller has checked st's vocabulary.  Each field of st is read
     # once, into a local, which is cheaper to read than the field.
-    diag = state.diag
-    rule, premises, discharges, fresh = \
-        st.rule, st.premises, st.discharges, st.fresh
+    diag, formulas, deps_of = state.diag, state.formulas, state.deps
+    rule, premises, discharges, sid, formula = \
+        st.rule, st.premises, st.discharges, st.id, st.formula
     if rule == HYP:
-        if premises or discharges or fresh:
+        if premises or discharges or st.fresh:
             diag(origin, WRONG_ARITY, "hyp takes no premises or annotations")
-        sid, formula = st.id, st.formula
-        i = len(state.hyp_ids)
+        state.index[sid] = i = len(state.hyp_ids)
         bit = 1 << i
-        state.index[sid] = i
         state.hyp_ids.append(sid)
         state.hyp_formulas.append(formula)
         for label in labels_in(formula):
             state.mentions[label] = state.mentions.get(label, 0) | bit
-        state.formulas[sid] = formula
-        state.deps[sid] = bit
+        formulas[sid] = formula
+        deps_of[sid] = bit
         return
 
-    arity = state.premises.get(rule)
-    if arity is None:
-        if any(rule in table for table in _PREMISES.values()):
+    # each premise is read once.  A failed step, whatever its rule, still
+    # footprints its known premises and clears its listed discharges
+    prems: list[Formula] = []
+    deps = 0
+    for pid in premises:
+        p = formulas.get(pid)
+        if p is not None:
+            prems.append(p)
+            deps |= deps_of[pid]
+    row = state.rules.get(rule)
+    if row is None:
+        if any(rule in rules for rules in _RULES.values()):
             diag(origin, WRONG_SYSTEM, "rule %s is not part of %s"
                  % (rule, state.system.value))
         else:
             diag(origin, SCHEMA_MISMATCH, "unknown rule %r" % rule)
-        _record(state, st)
-        return
-
-    prems: list[Formula] = []
-    missing = False
-    for pid in premises:
-        if pid not in state.formulas:
-            diag(origin, UNKNOWN_PREMISE,
-                 "premise %d is not an earlier step" % pid)
-            missing = True
-        else:
-            prems.append(state.formulas[pid])
-    if len(premises) != arity:
-        diag(origin, WRONG_ARITY, "%s takes %d premises, got %d"
-             % (rule, arity, len(premises)))
-        missing = True
-    if missing:
-        _record(state, st)
-        return
-
-    dis: list[Formula] = []
-    bad_discharge = False
-    if discharges and rule not in _DISCHARGING:
-        diag(origin, ILLEGAL_DISCHARGE, "rule %s discharges nothing" % rule)
-        bad_discharge = True
     else:
-        for did in discharges:
-            if did not in state.formulas:
+        arity, discharging, takes_fresh, schema = row
+        if len(premises) != arity or len(prems) != arity:
+            for pid in premises:
+                if pid not in formulas:
+                    diag(origin, UNKNOWN_PREMISE,
+                         "premise %d is not an earlier step" % pid)
+            if len(premises) != arity:
+                diag(origin, WRONG_ARITY, "%s takes %d premises, got %d"
+                     % (rule, arity, len(premises)))
+        else:
+            dis: list[Formula] = []
+            bad_discharge = False
+            if discharges and not discharging:
                 diag(origin, ILLEGAL_DISCHARGE,
-                     "discharge %d is not an earlier step" % did)
-                bad_discharge = True
-            elif did not in state.index:
-                diag(origin, ILLEGAL_DISCHARGE,
-                     "discharge %d is not a hypothesis" % did)
+                     "rule %s discharges nothing" % rule)
                 bad_discharge = True
             else:
-                dis.append(state.formulas[did])
-    bad_fresh = fresh is not None and rule not in _FRESH_RULES
-    if bad_fresh:
-        diag(origin, SCHEMA_MISMATCH,
-             "rule %s takes no fresh label" % rule)
-
-    derived = rule in DERIVED
-    if derived and not (bad_discharge or bad_fresh):
-        _expand(state, st, origin, tuple(prems))
-        return
-    if not (derived or bad_discharge):
-        _schema(state, st, origin, prems, dis)
-    _record(state, st)
+                for did in discharges:
+                    d = formulas.get(did)
+                    if d is None:
+                        diag(origin, ILLEGAL_DISCHARGE,
+                             "discharge %d is not an earlier step" % did)
+                        bad_discharge = True
+                    elif did not in state.index:
+                        diag(origin, ILLEGAL_DISCHARGE,
+                             "discharge %d is not a hypothesis" % did)
+                        bad_discharge = True
+                    else:
+                        dis.append(d)
+            bad_fresh = st.fresh is not None and not takes_fresh
+            if bad_fresh:
+                diag(origin, SCHEMA_MISMATCH,
+                     "rule %s takes no fresh label" % rule)
+            if schema is None:
+                if not (bad_discharge or bad_fresh) \
+                        and _expand(state, st, origin, tuple(prems)):
+                    return
+            elif not bad_discharge:
+                want = schema(state, st, origin, prems, dis)
+                if want is not None and formula != want:
+                    diag(origin, SCHEMA_MISMATCH,
+                         "conclusion must be %s" % print_formula(want))
+    formulas[sid] = formula
+    deps_of[sid] = deps & ~state.mask_of(discharges) if discharges else deps
 
 
 def _expand(state: _State, st: ProofStep, origin: int,
-            prems: tuple[Formula, ...]) -> None:
-    # expand_derived sees st and a tuple of its premises' formulas only.
-    # perfbench wraps it here, so it is looked up in this module per call
+            prems: tuple[Formula, ...]) -> bool:
+    # False when expand_derived refuses st.  It sees st and a tuple of its
+    # premises' formulas only, and perfbench wraps it: it is read per call
     try:
         steps = expand_derived(st, prems, state.helper_base)
     except ExpansionError as e:
         state.diag(origin, SCHEMA_MISMATCH, str(e))
-        _record(state, st)
-        return
+        return False
     # the last step repeats st's conclusion, whose vocabulary is checked.
     # When st's formula or a premise is foreign, the script already has
     # its wrong-system diagnostic, and a foreign helper would only echo it.
@@ -361,21 +336,38 @@ def _expand(state: _State, st: ProofStep, origin: int,
     for sub in steps[:-1]:
         del state.formulas[sub.id], state.deps[sub.id]
         state.index.pop(sub.id, None)
+    return True
 
 
-def _fresh_check(state: _State, origin: int, y: str, x: str,
-                 premise_id: int, discharged: int,
-                 conclusion: Formula) -> None:
+def _closes(state: _State, st: ProofStep, origin: int,
+            dis: list[Formula], assumed: Formula) -> bool:
+    # the instance may discharge assumed only; False when it names another
+    wrong = [df for df in dis if df != assumed]
+    for df in wrong:
+        state.diag(origin, ILLEGAL_DISCHARGE, "%s here discharges %s, not %s"
+                   % (st.rule, print_formula(assumed), print_formula(df)))
+    return not wrong
+
+
+def _fresh(state: _State, st: ProofStep, origin: int, y: str,
+           x: str) -> None:
+    # y, the instance's eigenvariable, must differ from x and be fresh
+    if st.fresh is not None and st.fresh != y:
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "fresh annotation says %s, rule instance uses %s"
+                   % (st.fresh, y))
+        return
     if y == x:
         state.diag(origin, FRESHNESS_VIOLATION,
                    "fresh label %s must differ from %s" % (y, x))
         return
-    if y in labels_in(conclusion):
+    if y in labels_in(st.formula):
         state.diag(origin, FRESHNESS_VIOLATION,
                    "fresh label %s occurs in the conclusion %s"
-                   % (y, print_formula(conclusion)))
+                   % (y, print_formula(st.formula)))
         return
-    clash = state.mentions.get(y, 0) & state.deps[premise_id] & ~discharged
+    clash = state.mentions.get(y, 0) & ~state.mask_of(st.discharges) \
+        & state.deps[st.premises[0]]
     if clash:
         # the open hypothesis naming y with the smallest step id; bit
         # order is script order, which need not be id order
@@ -385,179 +377,220 @@ def _fresh_check(state: _State, origin: int, y: str, x: str,
                    % (y, print_formula(state.hyp_formulas[h])))
 
 
-def _schema(state: _State, st: ProofStep, origin: int,
-            prems: list[Formula], dis: list[Formula]) -> None:
-    # prems, dis: st's premise and discharge formulas.  What the rule
-    # instance fixes: its conclusion, the hypothesis it discharges, and
-    # its eigenvariable (the fresh label, and the label it must differ from)
-    rule, f = st.rule, st.formula
-    p1, p2, p3 = (*prems, None, None, None)[:3]
-    want = assumed = eigen = None
+# A primitive rule's check takes an admitted step and its premises' and
+# discharges' formulas, and reports what is wrong with the instance.  It
+# returns the conclusion the instance fixes, for _step to compare, if any.
 
-    def mism(message: str) -> None:
-        state.diag(origin, SCHEMA_MISMATCH, message)
+def _imp_i(state, st, origin, prems, dis):
+    f = st.formula
+    if not (isinstance(f, Labelled) and isinstance(f.body, Implies)):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "ImpI concludes a labelled implication")
+        return
+    x, a, b = f.label, f.body.left, f.body.right
+    if prems[0] != Labelled(x, b):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premise must be %s" % print_formula(Labelled(x, b)))
+    _closes(state, st, origin, dis, Labelled(x, a))
 
-    def bad_dis(message: str) -> None:
-        state.diag(origin, ILLEGAL_DISCHARGE, message)
 
-    if rule == "ImpI":
-        if not (isinstance(f, Labelled) and isinstance(f.body, Implies)):
-            mism("ImpI concludes a labelled implication")
-            return
-        x, a, b = f.label, f.body.left, f.body.right
-        if p1 != Labelled(x, b):
-            mism("premise must be %s" % print_formula(Labelled(x, b)))
-        assumed = Labelled(x, a)
+def _imp_e(state, st, origin, prems, dis):
+    p1, p2 = prems
+    if not (isinstance(p1, Labelled) and isinstance(p1.body, Implies)):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "major premise must be a labelled implication")
+        return
+    x, a, b = p1.label, p1.body.left, p1.body.right
+    if p2 != Labelled(x, a):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "minor premise must be the antecedent %s"
+                   % print_formula(Labelled(x, a)))
+    return Labelled(x, b)
 
-    elif rule == "ImpE":
-        if not (isinstance(p1, Labelled) and isinstance(p1.body, Implies)):
-            mism("major premise must be a labelled implication")
-            return
-        x, a, b = p1.label, p1.body.left, p1.body.right
-        if p2 != Labelled(x, a):
-            mism("minor premise must be the antecedent %s"
-                 % print_formula(Labelled(x, a)))
-        want = Labelled(x, b)
 
-    elif rule == "RAA":
-        if not isinstance(f, Labelled):
-            mism("RAA concludes a labelled formula")
-            return
-        if not (isinstance(p1, Labelled) and p1.body == BOT):
-            mism("premise must conclude bot at some label")
-        assumed = Labelled(f.label, Implies(f.body, BOT))
+def _raa(state, st, origin, prems, dis):
+    f, p1 = st.formula, prems[0]
+    if not isinstance(f, Labelled):
+        state.diag(origin, SCHEMA_MISMATCH, "RAA concludes a labelled formula")
+        return
+    if not (isinstance(p1, Labelled) and p1.body == BOT):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premise must conclude bot at some label")
+    _closes(state, st, origin, dis, Labelled(f.label, Implies(f.body, BOT)))
 
-    elif rule == "BotE":
-        if not (isinstance(p1, Labelled) and p1.body == BOT):
-            mism("premise must conclude bot at some label")
 
-    elif rule == "BoxI":
-        if not (isinstance(f, Labelled) and isinstance(f.body, Box)):
-            mism("BoxI concludes a labelled box formula")
-            return
-        x, rel, body = f.label, f.body.rel, f.body.body
-        if not (isinstance(p1, Labelled) and p1.body == body):
-            mism("premise must prove the box body at the fresh label")
-            return
-        assumed = Relational(x, rel, p1.label)
-        eigen = p1.label, x
+def _bot_e(state, st, origin, prems, dis):
+    p1 = prems[0]
+    if not (isinstance(p1, Labelled) and p1.body == BOT):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premise must conclude bot at some label")
 
-    elif rule == "BoxE":
-        if not (isinstance(p1, Labelled) and isinstance(p1.body, Box)):
-            mism("major premise must be a labelled box formula")
-            return
-        x, rel, body = p1.label, p1.body.rel, p1.body.body
-        if not (isinstance(p2, Relational) and p2.rel is rel
-                and p2.left == x):
-            mism("relational premise must be %s R y for the box relation"
-                 % x)
-            return
-        want = Labelled(p2.right, body)
 
-    elif rule == "Urefl":
-        if not (isinstance(f, Relational) and f.rel is Rel.U
-                and f.left == f.right):
-            mism("conclusion must have the shape x U x")
+def _box_i(state, st, origin, prems, dis):
+    f, p1 = st.formula, prems[0]
+    if not (isinstance(f, Labelled) and isinstance(f.body, Box)):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "BoxI concludes a labelled box formula")
+        return
+    x, rel, body = f.label, f.body.rel, f.body.body
+    if not (isinstance(p1, Labelled) and p1.body == body):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premise must prove the box body at the fresh label")
+        return
+    if _closes(state, st, origin, dis, Relational(x, rel, p1.label)):
+        _fresh(state, st, origin, p1.label, x)
 
-    elif rule == "Usymm":
-        if not (isinstance(p1, Relational) and p1.rel is Rel.U):
-            mism("premise must be a U formula")
-            return
-        want = Relational(p1.right, Rel.U, p1.left)
 
-    elif rule in ("Utrans", "Ptrans"):
-        rel = Rel.U if rule == "Utrans" else Rel.P
-        if not (isinstance(p1, Relational) and p1.rel is rel
-                and isinstance(p2, Relational) and p2.rel is rel):
-            mism("%s premises must be %s formulas" % (rule, rel.value))
-            return
-        if p2.left != p1.right:
-            mism("premises must chain: second must start at %s" % p1.right)
-            return
-        want = Relational(p1.left, rel, p2.right)
+def _box_e(state, st, origin, prems, dis):
+    p1, p2 = prems
+    if not (isinstance(p1, Labelled) and isinstance(p1.body, Box)):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "major premise must be a labelled box formula")
+        return
+    x, rel, body = p1.label, p1.body.rel, p1.body.body
+    if not (isinstance(p2, Relational) and p2.rel is rel and p2.left == x):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "relational premise must be %s R y for the box relation"
+                   % x)
+        return
+    return Labelled(p2.right, body)
 
-    elif rule in ("UIfromM", "PUI"):
-        rel = Rel.M if rule == "UIfromM" else Rel.P
-        if not (isinstance(p1, Relational) and p1.rel is rel):
-            mism("premise must be a %s formula" % rel.value)
-            return
-        want = Relational(p1.left, Rel.U, p1.right)
 
-    elif rule == "Msrefl":
-        if not (isinstance(p1, Relational) and p1.rel is Rel.M):
-            mism("premise must be an M formula")
-            return
-        want = Relational(p1.right, Rel.M, p1.right)
+def _u_refl(state, st, origin, prems, dis):
+    f = st.formula
+    if not (isinstance(f, Relational) and f.rel is Rel.U
+            and f.left == f.right):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "conclusion must have the shape x U x")
 
-    elif rule in ("Msub1", "Msub2", "Psub1", "Psub2"):
-        rel = Rel.M if rule[0] == "M" else Rel.P
-        if not (isinstance(p2, Relational) and p2.rel is rel
-                and p2.left == p2.right):
-            mism("second premise must have the shape x %s x" % rel.value)
-            return
-        x = p2.left
-        if not (isinstance(p3, Relational) and p3.rel is rel
-                and p3.left == x):
-            mism("third premise must be a %s formula from %s"
-                 % (rel.value, x))
-            return
-        y = p3.right
-        want = (substitute(p1, x, y) if rule.endswith("1")
-                else substitute(p1, y, x))
 
-    elif rule in ("Mser", "Class"):
-        rel = Rel.M if rule == "Mser" else Rel.P
-        if f != p1:
-            mism("conclusion must repeat the premise %s"
-                 % print_formula(p1))
-            return
-        if not dis:
-            bad_dis("%s must discharge a hypothesis of the shape x %s y"
-                    % (rule, rel.value))
-            return
-        if not all(isinstance(df, Relational) and df.rel is rel
-                   for df in dis):
-            bad_dis("%s discharges only %s hypotheses" % (rule, rel.value))
-            return
-        if rule == "Mser":
-            first = dis[0]
-            if any(df != first for df in dis):
-                bad_dis("Mser discharges occurrences of one hypothesis")
-                return
-            x, y = first.left, first.right
-        else:
-            proper = [df for df in dis if df.left != df.right]
-            if not proper:
-                bad_dis("Class needs a discharged hypothesis x P y "
-                        "with two distinct labels")
-                return
-            x, y = proper[0].left, proper[0].right
-            want_refl = Relational(y, Rel.P, y)
-            for df in dis:
-                if df != proper[0] and df != want_refl:
-                    bad_dis("Class here discharges %s and %s, not %s"
-                            % (print_formula(proper[0]),
-                               print_formula(want_refl), print_formula(df)))
-                    return
-        eigen = y, x
+def _u_symm(state, st, origin, prems, dis):
+    p1 = prems[0]
+    if not (isinstance(p1, Relational) and p1.rel is Rel.U):
+        state.diag(origin, SCHEMA_MISMATCH, "premise must be a U formula")
+        return
+    return Relational(p1.right, Rel.U, p1.left)
 
+
+def _trans(state, st, origin, prems, dis):
+    rule, (p1, p2) = st.rule, prems
+    rel = Rel.U if rule == "Utrans" else Rel.P
+    if not (isinstance(p1, Relational) and p1.rel is rel
+            and isinstance(p2, Relational) and p2.rel is rel):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "%s premises must be %s formulas" % (rule, rel.value))
+        return
+    if p2.left != p1.right:
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premises must chain: second must start at %s" % p1.right)
+        return
+    return Relational(p1.left, rel, p2.right)
+
+
+def _to_u(state, st, origin, prems, dis):
+    p1 = prems[0]
+    rel = Rel.M if st.rule == "UIfromM" else Rel.P
+    if not (isinstance(p1, Relational) and p1.rel is rel):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "premise must be a %s formula" % rel.value)
+        return
+    return Relational(p1.left, Rel.U, p1.right)
+
+
+def _ms_refl(state, st, origin, prems, dis):
+    p1 = prems[0]
+    if not (isinstance(p1, Relational) and p1.rel is Rel.M):
+        state.diag(origin, SCHEMA_MISMATCH, "premise must be an M formula")
+        return
+    return Relational(p1.right, Rel.M, p1.right)
+
+
+def _sub(state, st, origin, prems, dis):
+    rule, (p1, p2, p3) = st.rule, prems
+    rel = Rel.M if rule[0] == "M" else Rel.P
+    if not (isinstance(p2, Relational) and p2.rel is rel
+            and p2.left == p2.right):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "second premise must have the shape x %s x" % rel.value)
+        return
+    x = p2.left
+    if not (isinstance(p3, Relational) and p3.rel is rel and p3.left == x):
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "third premise must be a %s formula from %s"
+                   % (rel.value, x))
+        return
+    y = p3.right
+    return (substitute(p1, x, y) if rule.endswith("1")
+            else substitute(p1, y, x))
+
+
+def _serial(state, st, origin, prems, dis):
+    rule, f, p1 = st.rule, st.formula, prems[0]
+    rel = Rel.M if rule == "Mser" else Rel.P
+    if f != p1:
+        state.diag(origin, SCHEMA_MISMATCH,
+                   "conclusion must repeat the premise %s" % print_formula(p1))
+        return
+    if not dis:
+        state.diag(origin, ILLEGAL_DISCHARGE,
+                   "%s must discharge a hypothesis of the shape x %s y"
+                   % (rule, rel.value))
+        return
+    if not all(isinstance(df, Relational) and df.rel is rel for df in dis):
+        state.diag(origin, ILLEGAL_DISCHARGE,
+                   "%s discharges only %s hypotheses" % (rule, rel.value))
+        return
+    if rule == "Mser":
+        first = dis[0]
+        if any(df != first for df in dis):
+            state.diag(origin, ILLEGAL_DISCHARGE,
+                       "Mser discharges occurrences of one hypothesis")
+            return
+        x, y = first.left, first.right
     else:
-        raise AssertionError("unhandled rule %r" % rule)
-
-    if want is not None and f != want:
-        mism("conclusion must be %s" % print_formula(want))
-    if assumed is not None:
-        wrong = [df for df in dis if df != assumed]
-        for df in wrong:
-            bad_dis("%s here discharges %s, not %s"
-                    % (rule, print_formula(assumed), print_formula(df)))
-        if wrong:
+        proper = [df for df in dis if df.left != df.right]
+        if not proper:
+            state.diag(origin, ILLEGAL_DISCHARGE,
+                       "Class needs a discharged hypothesis x P y "
+                       "with two distinct labels")
             return
-    if eigen is not None:
-        y, x = eigen
-        if st.fresh is not None and st.fresh != y:
-            mism("fresh annotation says %s, rule instance uses %s"
-                 % (st.fresh, y))
-        else:
-            _fresh_check(state, origin, y, x, st.premises[0],
-                         state.mask_of(st.discharges), f)
+        x, y = proper[0].left, proper[0].right
+        want_refl = Relational(y, Rel.P, y)
+        for df in dis:
+            if df != proper[0] and df != want_refl:
+                state.diag(origin, ILLEGAL_DISCHARGE,
+                           "Class here discharges %s and %s, not %s"
+                           % (print_formula(proper[0]),
+                              print_formula(want_refl), print_formula(df)))
+                return
+    _fresh(state, st, origin, y, x)
+
+
+# Each system's rules, one row per rule: its premise count, whether it
+# discharges, whether it takes a fresh label, and its check.  A derived
+# rule has no check: _step expands it and checks every helper step.
+# hyp, which _step admits before it looks a row up, has no row.
+_SHARED = {
+    "ImpI": (1, True, False, _imp_i), "ImpE": (2, False, False, _imp_e),
+    "RAA": (1, True, False, _raa), "BotE": (1, False, False, _bot_e),
+    "BoxI": (1, True, True, _box_i), "BoxE": (2, False, False, _box_e),
+    "Urefl": (0, False, False, _u_refl), "Usymm": (1, False, False, _u_symm),
+    "Utrans": (2, False, False, _trans),
+    "NegI": (1, True, False, None), "NegE": (2, False, False, None),
+    "IffI": (2, False, False, None), "IffE1": (1, False, False, None),
+    "IffE2": (1, False, False, None), "AndI": (2, False, False, None),
+    "AndE1": (1, False, False, None), "AndE2": (1, False, False, None),
+}
+_RULES = {
+    System.MSQR: {
+        **_SHARED, "UIfromM": (1, False, False, _to_u),
+        "Mser": (1, True, True, _serial), "Msrefl": (1, False, False, _ms_refl),
+        "Msub1": (3, False, False, _sub), "Msub2": (3, False, False, _sub),
+        "Mtrans": (2, False, False, None)},
+    System.MSPQR: {
+        **_SHARED, "PUI": (1, False, False, _to_u),
+        "Ptrans": (2, False, False, _trans), "Class": (1, True, True, _serial),
+        "Psub1": (3, False, False, _sub), "Psub2": (3, False, False, _sub)},
+}
+DERIVED = frozenset(rule for rules in _RULES.values()
+                    for rule, row in rules.items() if row[3] is None)

@@ -12,6 +12,8 @@ of src/qrmodal/kernel.py:
   not       drop one not
   return    drop one bare return
   call      drop one call statement
+  bitop     swap one & and |, in an expression or an augmented
+            assignment, or drop one ~ (the open-hypothesis bitsets)
 
 The change is spliced into the source in place, padded with blank lines
 where it is shorter, so every other line keeps its number.  Each mutant
@@ -49,6 +51,7 @@ FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE,
         ast.GtE: ast.Lt, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot,
         ast.IsNot: ast.Is}
+SWAP = {ast.BitAnd: ast.BitOr, ast.BitOr: ast.BitAnd}
 
 
 def _expr_mutants(node: ast.AST):
@@ -63,6 +66,10 @@ def _expr_mutants(node: ast.AST):
         yield "boolop", ast.BoolOp(other, node.values)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
         yield "not", node.operand
+    elif isinstance(node, ast.BinOp) and type(node.op) in SWAP:
+        yield "bitop", ast.BinOp(node.left, SWAP[type(node.op)](), node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
+        yield "bitop", node.operand
 
 
 def mutants(source: str) -> list[tuple[int, str, str]]:
@@ -92,6 +99,10 @@ def mutants(source: str) -> list[tuple[int, str, str]]:
             out.append((node.lineno, kind, splice(node, text)))
         if isinstance(node, ast.Return) and node.value is None:
             out.append((node.lineno, "return", splice(node, "pass%s")))
+        elif isinstance(node, ast.AugAssign) and type(node.op) in SWAP:
+            new = ast.AugAssign(node.target, SWAP[type(node.op)](), node.value)
+            text = ast.unparse(new).replace("%", "%%") + "%s"
+            out.append((node.lineno, "bitop", splice(node, text)))
         elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             out.append((node.lineno, "call", splice(node, "pass%s")))
     out.sort(key=lambda m: (m[0], m[1]))

@@ -289,7 +289,7 @@ def test_open_assumptions_match_frozenset_oracle():
         for s in script.steps:
             if s.rule == "hyp":
                 hyps.append(s.id)
-            elif s.rule not in kernel._DISCHARGING and hyps:
+            elif s.rule not in DISCHARGING and hyps:
                 s = ProofStep(s.id, s.formula, s.rule, s.premises,
                               tuple(hyps), s.fresh)
             steps.append(s)
@@ -617,6 +617,31 @@ def test_expand_mtrans_two_steps():
     ]
 
 
+def test_expand_mtrans_reflexive_first_premise_one_step():
+    # from x M x, rewriting x to y would rewrite the premise's both
+    # labels; Msub1 rewrites x to x in x M y instead, which is x M y
+    step = ProofStep(5, parse_formula("x M y"), "Mtrans", premises=(1, 2))
+    out = expand_derived(step, (parse_formula("x M x"),
+                                parse_formula("x M y")), 6)
+    assert out == [ProofStep(5, parse_formula("x M y"), "Msub1", (2, 1, 1))]
+
+
+@pytest.mark.parametrize("premises, conclusion", [
+    (("x M x", "x M y"), "x M y"),   # a = b
+    (("x M y", "y M y"), "x M y"),   # b = c
+    (("x M y", "y M x"), "x M x"),   # a = c
+    (("x M x", "x M x"), "x M x"),   # a = b = c
+], ids=["a=b", "b=c", "a=c", "a=b=c"])
+def test_mtrans_with_aliased_labels_is_checked_and_sound(premises, conclusion):
+    script = _script(["%s ; hyp" % premises[0], "%s ; hyp" % premises[1],
+                      "%s ; Mtrans 1,2" % conclusion])
+    report = check(script)
+    assert [d.reason for d in report.diagnostics] == [
+        "undischarged-at-theorem"]
+    assert report.open_assumptions == set(map(parse_formula, premises))
+    assert_sound_at_every_step(script, System.MSQR, report)
+
+
 def test_expand_ande2_four_steps():
     # refute x:r1->bot: a vacuous ImpI turns it into x:r0->(r1->bot),
     # which the premise refutes, and RAA discharges it
@@ -850,6 +875,68 @@ def test_rule_gating_between_systems():
     assert "Mtrans" not in rules_of(System.MSPQR)
 
 
+# Each rule's facts, (premise count, discharges, takes a fresh label,
+# derived), as the kernel docstring states them; a derived rule's premise
+# count is the number its expansion in derived.py cites
+SHARED_RULE_FACTS = {
+    "hyp": (0, False, False, False), "ImpI": (1, True, False, False),
+    "ImpE": (2, False, False, False), "RAA": (1, True, False, False),
+    "BotE": (1, False, False, False), "BoxI": (1, True, True, False),
+    "BoxE": (2, False, False, False), "Urefl": (0, False, False, False),
+    "Usymm": (1, False, False, False), "Utrans": (2, False, False, False),
+    "NegI": (1, True, False, True), "NegE": (2, False, False, True),
+    "IffI": (2, False, False, True), "IffE1": (1, False, False, True),
+    "IffE2": (1, False, False, True), "AndI": (2, False, False, True),
+    "AndE1": (1, False, False, True), "AndE2": (1, False, False, True),
+}
+RULE_FACTS = {
+    System.MSQR: {
+        **SHARED_RULE_FACTS, "UIfromM": (1, False, False, False),
+        "Mser": (1, True, True, False), "Msrefl": (1, False, False, False),
+        "Msub1": (3, False, False, False), "Msub2": (3, False, False, False),
+        "Mtrans": (2, False, False, True)},
+    System.MSPQR: {
+        **SHARED_RULE_FACTS, "PUI": (1, False, False, False),
+        "Ptrans": (2, False, False, False), "Class": (1, True, True, False),
+        "Psub1": (3, False, False, False), "Psub2": (3, False, False, False)},
+}
+DISCHARGING = {rule for facts in RULE_FACTS.values()
+               for rule, fact in facts.items() if fact[1]}
+
+
+@pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
+def test_the_rule_table_states_each_rules_facts(system):
+    facts = RULE_FACTS[system]
+    assert rules_of(system) == set(facts)
+    assert {rule: (n, discharges, fresh, check is None)
+            for rule, (n, discharges, fresh, check)
+            in kernel._RULES[system].items()} == \
+        {rule: fact for rule, fact in facts.items() if rule != "hyp"}
+    assert DERIVED == {rule for table in RULE_FACTS.values()
+                       for rule, fact in table.items() if fact[3]}
+
+
+@pytest.mark.parametrize("system", list(System), ids=lambda s: s.value)
+def test_check_admits_each_rule_by_its_facts(system):
+    # every rule but hyp, cited with too many premises, with a discharge
+    # and with a fresh label: the refusals name its facts
+    r0 = parse_formula("x : r0")
+    for rule, (n, discharges, fresh, _) in RULE_FACTS[system].items():
+        if rule == "hyp":
+            continue
+        messages = set()
+        for step in (ProofStep(2, r0, rule, (1,) * 4),
+                     ProofStep(2, r0, rule, (1,) * n, (1,), "y")):
+            script = ProofScript(system, "t", None, (
+                ProofStep(1, r0, "hyp"), step))
+            messages |= {d.message for d in check(script).diagnostics}
+        assert "%s takes %d premises, got 4" % (rule, n) in messages
+        assert ("rule %s discharges nothing" % rule in messages) \
+            == (not discharges), rule
+        assert ("rule %s takes no fresh label" % rule in messages) \
+            == (not fresh), rule
+
+
 def test_the_reader_accepts_the_names_of_the_kernel_rules():
     # the kernel states which rules each system has; the script reader
     # accepts their names and no others
@@ -1044,6 +1131,17 @@ ONE_REFUSAL_PER_STEP = [
      [(4, "schema-mismatch", "third premise must be a P formula from y"),
       (4, "undischarged-at-theorem",
        "open assumptions remain: y : r0, y P y, z P y")]),
+    # a wrong annotation ends the check of the eigenvariable
+    ("MSQR", "x : [] r0",
+     ["y : r0 ; hyp", "x : [] r0 ; BoxI 1 fresh z"],
+     [(2, "schema-mismatch", "fresh annotation says z, rule instance uses y"),
+      (2, "undischarged-at-theorem", "open assumptions remain: y : r0")]),
+    ("MSQR", "x : r0",
+     ["x : r1 -> bot ; hyp", "x : r1 ; hyp", "x : bot ; ImpE 1,2",
+      "x : r0 ; RAA 3 discharge 1"],
+     [(4, "illegal-discharge",
+       "RAA here discharges x : r0 -> bot, not x : r1 -> bot"),
+      (4, "undischarged-at-theorem", "open assumptions remain: x : r1")]),
 ]
 
 
@@ -1051,7 +1149,7 @@ ONE_REFUSAL_PER_STEP = [
     "system, theorem, steps, diagnostics", ONE_REFUSAL_PER_STEP,
     ids=["fresh-differs", "fresh-in-conclusion", "utrans-chain",
          "mser-repeats", "mser-one", "class-pair", "wrong-discharge",
-         "msub-from", "psub-from"])
+         "msub-from", "psub-from", "fresh-annotation", "raa-discharge"])
 def test_a_refused_step_gets_one_diagnostic(system, theorem, steps,
                                             diagnostics):
     report = check(parse_script("system %s\ntheorem t : %s\n%s\nqed\n" % (
@@ -1165,9 +1263,18 @@ DIAGNOSTIC_SITES = [
     ("fresh-on-impi",
      _script(["x : r0 ; hyp", "x : r0 -> r0 ; ImpI 1 discharge 1 fresh y"]),
      2, "schema-mismatch"),
+    ("conclusion", _script(["x U y ; hyp", "x U x ; Usymm 1"]),
+     2, "schema-mismatch"),
     ("expansion",
      _script(["x M y ; hyp", "x : r0 ; hyp", "x : r0 & r0 ; AndI 1,2"]),
      3, "schema-mismatch"),
+    ("wrong-discharge",
+     _script(["x : r0 ; hyp", "x : r1 ; hyp",
+              "x : r0 -> r0 ; ImpI 1 discharge 2"]),
+     3, "illegal-discharge"),
+    ("fresh-annotation",
+     _script(["y : r0 ; hyp", "x : [] r0 ; BoxI 1 fresh z"]),
+     2, "schema-mismatch"),
     ("fresh-differs", _script(["x : r0 ; hyp", "x : [] r0 ; BoxI 1"]),
      2, "freshness-violation"),
     ("fresh-in-conclusion",
@@ -1239,31 +1346,18 @@ DIAGNOSTIC_SITES = [
      _script(["x : r0 ; hyp", "x P y ; hyp", "z P z ; hyp",
               "x : r0 ; Class 1 discharge 2,3"], "MSPQR"),
      4, "illegal-discharge"),
-    ("conclusion", _script(["x U y ; hyp", "x U x ; Usymm 1"]),
-     2, "schema-mismatch"),
-    ("wrong-discharge",
-     _script(["x : r0 ; hyp", "x : r1 ; hyp",
-              "x : r0 -> r0 ; ImpI 1 discharge 2"]),
-     3, "illegal-discharge"),
-    ("fresh-annotation",
-     _script(["y : r0 ; hyp", "x : [] r0 ; BoxI 1 fresh z"]),
-     2, "schema-mismatch"),
 ]
 
 
 def _diagnostic_sites():
-    """The first and last line of each diag, mism and bad_dis call in
-    kernel.py, in source order, but for the calls inside mism and
-    bad_dis, which only forward to diag."""
+    """The first and last line of each diag call in kernel.py, in source
+    order."""
     tree = ast.parse(Path(kernel.__file__).read_text())
-    forwarding = {id(node) for f in ast.walk(tree)
-                  if isinstance(f, ast.FunctionDef)
-                  and f.name in ("mism", "bad_dis") for node in ast.walk(f)}
     return sorted(
         (node.lineno, node.end_lineno) for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and id(node) not in forwarding
+        if isinstance(node, ast.Call)
         and getattr(node.func, "id", getattr(node.func, "attr", None))
-        in ("diag", "mism", "bad_dis"))
+        == "diag")
 
 
 def test_one_script_per_diagnostic_site():
@@ -1273,16 +1367,12 @@ def test_one_script_per_diagnostic_site():
 @pytest.mark.parametrize("index", range(len(DIAGNOSTIC_SITES)),
                          ids=[case[0] for case in DIAGNOSTIC_SITES])
 def test_diagnostic_site_is_reached(monkeypatch, index):
-    # each diagnostic is recorded with the kernel line that raised it:
-    # for one that came through mism or bad_dis, the line that called
-    # that closure
+    # each diagnostic is recorded with the kernel line that raised it
     raised = []
     diag = kernel._State.diag
 
     def recording_diag(state, step, reason, message):
         frame = sys._getframe(1)
-        if frame.f_code.co_name in ("mism", "bad_dis"):
-            frame = frame.f_back
         assert frame.f_code.co_filename == kernel.__file__
         raised.append((frame.f_lineno, step, reason))
         diag(state, step, reason, message)
