@@ -50,7 +50,9 @@ MSpQR only:
 Derived rules (DERIVED; Mtrans is MSQR's only) are expanded to
 primitive steps before checking, so the checker never trusts them.  A
 derived step passes the admission checks of a primitive one (system,
-premises, arity, discharges, fresh) before it is expanded.  Helper
+premises, arity, discharges, fresh) before it is expanded, and an
+expansion that does not end in the step itself after new primitive
+helper steps is refused (schema-mismatch) before any of it runs.  Helper
 steps are private to their expansion: later steps cannot cite or
 discharge them, nor open_at name them.  Premises are matched in the
 order the schema lists them.
@@ -162,6 +164,8 @@ class _State:
     def __init__(self, script: ProofScript, system: Optional[System]):
         self.script = script
         self.system = system or script.system
+        if self.system not in _RULES:
+            raise ValueError("no system to check in: %r" % (self.system,))
         self.rules = _RULES[self.system]  # rule -> its row
         self.diags: list[Diagnostic] = []
         self.formulas: dict[int, Formula] = {}
@@ -315,12 +319,17 @@ def _step(state: _State, st: ProofStep, origin: int) -> None:
 
 def _expand(state: _State, st: ProofStep, origin: int,
             prems: tuple[Formula, ...]) -> bool:
-    # False when expand_derived refuses st.  It sees st and a tuple of its
-    # premises' formulas only, and perfbench wraps it: it is read per call
+    # False when expand_derived refuses st or answers with a malformed
+    # expansion.  It sees st and a tuple of its premises' formulas only,
+    # and perfbench wraps it: it is read per call
     try:
         steps = expand_derived(st, prems, state.helper_base)
     except ExpansionError as e:
         state.diag(origin, SCHEMA_MISMATCH, str(e))
+        return False
+    if _malformed(st, steps, state.helper_base):
+        state.diag(origin, SCHEMA_MISMATCH, "the expansion of %s does not "
+                   "end in this step after new primitive steps" % st.rule)
         return False
     # the last step repeats st's conclusion, whose vocabulary is checked.
     # When st's formula or a premise is foreign, the script already has
@@ -337,6 +346,23 @@ def _expand(state: _State, st: ProofStep, origin: int,
         del state.formulas[sub.id], state.deps[sub.id]
         state.index.pop(sub.id, None)
     return True
+
+
+def _malformed(st: ProofStep, steps: list[ProofStep], base: int) -> bool:
+    # the expander is not trusted: its answer must end in st itself, not
+    # as a hypothesis, after primitive helpers with new ids from base
+    if not steps:
+        return True
+    last = steps[-1]
+    if (last.id != st.id or last.formula != st.formula or last.rule == HYP
+            or last.rule in DERIVED):
+        return True
+    ids = set()
+    for sub in steps[:-1]:
+        if sub.id < base or sub.id in ids or sub.rule in DERIVED:
+            return True
+        ids.add(sub.id)
+    return False
 
 
 def _closes(state: _State, st: ProofStep, origin: int,

@@ -34,15 +34,19 @@ The reader only has to be faithful to the text: what the steps mean is
 decided by the kernel.  Formulas are read through the syntax module's
 attribute at call time, so a wrapper installed there (perfbench counts
 parses that way) sees every one.  Each ``parse_script`` call keeps one
-memo from the text of each parenthesised group its formulas hold to
-the group's node.  It is asked before a formula is tokenized, first
-for the formula's outermost group, so a group that a later step
-restates with the same text is neither tokenized nor parsed again,
-and its node is shared; a step that is one such group after its
-label, as a conclusion restating a premise is, is not even scanned
-for parentheses.  Restated with other blanks, a group is read again,
-correctly but not shared (see ``syntax``).  The memo lives for that
-call only.
+memo from the text of each parenthesised group its formulas hold, and
+of each body without parentheses, to the node read there.  It is
+asked before a formula is tokenized, first for the formula's
+outermost group, so a group that a later step restates with the same
+text is neither tokenized nor parsed again, and its node is shared; a
+step that is one such group after its label, as a conclusion
+restating a premise is, is not even scanned for parentheses.  A
+formula without parentheses that restates an earlier body under any
+label, as BoxI and BoxE steps do, takes the body's node, and a
+relational formula ``x U y`` is read from its three fields; neither
+is tokenized.  Restated with other blanks, a group or body is read
+again, correctly but not shared (see ``syntax``).  The memo lives for
+that call only.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ def parse_script(text: str) -> ProofScript:
     statement: Optional[Formula] = None
     steps: list[ProofStep] = []
     seen: set[int] = set()
-    memo: dict = {}  # the parenthesised groups read so far
+    memo: dict = {}  # the groups and bodies read so far
     done = False
 
     for number, raw in enumerate(text.split("\n"), start=1):

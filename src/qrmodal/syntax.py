@@ -41,21 +41,22 @@ nodes; a larger one is rejected with reason ``too-large``.  Each nested
 node carries its height and size, and the parser checks each node it
 builds against both caps.
 
-Reading a text starts with ``tokenize``, which runs one compiled
-pattern over the text with ``findall``.  Each match is a token and the
-blanks and comments after it.  A token is a word (a run of letters,
-digits and ``_``), an operator, or any other single character that is
-not blank.  The blanks are space, tab, CR and LF (``BLANKS``), here and
-in every line-oriented reader.  A token is its text, and the list
-ends with ``""``, the end token.  The operators, the reserved words and
-``""`` make up ``_RESERVED``; every other token must start with a
-letter or ``_`` and is an identifier (``is_identifier`` applies the
-same test to a whole field), and a text with any other token is
-refused.  The line and column of a token are computed only when a
-ParseError is raised, by scanning the text again up to that token.
-The parser reads the tokens by index and compares their texts.  One
-loop per parenthesis level reads the operands and closes each binary
-operator level as soon as the next token ends it.
+Reading a text starts with ``tokenize``, unless it is a formula of a
+proof script that needs no tokens (see below).  ``tokenize`` runs one
+compiled pattern over the text with ``findall``.  Each match is a
+token and the blanks and comments after it.  A token is a word (a run
+of letters, digits and ``_``), an operator, or any other single
+character that is not blank.  The blanks are space, tab, CR and LF
+(``BLANKS``), here and in every line-oriented reader.  A token is its
+text, and the list ends with ``""``, the end token.  The operators,
+the reserved words and ``""`` make up ``_RESERVED``; every other token
+must start with a letter or ``_`` and is an identifier
+(``is_identifier`` applies the same test to a whole field), and a text
+with any other token is refused.  The line and column of a token are
+computed only when a ParseError is raised, by scanning the text again
+up to that token.  The parser reads the tokens by index and compares
+their texts.  One loop per parenthesis level reads the operands and
+closes each binary operator level as soon as the next token ends it.
 
 A proof script restates the formulas of earlier steps inside later
 ones, so ``script.parse_script`` hands every formula of one script the
@@ -75,9 +76,21 @@ not shared.  A text whose parentheses do not balance or nest deeper
 than ``MAX_DEPTH`` is always refused, and is read without the memo.
 Any refusal is read again without the memo, so its message and
 position are those of the formula alone.  Only groups that parse
-enter the memo.  The memo serves one system and texts without
-comments: parse_script reads every formula with system None, from
-lines that hold no comment or have had it cut as read_line cuts it.
+enter the memo.
+
+A text without a ``(`` is not scanned.  When it holds a ``:``, the
+text after its first ``:`` is the body, and the body's text is a key
+too: a formula whose body the memo holds and whose label field, with
+blanks stripped, is one identifier is that label and the memo's node.
+Otherwise the text is read whole, and a body that parses enters the
+memo.  A parenthesis-free key has no parenthesis depth, so body keys
+and group keys share the memo.  A text of three fields, an
+identifier, ``U``, ``M`` or ``P`` and an identifier, is that
+relational formula.  Every other text is tokenized and parsed, and
+the parser alone names a refusal.  The memo serves one system and
+texts without comments: parse_script reads every formula with system
+None, from lines that hold no comment or have had it cut as read_line
+cuts it.
 """
 
 from __future__ import annotations
@@ -418,11 +431,14 @@ def _starts_identifier(word: str) -> bool:
     return word[0].isalpha() or word[0] == "_"
 
 
+_WORD_RE = re.compile(_WORD)
+
+
 def is_identifier(word: str) -> bool:
     """Whether word is read as one identifier token: a word of letters,
     digits and "_" that starts with a letter or "_" and is not a
     reserved word."""
-    return (re.fullmatch(_WORD, word) is not None
+    return (_WORD_RE.fullmatch(word) is not None
             and word not in _RESERVED and _starts_identifier(word))
 
 
@@ -656,8 +672,9 @@ def parse_formula(text: str, system: Optional[System] = None,
                   _memo: Optional[dict] = None) -> Formula:
     """Parse a labelled or relational formula.
 
-    _memo is private: parse_script's memo of parenthesised groups, for
-    system None and texts without a comment only (read_line cuts them).
+    _memo is private: parse_script's memo of parenthesised groups and
+    of parenthesis-free bodies, for system None and texts without a
+    comment only (read_line cuts them).
     """
     if _memo is not None and "(" in text:
         cut = _cut_groups(text, _memo)
@@ -668,6 +685,24 @@ def parse_formula(text: str, system: Optional[System] = None,
                                         groups))
             except ParseError:
                 pass  # read again below, for the memo-free error
+    elif _memo is not None:
+        # a labelled text whose body the memo holds, or a relational
+        # text of three fields, is read without tokens
+        label, colon, body = text.partition(":")
+        if colon:
+            node = _memo.get(body)
+            if node is not None:
+                label = label.strip(BLANKS)
+                if is_identifier(label):
+                    return Labelled(label, node)
+            f = _formula(_Parser(text, tokenize(text), system))
+            # a text holding ":" parses only as a labelled formula
+            _memo[body] = f.body
+            return f
+        fields = _FIELD.findall(text)
+        if (len(fields) == 3 and fields[1] in _REL
+                and is_identifier(fields[0]) and is_identifier(fields[2])):
+            return Relational(fields[0], _REL[fields[1]], fields[2])
     return _formula(_Parser(text, tokenize(text), system))
 
 
@@ -702,8 +737,9 @@ def _cut_groups(text: str, memo: dict) -> Optional[tuple[str, list]]:
     # such a text is refused.
     # The group from the first "(" to a ")" that ends the text is asked
     # first.  Every key is the balanced text of a group read within
-    # MAX_DEPTH, so a hit is the group the scan would cut there; only
-    # a ")" before the "(" differs, and the parser refuses that.
+    # MAX_DEPTH, or a body without parentheses, so a hit is the group
+    # the scan would cut there; only a ")" before the "(" differs, and
+    # the parser refuses that.
     first = text.find("(")
     last = len(text.rstrip(BLANKS)) - 1
     node = memo.get(text[first + 1:last]) if text[last] == ")" else None
@@ -771,8 +807,8 @@ class Line(Record):
         """The formula in text[at:end]; errors start with where % args.
 
         memo, a dict that parse_script keeps for one script, maps the
-        text of each parenthesised group read so far to its node; see
-        the module docstring.
+        text of each parenthesised group and parenthesis-free body read
+        so far to its node; see the module docstring.
         """
         return parse_formula_at(self.text[at:end], self.number,
                                 self.start + at, where, *args,

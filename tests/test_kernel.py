@@ -604,6 +604,128 @@ def test_the_expander_gets_its_premises_formulas_in_citing_order(
     assert all(type(prems) is tuple for _, prems in seen)
 
 
+# The kernel does not trust the expander's answer either.  A script with
+# no statement whose derived step 2 an honest expansion accepts; each
+# answer below is refused with one schema-mismatch on step 2, before any
+# of it runs, and step 2 is then recorded as any failed step is.
+_ANDI = ProofScript(System.MSQR, "t", None, (
+    ProofStep(1, parse_formula("x : r0"), "hyp"),
+    ProofStep(2, parse_formula("x : r0 & r0"), "AndI", (1, 1))))
+MALFORMED = ("the expansion of AndI does not end in this step after new "
+             "primitive steps")
+
+
+def _with_helper(helper):
+    # the honest expansion, with helper put first
+    return lambda step, prems, base: [helper(step, base)] + expand_derived(
+        step, prems, base)
+
+
+@pytest.mark.parametrize("answer", [
+    lambda step, prems, base: [],
+    lambda step, prems, base: [ProofStep(step.id + 100, step.formula, "hyp")],
+    lambda step, prems, base: expand_derived(step, prems, base)[:-1],
+    lambda step, prems, base: expand_derived(step, prems, base)[:-1] + [
+        ProofStep(step.id, parse_formula("x : r0"), "BotE", (base,))],
+    lambda step, prems, base: [ProofStep(step.id, step.formula, "hyp")],
+    _with_helper(lambda step, base: ProofStep(
+        base - 1, parse_formula("x : bot"), "hyp")),
+    lambda step, prems, base: (lambda steps: steps[:1] + steps)(
+        expand_derived(step, prems, base)),
+    lambda step, prems, base: [step],
+    _with_helper(lambda step, base: ProofStep(
+        base + 50, step.formula, "AndI", (1, 1))),
+], ids=["empty", "lone-helper", "no-last-step", "last-formula",
+        "last-is-hyp", "helper-below-base", "repeated-helper", "itself",
+        "derived-helper"])
+def test_a_malformed_expansion_is_refused(monkeypatch, answer):
+    assert check(_ANDI).accepted
+    monkeypatch.setattr(kernel, "expand_derived", answer)
+    report = check(_ANDI)
+    assert [(d.step, d.reason, d.message) for d in report.diagnostics] == [
+        (2, "schema-mismatch", MALFORMED)]
+    assert report.step_ids == (1, 2)
+    assert report.open_at(2) == {parse_formula("x : r0")}
+
+
+def test_check_refuses_a_script_without_a_system():
+    script = ProofScript(None, "t", None, _ANDI.steps)
+    with pytest.raises(ValueError) as exc:
+        check(script)
+    assert str(exc.value) == "no system to check in: None"
+    assert check(script, System.MSQR).accepted
+
+
+# Scripts whose derived step 2 is an AndI instance only in the last one:
+# in the others, only an expansion that ignores the step's own line
+# could get the script accepted.
+HOSTILE_SCRIPTS = {
+    "discharge-itself":
+    "theorem t : x : r0 -> r0\n1. x : r0 ; hyp\n2. x : r1 & r1 ; AndI 1,1\n"
+    "3. x : r0 -> r0 ; ImpI 2 discharge 2\n",
+    "discharge-premise":
+    "theorem t : x : r0 -> r0\n1. x : r0 ; hyp\n2. x : r1 & r1 ; AndI 1,1\n"
+    "3. x : r0 -> r0 ; ImpI 2 discharge 1\n",
+    "last-step":
+    "theorem t : x : r1 & r1\n1. x : r0 ; hyp\n2. x : r1 & r1 ; AndI 1,1\n",
+    "sound":
+    "theorem t : x : r0 -> r0 & r0\n1. x : r0 ; hyp\n"
+    "2. x : r0 & r0 ; AndI 1,1\n3. x : r0 -> r0 & r0 ; ImpI 2 discharge 1\n",
+}
+
+
+def _renumbered(steps, ids):
+    # steps with each id, premise and discharge renamed by ids
+    def new(i):
+        return ids.get(i, i)
+    return [ProofStep(new(sub.id), sub.formula, sub.rule,
+                      tuple(map(new, sub.premises)),
+                      tuple(map(new, sub.discharges)), sub.fresh)
+            for sub in steps]
+
+
+@pytest.mark.parametrize("text", HOSTILE_SCRIPTS.values(),
+                         ids=HOSTILE_SCRIPTS.keys())
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_check_is_total_and_sound_whatever_the_expander_returns(text, data):
+    # the expander answers with 0 to 6 steps drawn over the script's ids,
+    # the helper range and the step's own id, every rule name, and the
+    # formulas of the step, its premises and bot; or with the honest
+    # expansion, one step of it replaced by such a step or its helpers
+    # renamed to other new ids
+    script = parse_script("system MSQR\n%sqed\n" % text)
+
+    def hostile(step, prems, base):
+        ids = st.sampled_from(sorted({s.id for s in script.steps}
+                                     | {step.id, base, base + 1, base + 2}))
+        drawn = st.builds(
+            ProofStep, ids,
+            st.sampled_from([step.formula, *prems, parse_formula("x : bot")]),
+            st.sampled_from(sorted(ALL_RULES)),
+            st.lists(ids, max_size=3).map(tuple),
+            st.lists(ids, max_size=2).map(tuple), st.sampled_from([None, "y"]))
+        honest = expand_derived(step, prems, base)
+        replaced = st.tuples(st.integers(0, len(honest) - 1), drawn).map(
+            lambda new: honest[:new[0]] + [new[1]] + honest[new[0] + 1:])
+        helpers = [sub.id for sub in honest[:-1]]
+        renumbered = st.lists(st.integers(base, base + 8), unique=True,
+                              min_size=len(helpers),
+                              max_size=len(helpers)).map(
+            lambda new: _renumbered(honest, dict(zip(helpers, new))))
+        return data.draw(st.one_of(st.lists(drawn, max_size=6), replaced,
+                                   renumbered))
+
+    expand = kernel.expand_derived
+    kernel.expand_derived = hostile
+    try:
+        report = check(script)
+    finally:
+        kernel.expand_derived = expand
+    if report.accepted:
+        assert_sound_at_every_step(script, script.system, report)
+
+
 # -- derived rule expansion --------------------------------------------------
 
 def test_expand_mtrans_two_steps():
@@ -1229,8 +1351,9 @@ def _script(steps, system="MSQR", theorem=None):
 
 
 # One script per diagnostic call in kernel.py, in source order, with
-# the (step, reason) that call gives it.  An unknown rule is refused by
-# parse_script, so that script is built in code.
+# the (step, reason) that call gives it, and the expander to check it
+# with where the real one never reaches the call.  An unknown rule is
+# refused by parse_script, so that script is built in code.
 DIAGNOSTIC_SITES = [
     ("statement", _script(["x U x ; Urefl"], theorem="x : r1"),
      1, "schema-mismatch"),
@@ -1268,6 +1391,8 @@ DIAGNOSTIC_SITES = [
     ("expansion",
      _script(["x M y ; hyp", "x : r0 ; hyp", "x : r0 & r0 ; AndI 1,2"]),
      3, "schema-mismatch"),
+    ("malformed-expansion", _ANDI, 2, "schema-mismatch",
+     lambda step, prems, base: []),
     ("wrong-discharge",
      _script(["x : r0 ; hyp", "x : r1 ; hyp",
               "x : r0 -> r0 ; ImpI 1 discharge 2"]),
@@ -1361,7 +1486,7 @@ def _diagnostic_sites():
 
 
 def test_one_script_per_diagnostic_site():
-    assert len(_diagnostic_sites()) == len(DIAGNOSTIC_SITES) == 44
+    assert len(_diagnostic_sites()) == len(DIAGNOSTIC_SITES) == 45
 
 
 @pytest.mark.parametrize("index", range(len(DIAGNOSTIC_SITES)),
@@ -1378,7 +1503,9 @@ def test_diagnostic_site_is_reached(monkeypatch, index):
         diag(state, step, reason, message)
 
     monkeypatch.setattr(kernel._State, "diag", recording_diag)
-    _, script, step, reason = DIAGNOSTIC_SITES[index]
+    _, script, step, reason, *expander = DIAGNOSTIC_SITES[index]
+    if expander:  # an expansion no honest expander gives
+        monkeypatch.setattr(kernel, "expand_derived", *expander)
     first, last = _diagnostic_sites()[index]
     check(script)
     assert [(s, r) for line, s, r in raised if first <= line <= last] == [

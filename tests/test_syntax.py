@@ -1439,9 +1439,23 @@ def test_bad_id_is_the_piece_at_its_column(just, message, rest):
 
 # -- the tokenize boundary ---------------------------------------------------
 
-def test_every_formula_goes_through_tokenize_once(monkeypatch):
-    # perfbench wraps syntax.tokenize to count tokens, so every parse must
-    # reach it through the module attribute, once per formula
+@pytest.mark.parametrize("word, identifier", [
+    ("x", True), ("_a", True), ("é9", True), ("r0", True),
+    ("²x", False), ("٣x", False), ("1x", False), ("bot", False),
+    ("U", False), ("x y", False), ("x\n", False), ("x-y", False),
+    ("", False)])
+def test_is_identifier_is_one_identifier_token(word, identifier):
+    # "²x" and "٣x" are words, but start with a digit
+    assert syntax.is_identifier(word) is identifier
+    toks = outcome(tokenize, word)
+    assert identifier == (toks == [word, ""] and word not in syntax._RESERVED)
+
+
+def test_every_tokenize_call_goes_through_the_module_attribute(monkeypatch):
+    # perfbench wraps syntax.tokenize to count tokens, so every text that
+    # is tokenized must reach it through the module attribute.  A formula
+    # read alone is tokenized once; in a script, a relational formula and
+    # a body restated with the same text are not tokenized at all
     seen = []
 
     def counting(text):
@@ -1456,7 +1470,11 @@ def test_every_formula_goes_through_tokenize_once(monkeypatch):
     assert len(seen) == 3
     text = (CORPUS / "msqr" / "thm1.prf").read_text()
     script = parse_script(text)
-    assert len(seen) == 3 + 1 + len(script.steps)
+    # step 2 is x U x; step 4 restates the statement's body, but with a
+    # blank after it, so its text is another key
+    assert [text.strip() for text, _ in seen[3:]] == [
+        "x : [] r0 -> r0", "x : [] r0", "x : r0", "x : [] r0 -> r0"]
+    assert script.steps[1].formula == parse_formula("x U x")
     for text, toks in seen:
         assert toks == [t.text for t in old_tokenize(text)]
         assert toks[-1] == ""
@@ -1556,6 +1574,65 @@ def _restating_scripts(draw):
          "2. x : (p -> q)) ; hyp\nqed\n")
 @settings(max_examples=300, deadline=None)
 def test_memo_reads_a_script_as_each_formula_alone(text):
+    assert_memo_changes_nothing(text)
+
+
+def _rarely(odd, usual):
+    # a value from odd in one draw of eight, else one from usual
+    return st.integers(0, 7).flatmap(
+        lambda i: st.sampled_from(odd if i == 0 else usual))
+
+
+# fields that are identifiers, and rarely fields that are not: reserved
+# words, a leading digit (ASCII, superscript, Arabic-Indic), two fields,
+# none; so most scripts parse
+_LABEL_FIELDS = _rarely(["bot", "U", "1x", "\u00b2x", "\u0663x", "x y", ""],
+                        ["x", "y0", "_a", "\u00e99"])
+_RELATION_FIELDS = _rarely(["u", "R", ":", "bot"], ["U", "U", "M", "P"])
+_PLAIN_BODIES = _rarely(["r0 ->", "[]", "r0 r1"],
+                        ["bot", "[] bot", "r0 -> r1", "~r0 & [M] r1",
+                         "<P> r0 <-> bot", "[] [] r0 | r1"])
+_FIELD_BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\r"])
+
+
+@st.composite
+def _plain_steps(draw):
+    # a formula text without parentheses: a body, restated under several
+    # labels with changed blanks, or a relational formula with odd fields
+    kind = draw(st.sampled_from(["body", "body", "group", "relational"]))
+    if kind == "relational":
+        fields = [draw(_LABEL_FIELDS), draw(_RELATION_FIELDS),
+                  draw(_LABEL_FIELDS)]
+        if draw(st.integers(0, 7)) == 0:  # "x U" or "x U y z"
+            fields = fields[:2] if draw(st.booleans()) else fields + ["z"]
+        return draw(_FIELD_BLANKS).join(fields)
+    body = draw(_PLAIN_BODIES)
+    if draw(st.booleans()):
+        body = body.replace(" ", draw(_FIELD_BLANKS))
+    if kind == "group":  # a body restated as a group, where keys meet
+        body = draw(st.sampled_from(["(%s) -> r0", "~(%s)", "(%s)"])) % body
+    colon = draw(st.sampled_from([" : ", ":", " :", ": ", "\t:\t"]))
+    return draw(_LABEL_FIELDS) + colon + body
+
+
+@st.composite
+def _plain_scripts(draw):
+    steps = draw(st.lists(_plain_steps(), min_size=1, max_size=8))
+    return "system MSQR\ntheorem t : %s\n%sqed\n" % (
+        draw(st.sampled_from(steps)), "".join(
+            "%d. %s ; hyp\n" % step for step in enumerate(steps, 1)))
+
+
+@given(_plain_scripts())
+@example("system MSQR\ntheorem t : x : [] bot\n1. y : [] bot ; hyp\n"
+         "2. bot : [] bot ; hyp\nqed\n")
+@example("system MSQR\ntheorem t : x :r0 -> r1\n1. y :r0 -> r1 ; hyp\n"
+         "2. x : %sr0 -> r1%s ; hyp\nqed\n" % ("(" * 100, ")" * 100))
+@example("system MSQR\ntheorem t : x :r0 -> r1\n1. y :r0 -> r1 ; hyp\n"
+         "2. x : %sr0 -> r1%s ; hyp\nqed\n" % ("(" * 101, ")" * 101))
+@example("system MSQR\ntheorem t : x U\xb2x\n1. x\tP y ; hyp\nqed\n")
+@settings(max_examples=400, deadline=None)
+def test_memo_reads_plain_formulas_as_each_formula_alone(text):
     assert_memo_changes_nothing(text)
 
 
